@@ -33,9 +33,10 @@ def square(src, dst, ctx):
     out = dst.view(np.uint32).ravel()
     np.multiply(v, v, out=out)
 
-array_map(mgmt, "x", "x2", 4, create_handle(mgmt, "map", map_func=square))
+plan = array_map(mgmt, "x", "x2", 4, create_handle(mgmt, "map", map_func=square))
 assert np.array_equal(gather(mgmt, "x2").view(np.uint32), data * data)
-print(f"map: squared {len(data)} elements, "
+print(f"map: squared {len(data)} elements with {plan.num_tasklets} tasklets x "
+      f"{plan.batch_elems}-element batches, "
       f"{device.stats.bank_scratch_bytes} B moved bank<->scratchpad, "
       f"{device.stats.dma_commands} DMA commands")
 
@@ -67,8 +68,8 @@ assert np.array_equal(histo, np.bincount((values.astype(np.int64) * BINS) >> 12,
 print(f"reduce: {BINS}-bin histogram via {plan.variant} with "
       f"{plan.num_tasklets} tasklets per core")
 
-# The planner throttles tasklets as private accumulators grow, and would fall
-# back to one shared, lock-guarded array when even one copy is too large.
+# The planner throttles tasklets as private accumulators grow; the shared
+# variant keeps one lock-guarded array and so keeps more tasklets.
 cfg = DeviceConfig(num_cores=1)
 for bins in (256, 1024, 4096):
     p = select_reduction_plan(bins, 4, cfg)

@@ -44,8 +44,8 @@ for bins in (256, 512, 1024, 2048, 4096):
     spec = BenchmarkSpec(name="histogram", total_elems=30_000, bins=bins, seed=11)
     rows = {}
     for variant in ("private", "shared"):
-        result, _, ok, device, _ = run_benchmark("histogram", spec, 4,
-                                                 variant=variant)
+        result, _, ok, _, _ = run_benchmark("histogram", spec, 4,
+                                            variant=variant)
         assert ok
         rows[variant] = result
     private_t = run_experiment(ExperimentConfig(

@@ -39,6 +39,7 @@ from .errors import (
     DuplicateArrayId,
     ElementTooLarge,
     HandleKindMismatch,
+    HostBufferInvalid,
     InvalidHandleKind,
     LengthMismatch,
     MissingCallback,
@@ -75,7 +76,7 @@ from .processing import (
     VARIANT_SHARED,
     ZIP,
     Handle,
-    ReductionPlan,
+    IteratorPlan,
     array_map,
     array_red,
     array_zip,

@@ -37,7 +37,6 @@ class TransferPlan:
     type_size: int
     per_core_elems: tuple[int, ...]
     padded_chunk_bytes: int
-    pad_fill: int = 0
 
 
 def plan_scatter(length: int, type_size: int, num_cores: int,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     AlignmentViolation,
+    HostBufferInvalid,
     OutOfBankMemory,
     OutOfBounds,
     ScratchpadOverflow,
@@ -314,9 +315,12 @@ class PimDevice:
 
         ``host`` is a (num_cores, nbytes_per_core) uint8 array (or a sequence
         of equal-sized buffers for the to-pim direction).  For ``to_host`` the
-        array is filled in place.
+        array is filled in place; anything else raises before a byte moves.
         """
         self._check_host_transfer(bank_offset, nbytes_per_core)
+        if direction == TO_HOST and not (isinstance(host, np.ndarray) and host.ndim == 2):
+            raise HostBufferInvalid(
+                "to_host needs one (num_cores, nbytes_per_core) array to fill in place")
         mat = self._as_slice_matrix(host, nbytes_per_core)
         span = self.banks[:, bank_offset:bank_offset + nbytes_per_core]
         if direction == TO_PIM:
@@ -394,10 +398,3 @@ class PimDevice:
                         pass
                 live = nxt
         self.stats.kernel_launches += 1
-
-    # -- debugging ---------------------------------------------------------------
-
-    def dump_log(self, path) -> None:
-        with open(path, "w") as f:
-            for rec in self.transfer_log:
-                f.write(rec.as_line() + "\n")

@@ -28,6 +28,10 @@ class UnequalSliceSizes(PimError):
     """Parallel transfers require same-sized slices on every core."""
 
 
+class HostBufferInvalid(PimError):
+    """A to-host parallel transfer needs one (cores, bytes) array to fill."""
+
+
 class ScratchpadOverflow(PimError):
     """A kernel claimed more scratchpad than the usable budget."""
 

@@ -50,8 +50,7 @@ class ExperimentConfig:
     iterations: int = 3
     seed: int = 0
     variant: str = "auto"
-    log_transfers: bool = False
-    transfer_log_path: str | None = None
+    transfer_log_path: str | None = None  # transfers are logged only when set
 
     def __post_init__(self) -> None:
         if self.benchmark not in RUNNERS:
@@ -96,23 +95,11 @@ def _make_spec(config: ExperimentConfig, total: int) -> BenchmarkSpec:
                          seed=config.seed)
 
 
-def _reduction_shape(config: ExperimentConfig) -> tuple[int, int] | None:
-    """(output entries, entry bytes) of the benchmark's reduction, if any."""
-    if config.benchmark == "reduction":
-        return 1, 8
-    if config.benchmark == "histogram":
-        return config.bins, 4
-    if config.benchmark in ("linreg", "logreg"):
-        return 1, 8 * config.dims
-    if config.benchmark == "kmeans":
-        return config.clusters, 8 * (config.dims + 1)
-    return None
-
-
 def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
                   variant: str = "auto", log_transfers: bool = False):
     """Run one benchmark on a fresh device; returns
-    (result, expected, correct, device, wall_seconds)."""
+    (result, expected, correct, mgmt, wall_seconds).  ``mgmt.device`` holds
+    the counters and ``mgmt.last_plan`` the plan of the last kernel run."""
     device = PimDevice(DeviceConfig(
         num_cores=cores, dram_bank_bytes=_bank_bytes_for(spec.total_elems, cores),
         log_transfers=log_transfers))
@@ -126,7 +113,7 @@ def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
     wall = time.perf_counter() - start
     expected = oracle(spec)
     correct = bool(np.array_equal(np.asarray(result), np.asarray(expected)))
-    return result, expected, correct, device, wall
+    return result, expected, correct, mgmt, wall
 
 
 def _mismatch_diff(result, expected) -> str:
@@ -143,7 +130,9 @@ def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[Result
     """Sweep the benchmark over core counts, verifying each run.
 
     Weak scaling holds elements-per-core constant; strong scaling holds the
-    total constant at ``elems_per_core * min(core_counts)``.
+    total constant at ``elems_per_core * min(core_counts)``.  ``variant``
+    and ``tasklets_used`` are those of the last iterator kernel that ran (the
+    map for vecadd, whose variant is ``-``).
     """
     rows: list[ResultRow] = []
     log_lines: list[str] = []
@@ -151,25 +140,19 @@ def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[Result
     for cores in config.core_counts:
         total = config.elems_per_core * cores if config.scaling == "weak" else base_total
         spec = _make_spec(config, total)
-        result, expected, correct, device, wall = run_benchmark(
+        result, expected, correct, mgmt, wall = run_benchmark(
             config.benchmark, spec, cores, variant=config.variant,
-            log_transfers=config.log_transfers)
+            log_transfers=config.transfer_log_path is not None)
         if strict and not correct:
             raise RuntimeError(
                 f"{config.benchmark} on {cores} cores diverged from its oracle: "
                 + _mismatch_diff(result, expected))
-        shape = _reduction_shape(config)
-        if shape is not None:
-            plan = processing.select_reduction_plan(shape[0], shape[1],
-                                                    device.config, config.variant)
-            variant, tasklets = plan.variant, plan.num_tasklets
-        else:
-            variant, tasklets = "-", device.config.max_tasklets
-        stats = device.stats
+        plan = mgmt.last_plan
+        stats = mgmt.device.stats
         rows.append(ResultRow(
             benchmark=config.benchmark, cores=cores, scaling=config.scaling,
-            variant=variant, tasklets_used=tasklets, total_elems=total,
-            correct=correct,
+            variant=plan.variant or "-", tasklets_used=plan.num_tasklets,
+            total_elems=total, correct=correct,
             host_to_pim_bytes=stats.host_to_pim_bytes,
             pim_to_host_bytes=stats.pim_to_host_bytes,
             dram_to_scratch_bytes=stats.dram_to_scratch_bytes,
@@ -177,9 +160,8 @@ def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[Result
             dma_commands=stats.dma_commands,
             kernel_launches=stats.kernel_launches,
             wall_time_ms=wall * 1e3))
-        if config.log_transfers:
-            log_lines.extend(rec.as_line() for rec in device.transfer_log)
-    if config.log_transfers and config.transfer_log_path:
+        log_lines.extend(rec.as_line() for rec in mgmt.device.transfer_log)
+    if config.transfer_log_path is not None:
         with open(config.transfer_log_path, "w") as f:
             f.write("\n".join(log_lines) + ("\n" if log_lines else ""))
     return rows
@@ -325,12 +307,12 @@ def check_alignment_audit(elems_per_core: int = 3000, cores: int = 4) -> CheckRe
     for name in RUNNERS:
         spec = BenchmarkSpec(name=name, total_elems=elems_per_core * cores,
                              iterations=2, seed=5)
-        _, _, correct, device, _ = run_benchmark(name, spec, cores,
-                                                 log_transfers=True)
+        _, _, correct, mgmt, _ = run_benchmark(name, spec, cores,
+                                               log_transfers=True)
         if not correct:
             problems.append(f"{name}: oracle mismatch during audit run")
-        problems.extend(audit_transfer_log(device))
-        commands += sum(1 for r in device.transfer_log
+        problems.extend(audit_transfer_log(mgmt.device))
+        commands += sum(1 for r in mgmt.device.transfer_log
                         if r.op in ("dma_read", "dma_write"))
     return CheckResult("alignment-audit", not problems,
                        f"{commands} DMA commands audited, {len(problems)} violations",
@@ -516,8 +498,7 @@ def main(argv=None) -> int:
         benchmark=args.benchmark, core_counts=args.cores, scaling=args.scaling,
         elems_per_core=args.elems, bins=args.bins, dims=args.dims,
         clusters=args.clusters, iterations=args.iters, seed=args.seed,
-        variant=args.variant, log_transfers=args.log_transfers,
-        transfer_log_path=log_path)
+        variant=args.variant, transfer_log_path=log_path)
     rows = run_experiment(config)
     if args.out:
         emit_csv(rows, args.out)

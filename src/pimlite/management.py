@@ -61,7 +61,10 @@ class ArrayMetadata:
 
 
 class ManagementContext:
-    """Registry of arrays and handles, bound to one device.
+    """Registry of arrays, bound to one device.
+
+    ``last_plan`` is the plan of the most recent iterator kernel that ran
+    (None before the first); reports read the executed plan from it.
 
     Meant to be driven from a single control thread; nothing here is
     concurrency-safe and nothing persists across processes.
@@ -70,7 +73,7 @@ class ManagementContext:
     def __init__(self, device: PimDevice):
         self.device = device
         self.registry: dict[str, ArrayMetadata] = {}
-        self.handles: dict[str, object] = {}
+        self.last_plan = None
         self._handle_counter = 0
 
     def lookup(self, array_id: str) -> ArrayMetadata:

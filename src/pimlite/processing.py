@@ -1,14 +1,15 @@
 """Iterators over device-resident arrays: map, keyed reduction, and zip.
 
 Execution strategy: inputs stream through per-tasklet scratchpad buffers in
-aligned batches, sized dynamically from the element sizes, the DMA command
-limit and the remaining scratchpad budget.  Reductions keep their
-accumulators in the scratchpad in one of two variants (one shared array
-behind per-entry locks, or one private array per tasklet merged ring-style
-with barriers).  Zip is lazy: it records the two source arrays and the next
-iterator streams both of them, combining batches in the scratchpad; zipping
-an already-lazy array forces physical materialization (laziness is one level
-deep).
+aligned batches.  One planner, :func:`plan_iterator`, sizes the batches from
+the element sizes, the DMA command limit and the remaining scratchpad budget,
+throttles the tasklet count and lays out the scratchpad; every iterator runs
+exactly the plan it returns.  Reductions keep their accumulators in the
+scratchpad in one of two variants (one shared array behind per-entry locks,
+or one private array per tasklet merged ring-style with barriers).  Zip is
+lazy: it records the two source arrays and the next iterator streams both of
+them, combining batches in the scratchpad; zipping an already-lazy array
+forces physical materialization (laziness is one level deep).
 
 Callback contract.  All buffers are uint8 views of scratchpad rows; callbacks
 reinterpret them with ``.view(dtype)``:
@@ -29,12 +30,17 @@ reinterpret them with ``.view(dtype)``:
 ``acc_func(dst, src)``
     ``dst[i] ⊕= src[i]`` over entry rows, in place.  ``⊕`` must be commutative
     and associative; results are then independent of how work was split.
+
+A callback that raises propagates out of the iterator; the iterator's own
+bank allocation is released first, so the registry and the allocator are left
+as they were before the call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +55,6 @@ from .errors import (
     LengthMismatch,
     MissingCallback,
     NoFeasiblePlan,
-    ScratchpadOverflow,
     WrongLayout,
 )
 from .management import (
@@ -69,8 +74,6 @@ VARIANT_PRIVATE = "thread_private"
 
 # tasklet counts tried when throttling; 12 keeps the core pipeline saturated
 TASKLET_CANDIDATES = (12, 8, 4, 2, 1)
-# per-tasklet streaming-buffer constant used by the occupancy cost model
-DEFAULT_INPUT_BUFFER_BYTES = 2048
 
 
 @dataclass
@@ -106,7 +109,7 @@ def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
                   init_func=None, map_to_val_func=None, acc_func=None,
                   context=None, input_type_size: int | None = None,
                   output_type_size: int | None = None) -> Handle:
-    """Validate the callback bundle for ``kind`` and register it."""
+    """Validate the callback bundle for ``kind`` and give it an id."""
     if kind not in (MAP, REDUCE, ZIP):
         raise InvalidHandleKind(f"kind must be map/reduce/zip, got {kind!r}")
     if kind == MAP and map_func is None:
@@ -118,14 +121,12 @@ def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
             if fn is None:
                 raise MissingCallback(f"reduce handle needs {name}")
     ctx = _as_context_bytes(context)
-    handle = Handle(kind=kind, map_func=map_func, init_func=init_func,
-                    map_to_val_func=map_to_val_func, acc_func=acc_func,
-                    context=ctx, context_size=0 if ctx is None else ctx.size,
-                    input_type_size=input_type_size,
-                    output_type_size=output_type_size,
-                    id=mgmt.new_handle_id())
-    mgmt.handles[handle.id] = handle
-    return handle
+    return Handle(kind=kind, map_func=map_func, init_func=init_func,
+                  map_to_val_func=map_to_val_func, acc_func=acc_func,
+                  context=ctx, context_size=0 if ctx is None else ctx.size,
+                  input_type_size=input_type_size,
+                  output_type_size=output_type_size,
+                  id=mgmt.new_handle_id())
 
 
 def update_context(mgmt: ManagementContext, handle: Handle, context) -> None:
@@ -210,21 +211,37 @@ def _tasklet_candidates(max_tasklets: int) -> list[int]:
     return cands
 
 
-# --- reduction planning ---------------------------------------------------------
+# --- planning -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ReductionPlan:
-    variant: str
+class IteratorPlan:
+    """What one iterator kernel runs with, as handed to ``launch_kernel``.
+
+    The scratchpad holds the broadcast context at offset 0, the accumulators
+    from ``accum_base`` (``accum_slot`` bytes each: one per tasklet when
+    thread-private, one in total when shared), then one block of
+    ``block_bytes`` per tasklet from ``blocks_base``.  The ``*_rel`` offsets
+    are relative to a tasklet's block: one slot per input stream, the slot
+    where zipped streams are combined, and the slot written back to the bank.
+    ``occupancy_bytes`` is the whole claim.
+    """
+
+    variant: str | None  # None for map and zip
     num_tasklets: int
-    output_len: int
-    output_elem_bytes: int
-    input_buffer_bytes: int
+    batch_elems: int
+    stream_rels: tuple[int, ...]
+    combine_rel: int | None
+    out_rel: int | None
+    accum_base: int
+    accum_slot: int
+    blocks_base: int
+    block_bytes: int
     occupancy_bytes: int
 
 
 def _canon_variant(variant: str) -> str:
-    table = {"auto": "auto",
+    table = {"auto": VARIANT_PRIVATE,
              "private": VARIANT_PRIVATE, VARIANT_PRIVATE: VARIANT_PRIVATE,
              "shared": VARIANT_SHARED, VARIANT_SHARED: VARIANT_SHARED}
     try:
@@ -233,39 +250,75 @@ def _canon_variant(variant: str) -> str:
         raise ValueError(f"variant must be auto/shared/private, got {variant!r}") from None
 
 
-def select_reduction_plan(output_len: int, output_elem_bytes: int, config,
-                          variant: str = "auto") -> ReductionPlan:
-    """Choose the accumulator variant and tasklet count for a reduction.
+def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
+                  output_len: int = 0, variant: str = "auto",
+                  context_bytes: int = 0) -> IteratorPlan:
+    """Choose tasklets and batch size and lay out the scratchpad of one
+    iterator kernel.  Every iterator calls this before it allocates anything.
 
-    Occupancy model: thread-private needs ``t * (n*d + buffer)`` bytes of
-    scratchpad, the shared variant ``n*d + t * buffer``.  The auto policy
-    prefers thread-private accumulators, throttling the tasklet count down
-    the candidate list until the copies fit; the shared variant is the
-    fallback once even a single private copy is too large.
+    ``in_sizes`` are the element sizes of the streamed inputs (two or more
+    when a zip is streamed).  ``out_size`` is the element size that a map or
+    a zip materialization writes back, or the entry size of a reduction with
+    ``output_len`` entries.  ``auto`` means thread-private accumulators.
+
+    Tasklet counts are tried from ``max_tasklets`` down the candidate list.
+    A count is skipped when its accumulators plus one full DMA command per
+    tasklet exceed the usable scratchpad (the context is not counted in this
+    cap).  Otherwise the largest batch whose buffers fit beside the context
+    and the accumulators is taken; the first count with a batch wins.
     """
-    n, d = output_len, output_elem_bytes
-    if n < 1 or d < 1:
-        raise ValueError("output_len and output_elem_bytes must be >= 1")
+    align = config.dma_alignment
     usable = config.usable_scratchpad_bytes
-    buffer = DEFAULT_INPUT_BUFFER_BYTES
-    want = _canon_variant(variant)
-    if want in ("auto", VARIANT_PRIVATE):
-        for t in _tasklet_candidates(config.max_tasklets):
-            occ = t * (n * d + buffer)
-            if occ <= usable:
-                return ReductionPlan(VARIANT_PRIVATE, t, n, d, buffer, occ)
-        if want == VARIANT_PRIVATE:
-            raise NoFeasiblePlan(
-                f"one private accumulator of {n}x{d} B plus a buffer exceeds "
-                f"{usable} B of scratchpad")
-    if want in ("auto", VARIANT_SHARED):
-        for t in _tasklet_candidates(config.max_tasklets):
-            occ = n * d + t * buffer
-            if occ <= usable:
-                return ReductionPlan(VARIANT_SHARED, t, n, d, buffer, occ)
-    raise NoFeasiblePlan(
-        f"accumulator of {n}x{d} B does not fit {usable} B of scratchpad "
-        f"in any variant (DRAM-resident accumulators are not supported)")
+    in_sizes = list(in_sizes)
+    multi = len(in_sizes) > 1
+    buffers = in_sizes + ([sum(in_sizes)] if multi else [])
+    if kind == REDUCE:
+        if output_len < 1 or out_size < 1:
+            raise ValueError("output_len and output_elem_bytes must be >= 1")
+        variant = _canon_variant(variant)
+        accum_slot = round_up(output_len * out_size, align)
+        dma_sizes = in_sizes
+    else:
+        variant, accum_slot = None, 0
+        dma_sizes = in_sizes + [out_size]
+        if kind == MAP:
+            buffers.append(out_size)
+    batch0, group = _dma_batch_bound(dma_sizes, config.dma_max_bytes, align)
+    ctx_pad = round_up(context_bytes, align)
+    for tasklets in _tasklet_candidates(config.max_tasklets):
+        accum = accum_slot * (tasklets if variant == VARIANT_PRIVATE else 1)
+        if accum + tasklets * config.dma_max_bytes > usable:
+            continue
+        batch = _fit_batch(batch0, group, buffers, usable - ctx_pad - accum,
+                           tasklets, align)
+        if batch:
+            break
+    else:
+        raise NoFeasiblePlan(
+            f"{context_bytes} B of context, {accum_slot} B of accumulator and "
+            f"streaming buffers do not fit {usable} B of scratchpad with any "
+            f"tasklet count (DRAM-resident accumulators are not supported)")
+    rels = list(itertools.accumulate(
+        (round_up(batch * size, align) for size in buffers), initial=0))
+    combine_rel = rels[len(in_sizes)] if multi else None
+    blocks_base = ctx_pad + accum
+    return IteratorPlan(
+        variant=variant, num_tasklets=tasklets, batch_elems=batch,
+        stream_rels=tuple(rels[:len(in_sizes)]), combine_rel=combine_rel,
+        out_rel={MAP: rels[-2], ZIP: combine_rel}.get(kind),
+        accum_base=ctx_pad, accum_slot=accum_slot, blocks_base=blocks_base,
+        block_bytes=rels[-1], occupancy_bytes=blocks_base + tasklets * rels[-1])
+
+
+def select_reduction_plan(output_len: int, output_elem_bytes: int, config,
+                          variant: str = "auto", *, input_sizes=(4,),
+                          context_bytes: int = 0) -> IteratorPlan:
+    """The plan ``array_red`` runs for ``output_len`` accumulator entries of
+    ``output_elem_bytes`` over inputs of ``input_sizes`` bytes with a
+    ``context_bytes`` context; raises ``NoFeasiblePlan`` when nothing fits."""
+    return plan_iterator(config, REDUCE, input_sizes, output_elem_bytes,
+                         output_len=output_len, variant=variant,
+                         context_bytes=context_bytes)
 
 
 # --- shared kernel machinery -----------------------------------------------------
@@ -275,7 +328,6 @@ def select_reduction_plan(output_len: int, output_elem_bytes: int, config,
 class _Stream:
     bank_offset: int
     type_size: int
-    rel_slot: int = 0
 
 
 def _physical_streams(mgmt: ManagementContext, meta: ArrayMetadata) -> list[_Stream]:
@@ -286,6 +338,15 @@ def _physical_streams(mgmt: ManagementContext, meta: ArrayMetadata) -> list[_Str
     if meta.layout == LAYOUT_REPLICATED:
         raise WrongLayout(f"{meta.id} is replicated; iterators need scattered input")
     return [_Stream(meta.bank_offset, meta.type_size)]
+
+
+def _launch(mgmt: ManagementContext, kernel, job, lock_entries: int = 0) -> None:
+    """Run ``job`` with exactly its plan and record that plan as executed."""
+    plan = job.plan
+    mgmt.device.launch_kernel(kernel, plan.num_tasklets, job,
+                              scratch_bytes=plan.occupancy_bytes,
+                              lock_entries=lock_entries)
+    mgmt.last_plan = plan
 
 
 def _as_entry_rows(arr, m: int, entry_bytes: int) -> np.ndarray:
@@ -338,16 +399,16 @@ def _load_batch_views(tctx: TaskletContext, job, base: int, lo: int, m: int):
     combining multi-stream elements into the zip slot when present."""
     align = tctx.device.config.dma_alignment
     views = []
-    for s in job.in_streams:
-        slot = base + s.rel_slot
+    for s, rel in zip(job.in_streams, job.plan.stream_rels):
+        slot = base + rel
         tctx.dma_read(s.bank_offset + lo * s.type_size, slot,
                       round_up(m * s.type_size, align))
         views.append(tctx.scratch[slot:slot + m * s.type_size]
                      .reshape(m, s.type_size))
-    if job.combine_rel is None:
+    if job.plan.combine_rel is None:
         return views[0]
     total = sum(s.type_size for s in job.in_streams)
-    cslot = base + job.combine_rel
+    cslot = base + job.plan.combine_rel
     z = tctx.scratch[cslot:cslot + m * total].reshape(m, total)
     col = 0
     for view in views:
@@ -362,33 +423,30 @@ def _load_batch_views(tctx: TaskletContext, job, base: int, lo: int, m: int):
 @dataclass
 class _StreamJob:
     per_core_elems: tuple[int, ...]
-    batch_elems: int
+    plan: IteratorPlan
     in_streams: tuple[_Stream, ...]
-    combine_rel: int | None
-    out_rel: int
     out_bank_offset: int
     out_type_size: int
-    blocks_base: int
-    block_bytes: int
     ctx: tuple[int, int, int] | None
     map_func: object
 
 
 def _stream_kernel(tctx: TaskletContext, job: _StreamJob):
     align = tctx.device.config.dma_alignment
+    plan = job.plan
     if job.ctx is not None and tctx.tasklet_id == 0:
         tctx.stream_read(job.ctx[0], 0, job.ctx[2])
     yield  # context resident before anyone computes
     ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
-    b = job.batch_elems
+    b = plan.batch_elems
     num_batches = -(-local // b) if local else 0
-    base = job.blocks_base + tctx.tasklet_id * job.block_bytes
+    base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
+    oslot = base + plan.out_rel
     for k in range(tctx.tasklet_id, num_batches, tctx.num_tasklets):
         lo = k * b
         m = min(b, local - lo)
         src = _load_batch_views(tctx, job, base, lo, m)
-        oslot = base + job.out_rel
         if job.map_func is not None:
             out = tctx.scratch[oslot:oslot + m * job.out_type_size] \
                 .reshape(m, job.out_type_size)
@@ -397,54 +455,36 @@ def _stream_kernel(tctx: TaskletContext, job: _StreamJob):
                        round_up(m * job.out_type_size, align))
 
 
-def _plan_stream_layout(mgmt, in_streams, out_type_size, has_map_func, ctx_info):
-    """Pick (tasklets, batch) and lay out per-tasklet scratch slots for a
-    streaming job; returns the job skeleton pieces plus the total claim."""
-    cfg = mgmt.device.config
-    align = cfg.dma_alignment
-    in_sizes = [s.type_size for s in in_streams]
-    multi = len(in_streams) > 1
-    combined = sum(in_sizes)
-    # zip materialization writes the combined buffer itself; a map needs its
-    # own output slot
-    buffer_sizes = list(in_sizes)
-    if multi:
-        buffer_sizes.append(combined)
-    if has_map_func:
-        buffer_sizes.append(out_type_size)
-    dma_sizes = in_sizes + [out_type_size]
-    batch0, group = _dma_batch_bound(dma_sizes, cfg.dma_max_bytes, align)
-    ctx_pad = ctx_info[2] if ctx_info else 0
-    for tasklets in _tasklet_candidates(cfg.max_tasklets):
-        batch = _fit_batch(batch0, group, buffer_sizes,
-                           cfg.usable_scratchpad_bytes - ctx_pad, tasklets, align)
-        if batch:
-            break
-    else:
-        raise ScratchpadOverflow(
-            "streaming buffers do not fit the scratchpad even with one tasklet")
-    streams = []
-    cursor = 0
-    for s in in_streams:
-        streams.append(replace(s, rel_slot=cursor))
-        cursor += round_up(batch * s.type_size, align)
-    combine_rel = None
-    if multi:
-        combine_rel = cursor
-        cursor += round_up(batch * combined, align)
-    if has_map_func:
-        out_rel = cursor
-        cursor += round_up(batch * out_type_size, align)
-    else:
-        out_rel = combine_rel
-    claim = ctx_pad + tasklets * cursor
-    return tuple(streams), combine_rel, out_rel, cursor, batch, tasklets, claim
+def _stream_to_new_array(mgmt: ManagementContext, meta: ArrayMetadata,
+                         dest_id: str, in_streams, plan: IteratorPlan,
+                         out_type_size: int, ctx_info, map_func) -> IteratorPlan:
+    """Allocate ``dest_id``, run the streaming kernel into it and register it
+    with ``meta``'s distribution; the allocation is released if the kernel
+    raises."""
+    device = mgmt.device
+    dest_padded = round_up(max(meta.per_core_elems, default=0) * out_type_size,
+                           device.config.dma_alignment)
+    dest_offset = device.alloc(dest_padded)
+    job = _StreamJob(per_core_elems=meta.per_core_elems, plan=plan,
+                     in_streams=tuple(in_streams), out_bank_offset=dest_offset,
+                     out_type_size=out_type_size, ctx=ctx_info, map_func=map_func)
+    try:
+        _launch(mgmt, _stream_kernel, job)
+    except BaseException:
+        device.dealloc(dest_offset, dest_padded)
+        raise
+    mgmt.register(ArrayMetadata(
+        id=dest_id, len=meta.len, type_size=out_type_size,
+        bank_offset=dest_offset, per_core_elems=meta.per_core_elems,
+        padded_chunk_bytes=dest_padded, layout=LAYOUT_SCATTERED))
+    return plan
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
-              output_type_size: int, handle: Handle) -> None:
+              output_type_size: int, handle: Handle) -> IteratorPlan:
     """Apply the handle's map function to every element of ``src_id`` and
-    register the result under ``dest_id`` with the same distribution."""
+    register the result under ``dest_id`` with the same distribution.
+    Returns the plan that was executed."""
     meta = mgmt.lookup(src_id)
     if dest_id in mgmt.registry:
         raise DuplicateArrayId(dest_id)
@@ -455,36 +495,25 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
     if handle.output_type_size not in (None, output_type_size):
         raise ValueError("output_type_size disagrees with the handle declaration")
     in_streams = _physical_streams(mgmt, meta)
-    elem_size = sum(s.type_size for s in in_streams)
-    if handle.input_type_size not in (None, elem_size):
+    in_sizes = [s.type_size for s in in_streams]
+    if handle.input_type_size not in (None, sum(in_sizes)):
         raise ValueError("input element size disagrees with the handle declaration")
+    plan = plan_iterator(mgmt.device.config, MAP, in_sizes, output_type_size,
+                         context_bytes=handle.context_size)
     ctx_info = _ensure_context(mgmt, handle)
-    streams, combine_rel, out_rel, block, batch, tasklets, claim = \
-        _plan_stream_layout(mgmt, in_streams, output_type_size, True, ctx_info)
-    device = mgmt.device
-    dest_padded = round_up(max(meta.per_core_elems, default=0) * output_type_size,
-                           device.config.dma_alignment)
-    dest_offset = device.alloc(dest_padded)
-    job = _StreamJob(per_core_elems=meta.per_core_elems, batch_elems=batch,
-                     in_streams=streams, combine_rel=combine_rel, out_rel=out_rel,
-                     out_bank_offset=dest_offset, out_type_size=output_type_size,
-                     blocks_base=(ctx_info[2] if ctx_info else 0),
-                     block_bytes=block, ctx=ctx_info, map_func=handle.map_func)
-    device.launch_kernel(_stream_kernel, tasklets, job, scratch_bytes=claim)
-    mgmt.register(ArrayMetadata(
-        id=dest_id, len=meta.len, type_size=output_type_size,
-        bank_offset=dest_offset, per_core_elems=meta.per_core_elems,
-        padded_chunk_bytes=dest_padded, layout=LAYOUT_SCATTERED))
+    return _stream_to_new_array(mgmt, meta, dest_id, in_streams, plan,
+                                output_type_size, ctx_info, handle.map_func)
 
 
 def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
-              materialize: bool = False) -> None:
+              materialize: bool = False) -> IteratorPlan | None:
     """Combine two equally distributed arrays element by element.
 
     Normally this is lazy: no device traffic, the result just names its two
-    sources.  When an input is itself lazy (laziness is one level deep) or
-    ``materialize`` is set, the combined array is built physically by
-    streaming batches and interleaving elements.
+    sources, and None is returned.  When an input is itself lazy (laziness is
+    one level deep) or ``materialize`` is set, the combined array is built
+    physically by streaming batches and interleaving elements, and the
+    executed plan is returned.
     """
     a = mgmt.lookup(src1_id)
     b = mgmt.lookup(src2_id)
@@ -501,23 +530,12 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
             id=dest_id, len=a.len, type_size=out_type_size, bank_offset=None,
             per_core_elems=a.per_core_elems, padded_chunk_bytes=0,
             layout=LAYOUT_LAZY_ZIP, zip_sources=(src1_id, src2_id)))
-        return
+        return None
     in_streams = _physical_streams(mgmt, a) + _physical_streams(mgmt, b)
-    streams, combine_rel, out_rel, block, batch, tasklets, claim = \
-        _plan_stream_layout(mgmt, in_streams, out_type_size, False, None)
-    device = mgmt.device
-    dest_padded = round_up(max(a.per_core_elems, default=0) * out_type_size,
-                           device.config.dma_alignment)
-    dest_offset = device.alloc(dest_padded)
-    job = _StreamJob(per_core_elems=a.per_core_elems, batch_elems=batch,
-                     in_streams=streams, combine_rel=combine_rel, out_rel=out_rel,
-                     out_bank_offset=dest_offset, out_type_size=out_type_size,
-                     blocks_base=0, block_bytes=block, ctx=None, map_func=None)
-    device.launch_kernel(_stream_kernel, tasklets, job, scratch_bytes=claim)
-    mgmt.register(ArrayMetadata(
-        id=dest_id, len=a.len, type_size=out_type_size, bank_offset=dest_offset,
-        per_core_elems=a.per_core_elems, padded_chunk_bytes=dest_padded,
-        layout=LAYOUT_SCATTERED))
+    plan = plan_iterator(mgmt.device.config, ZIP,
+                         [s.type_size for s in in_streams], out_type_size)
+    return _stream_to_new_array(mgmt, a, dest_id, in_streams, plan,
+                                out_type_size, None, None)
 
 
 # --- keyed reduction ---------------------------------------------------------------
@@ -526,18 +544,11 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
 @dataclass
 class _RedJob:
     per_core_elems: tuple[int, ...]
-    batch_elems: int
+    plan: IteratorPlan
     in_streams: tuple[_Stream, ...]
-    combine_rel: int | None
-    blocks_base: int
-    block_bytes: int
     ctx: tuple[int, int, int] | None
     n: int
     d: int
-    variant: str
-    accum_base: int
-    accum_slot: int
-    seg_bounds: tuple[int, ...]
     staging_bank_offset: int
     init_func: object
     map_to_val_func: object
@@ -547,30 +558,32 @@ class _RedJob:
 def _red_kernel(tctx: TaskletContext, job: _RedJob):
     t, num_t = tctx.tasklet_id, tctx.num_tasklets
     align = tctx.device.config.dma_alignment
-    private = job.variant == VARIANT_PRIVATE
+    plan = job.plan
+    n, d = job.n, job.d
+    private = plan.variant == VARIANT_PRIVATE
     if job.ctx is not None and t == 0:
         tctx.stream_read(job.ctx[0], 0, job.ctx[2])
-    my_off = job.accum_base + (t * job.accum_slot if private else 0)
-    mine = tctx.scratch[my_off:my_off + job.n * job.d].reshape(job.n, job.d)
+    my_off = plan.accum_base + (t * plan.accum_slot if private else 0)
+    mine = tctx.scratch[my_off:my_off + n * d].reshape(n, d)
     if private or t == 0:
         job.init_func(mine)
     yield  # context + accumulators ready
     ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
-    b = job.batch_elems
+    b = plan.batch_elems
     num_batches = -(-local // b) if local else 0
-    base = job.blocks_base + t * job.block_bytes
+    base = plan.blocks_base + t * plan.block_bytes
     for k in range(t, num_batches, num_t):
         lo = k * b
         m = min(b, local - lo)
         src = _load_batch_views(tctx, job, base, lo, m)
         vals, keys = job.map_to_val_func(src, ctx_view)
-        rows = _as_entry_rows(vals, m, job.d)
+        rows = _as_entry_rows(vals, m, d)
         ks = np.asarray(keys, np.int64).ravel()
         if ks.size != m:
             raise ValueError(f"callback returned {ks.size} keys for {m} elements")
-        if m and (ks.min() < 0 or ks.max() >= job.n):
-            raise IndexError(f"reduction key outside [0, {job.n})")
+        if m and (ks.min() < 0 or ks.max() >= n):
+            raise IndexError(f"reduction key outside [0, {n})")
         if private:
             _scatter_accumulate(mine, rows, ks, job.acc_func)
         else:
@@ -581,34 +594,33 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
     yield  # all inputs consumed
     if private:
         # ring merge: after num_t-1 barrier-separated steps each tasklet owns
-        # one fully reduced segment, then segments are assembled into the
-        # first copy for a single writer
-        bounds = job.seg_bounds
+        # one fully reduced segment (segment s is entries s*n//num_t up to
+        # (s+1)*n//num_t), then segments are assembled into the first copy
+        # for a single writer
         for step in range(num_t - 1):
             neighbor = (t - 1) % num_t
             seg = (t - 1 - step) % num_t
-            lo_e, hi_e = bounds[seg], bounds[seg + 1]
+            lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
             if hi_e > lo_e:
-                noff = job.accum_base + neighbor * job.accum_slot
-                other = tctx.scratch[noff:noff + job.n * job.d] \
-                    .reshape(job.n, job.d)
+                noff = plan.accum_base + neighbor * plan.accum_slot
+                other = tctx.scratch[noff:noff + n * d].reshape(n, d)
                 job.acc_func(mine[lo_e:hi_e], other[lo_e:hi_e])
             yield
         own = (t + 1) % num_t
         if t:
-            lo_e, hi_e = bounds[own], bounds[own + 1]
-            first = tctx.scratch[job.accum_base:job.accum_base + job.n * job.d] \
-                .reshape(job.n, job.d)
+            lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
+            first = tctx.scratch[plan.accum_base:plan.accum_base + n * d] \
+                .reshape(n, d)
             first[lo_e:hi_e] = mine[lo_e:hi_e]
         yield
     if t == 0:
-        tctx.stream_write(job.accum_base, job.staging_bank_offset,
-                          round_up(job.n * job.d, align))
+        tctx.stream_write(plan.accum_base, job.staging_bank_offset,
+                          round_up(n * d, align))
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
               output_type_size: int, output_len: int, handle: Handle,
-              variant: str = "auto") -> ReductionPlan:
+              variant: str = "auto") -> IteratorPlan:
     """Keyed reduction: every input element maps to (value, output index) and
     is accumulated into that entry.
 
@@ -624,71 +636,34 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     n, d = output_len, output_type_size
     if handle.output_type_size not in (None, d):
         raise ValueError("output_type_size disagrees with the handle declaration")
-    plan = select_reduction_plan(n, d, mgmt.device.config, variant)
     in_streams = _physical_streams(mgmt, meta)
-    if handle.input_type_size not in (None, sum(s.type_size for s in in_streams)):
+    in_sizes = [s.type_size for s in in_streams]
+    if handle.input_type_size not in (None, sum(in_sizes)):
         raise ValueError("input element size disagrees with the handle declaration")
-    ctx_info = _ensure_context(mgmt, handle)
-
     device = mgmt.device
     cfg = device.config
-    align = cfg.dma_alignment
-    in_sizes = [s.type_size for s in in_streams]
-    multi = len(in_streams) > 1
-    buffer_sizes = in_sizes + ([sum(in_sizes)] if multi else [])
-    batch0, group = _dma_batch_bound(in_sizes, cfg.dma_max_bytes, align)
-    ctx_pad = ctx_info[2] if ctx_info else 0
-    accum_slot = round_up(n * d, align)
-    private = plan.variant == VARIANT_PRIVATE
+    plan = select_reduction_plan(n, d, cfg, variant, input_sizes=in_sizes,
+                                 context_bytes=handle.context_size)
+    ctx_info = _ensure_context(mgmt, handle)
 
-    chosen = None
-    for tasklets in [t for t in _tasklet_candidates(cfg.max_tasklets)
-                     if t <= plan.num_tasklets]:
-        accum_claim = accum_slot * (tasklets if private else 1)
-        avail = cfg.usable_scratchpad_bytes - ctx_pad - accum_claim
-        batch = _fit_batch(batch0, group, buffer_sizes, avail, tasklets, align)
-        if batch:
-            chosen = (tasklets, batch, accum_claim)
-            break
-    if chosen is None:
-        raise ScratchpadOverflow(
-            f"accumulators plus streaming buffers for {n}x{d} B output do not "
-            f"fit the scratchpad (DRAM-resident accumulators are not supported)")
-    tasklets, batch, accum_claim = chosen
-    if tasklets != plan.num_tasklets:
-        plan = replace(plan, num_tasklets=tasklets)
-
-    streams = []
-    cursor = 0
-    for s in in_streams:
-        streams.append(replace(s, rel_slot=cursor))
-        cursor += round_up(batch * s.type_size, align)
-    combine_rel = None
-    if multi:
-        combine_rel = cursor
-        cursor += round_up(batch * sum(in_sizes), align)
-    blocks_base = ctx_pad + accum_claim
-    claim = blocks_base + tasklets * cursor
-
+    accum_slot = plan.accum_slot
     staging_offset = device.alloc(accum_slot)
-    job = _RedJob(per_core_elems=meta.per_core_elems, batch_elems=batch,
-                  in_streams=tuple(streams), combine_rel=combine_rel,
-                  blocks_base=blocks_base, block_bytes=cursor, ctx=ctx_info,
-                  n=n, d=d, variant=plan.variant, accum_base=ctx_pad,
-                  accum_slot=accum_slot,
-                  seg_bounds=tuple(i * n // tasklets for i in range(tasklets + 1)),
+    job = _RedJob(per_core_elems=meta.per_core_elems, plan=plan,
+                  in_streams=tuple(in_streams), ctx=ctx_info, n=n, d=d,
                   staging_bank_offset=staging_offset,
                   init_func=handle.init_func,
                   map_to_val_func=handle.map_to_val_func,
                   acc_func=handle.acc_func)
-    device.launch_kernel(_red_kernel, tasklets, job, scratch_bytes=claim,
-                         lock_entries=0 if private else n)
+    partials = np.zeros((cfg.num_cores, accum_slot), np.uint8)
+    try:
+        _launch(mgmt, _red_kernel, job,
+                lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
+        device.host_parallel_transfer(comm.TO_HOST, partials, staging_offset,
+                                      accum_slot)
+    finally:
+        device.dealloc(staging_offset, accum_slot)
 
     # fold the per-core partials on the host
-    partials = np.zeros((cfg.num_cores, accum_slot), np.uint8)
-    device.host_parallel_transfer(comm.TO_HOST, partials, staging_offset,
-                                  accum_slot)
-    device.dealloc(staging_offset, accum_slot)
     combined = partials[0, :n * d].copy().reshape(n, d)
     for core in range(1, cfg.num_cores):
         handle.acc_func(combined, partials[core, :n * d].reshape(n, d))

@@ -8,6 +8,7 @@ from pimlite import apps
 from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable
 from pimlite.errors import (
     AlignmentViolation,
+    HostBufferInvalid,
     OutOfBankMemory,
     OutOfBounds,
     ScratchpadOverflow,
@@ -133,6 +134,18 @@ class TestHostTransfers:
         buf = np.zeros((4, 2040), np.uint8)
         dev.host_parallel_transfer(TO_HOST, buf, 0, 2040)
         assert dev.stats.pim_to_host_bytes == 4 * 2040 == 8160
+
+    def test_to_host_into_a_buffer_list_raises_before_counting(self):
+        # a list cannot be filled in place; the caller's buffers would stay
+        # zero while the bytes were charged
+        dev = make_device(cores=2)
+        dev.banks[:, :8] = 7
+        bufs = [np.zeros(8, np.uint8), np.zeros(8, np.uint8)]
+        before = dev.stats.copy()
+        with pytest.raises(HostBufferInvalid):
+            dev.host_parallel_transfer(TO_HOST, bufs, 0, 8)
+        assert dev.stats == before
+        assert all((b == 0).all() for b in bufs)
 
     def test_unequal_slices_rejected(self):
         dev = make_device(cores=2)

@@ -4,6 +4,7 @@ import io
 import pytest
 
 from pimlite import harness
+from pimlite.errors import NoFeasiblePlan
 from pimlite.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -60,6 +61,33 @@ class TestRunExperiment:
             bins=4096, variant="shared"))
         assert rows[0].variant == "shared_accumulator"
         assert rows[0].tasklets_used == 12
+
+    def test_kmeans_row_reports_the_executed_plan(self):
+        # the 19,200 B centroid context leaves room for one private 20,800 B
+        # accumulator only; the private-only occupancy estimate said two
+        rows = run_experiment(ExperimentConfig(
+            benchmark="kmeans", core_counts=(1,), elems_per_core=200, dims=12,
+            clusters=200, iterations=1))
+        assert (rows[0].variant, rows[0].tasklets_used) == ("thread_private", 1)
+
+    def test_kmeans_that_cannot_fit_raises_no_feasible_plan(self):
+        with pytest.raises(NoFeasiblePlan):
+            run_experiment(ExperimentConfig(
+                benchmark="kmeans", core_counts=(1,), elems_per_core=300,
+                dims=12, clusters=300, iterations=1))
+
+    def test_vecadd_row_reports_the_map_plan(self):
+        rows = run_experiment(ExperimentConfig(
+            benchmark="vecadd", core_counts=(2,), elems_per_core=500))
+        assert (rows[0].variant, rows[0].tasklets_used) == ("-", 12)
+
+    def test_transfer_log_path_alone_turns_logging_on(self, tmp_path):
+        path = tmp_path / "log.txt"
+        run_experiment(ExperimentConfig(
+            benchmark="reduction", core_counts=(2,), elems_per_core=100,
+            transfer_log_path=str(path)))
+        lines = path.read_text().splitlines()
+        assert lines and all("size=" in line for line in lines)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from pimlite.processing import (
     REDUCE,
     VARIANT_PRIVATE,
     VARIANT_SHARED,
+    ZIP,
     compute_batch_elems,
     select_reduction_plan,
 )
@@ -157,6 +158,179 @@ class TestReductionPlan:
 
         lo, hi = sorted((n1, n2))
         assert tasklets(lo) >= tasklets(hi)
+
+
+def record_launches(mgmt):
+    """Wrap the device's kernel launcher; returns the list of
+    (num_tasklets, scratch_bytes) of every launch."""
+    launches = []
+    launch = mgmt.device.launch_kernel
+
+    def recording(kernel, num_tasklets, params=None, scratch_bytes=0, lock_entries=0):
+        launches.append((num_tasklets, scratch_bytes))
+        return launch(kernel, num_tasklets, params, scratch_bytes=scratch_bytes,
+                      lock_entries=lock_entries)
+
+    mgmt.device.launch_kernel = recording
+    return launches
+
+
+def scatter_streams(mgmt, in_sizes, length):
+    """Scatter one zero array per input size (zipped lazily when there are
+    two); returns the iterator's source id and the stream bank offsets."""
+    for i, ts in enumerate(in_sizes):
+        comm.scatter(mgmt, f"s{i}", np.zeros(length * ts, np.uint8), length, ts)
+    offsets = [mgmt.lookup(f"s{i}").bank_offset for i in range(len(in_sizes))]
+    if len(in_sizes) == 1:
+        return "s0", offsets
+    processing.array_zip(mgmt, "s0", "s1", "z")
+    return "z", offsets
+
+
+def assert_streamed_in_batches(mgmt, in_sizes, offsets, length, batch):
+    """Every input stream was read in ceil(length / batch) commands of at
+    most one batch each."""
+    reads = [rec for rec in mgmt.device.transfer_log if rec.op == "dma_read"]
+    for ts, off in zip(in_sizes, offsets):
+        mine = [rec.nbytes for rec in reads
+                if off <= rec.bank_offset < off + length * ts]
+        assert len(mine) == -(-length // batch)
+        assert max(mine) == -(-min(length, batch) * ts // 8) * 8
+
+
+def device_state(mgmt):
+    return (mgmt.device.stats.copy(), list(mgmt.device.cursors), dict(mgmt.registry))
+
+
+class TestPlanner:
+    """One planner: an iterator returns the plan launch_kernel ran, the public
+    planner returns that same plan, and a plan it calls feasible fits."""
+
+    INPUTS = [(4,), (48,), (4, 8), (12, 4)]
+    CONTEXTS = [0, 1000, 19_200, 28_800, 40_000]
+
+    @pytest.mark.parametrize("in_sizes", INPUTS)
+    @pytest.mark.parametrize("variant", ["auto", "shared", "private"])
+    def test_reduction_runs_the_public_plan(self, in_sizes, variant):
+        for n, d in [(1, 8), (10, 88), (200, 104), (300, 104), (1024, 4),
+                     (2730, 1), (4096, 4)]:
+            for ctx in self.CONTEXTS:
+                cfg = DeviceConfig(num_cores=1)
+                try:
+                    expected = select_reduction_plan(
+                        n, d, cfg, variant, input_sizes=in_sizes, context_bytes=ctx)
+                except NoFeasiblePlan:
+                    expected = None
+                length = 2 * expected.batch_elems + 1 if expected else 8
+                mgmt = make_mgmt(cores=1, log_transfers=True)
+                src, offsets = scatter_streams(mgmt, in_sizes, length)
+                handle = processing.create_handle(
+                    mgmt, REDUCE, init_func=lambda a: None,
+                    map_to_val_func=lambda s, c: (np.zeros(s.shape[0] * d, np.uint8),
+                                                  np.zeros(s.shape[0], np.int64)),
+                    acc_func=lambda a, b: None,
+                    context=np.zeros(ctx, np.uint8) if ctx else None)
+                launches = record_launches(mgmt)
+                if expected is None:
+                    before = device_state(mgmt)
+                    with pytest.raises(NoFeasiblePlan):
+                        processing.array_red(mgmt, src, "o", d, n, handle, variant)
+                    assert device_state(mgmt) == before and handle.ctx_array_id is None
+                    continue
+                plan = processing.array_red(mgmt, src, "o", d, n, handle, variant)
+                assert plan == expected == mgmt.last_plan
+                assert launches == [(plan.num_tasklets, plan.occupancy_bytes)]
+                assert plan.occupancy_bytes <= cfg.usable_scratchpad_bytes
+                assert_streamed_in_batches(mgmt, in_sizes, offsets, length,
+                                           plan.batch_elems)
+
+    @pytest.mark.parametrize("in_sizes", INPUTS)
+    def test_map_and_zip_run_the_returned_plan(self, in_sizes):
+        cfg = DeviceConfig(num_cores=1)
+        for out in (4, 12):
+            for ctx in self.CONTEXTS + [56_000]:
+                try:
+                    expected = processing.plan_iterator(
+                        cfg, MAP, in_sizes, out, context_bytes=ctx)
+                except NoFeasiblePlan:
+                    expected = None
+                length = 2 * expected.batch_elems + 1 if expected else 8
+                mgmt = make_mgmt(cores=1, log_transfers=True)
+                src, offsets = scatter_streams(mgmt, in_sizes, length)
+                handle = processing.create_handle(
+                    mgmt, MAP, map_func=lambda s, o, c: None,
+                    context=np.zeros(ctx, np.uint8) if ctx else None)
+                launches = record_launches(mgmt)
+                if expected is None:
+                    before = device_state(mgmt)
+                    with pytest.raises(NoFeasiblePlan):
+                        processing.array_map(mgmt, src, "o", out, handle)
+                    assert device_state(mgmt) == before
+                    continue
+                plan = processing.array_map(mgmt, src, "o", out, handle)
+                assert plan == expected == mgmt.last_plan
+                assert plan.variant is None
+                assert launches == [(plan.num_tasklets, plan.occupancy_bytes)]
+                assert_streamed_in_batches(mgmt, in_sizes, offsets, length,
+                                           plan.batch_elems)
+        if len(in_sizes) == 2:
+            mgmt = make_mgmt(cores=1, log_transfers=True)
+            scatter_streams(mgmt, in_sizes, 300)
+            launches = record_launches(mgmt)
+            plan = processing.array_zip(mgmt, "s0", "s1", "m", materialize=True)
+            assert plan == processing.plan_iterator(cfg, ZIP, in_sizes, sum(in_sizes))
+            assert launches == [(plan.num_tasklets, plan.occupancy_bytes)]
+            assert plan.out_rel == plan.combine_rel
+
+    def test_lazy_zip_returns_no_plan(self, mgmt):
+        scatter_u32(mgmt, "a", range(8))
+        scatter_u32(mgmt, "b", range(8))
+        assert processing.array_zip(mgmt, "a", "b", "ab") is None
+        assert mgmt.last_plan is None
+
+    def test_context_that_leaves_no_room_fails_before_broadcast(self):
+        # k-means shape: 12-dim int32 points, 300 clusters of 13 int64 sums;
+        # 28,800 B of centroids plus a 31,200 B accumulator exceed the budget
+        mgmt = make_mgmt(cores=2)
+        comm.scatter(mgmt, "pts", np.zeros(600 * 48, np.uint8), 600, 48)
+        handle = processing.create_handle(
+            mgmt, REDUCE, init_func=lambda a: None,
+            map_to_val_func=lambda s, c: None, acc_func=lambda a, b: None,
+            context=np.zeros((300, 12), np.int64))
+        before = device_state(mgmt)
+        with pytest.raises(NoFeasiblePlan):
+            processing.array_red(mgmt, "pts", "acc", 8 * 13, 300, handle)
+        assert device_state(mgmt) == before
+        assert handle.ctx_array_id is None
+
+
+class TestFailingCallbacks:
+    """A callback that raises leaves the allocator and the registry as they
+    were before the iterator was called."""
+
+    def boom(self, *args):
+        raise RuntimeError("callback failed")
+
+    def test_failing_map_func(self):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(100))
+        handle = processing.create_handle(mgmt, MAP, map_func=self.boom)
+        cursor, ids = mgmt.device.cursors[0], set(mgmt.registry)
+        with pytest.raises(RuntimeError):
+            processing.array_map(mgmt, "x", "y", 16, handle)
+        assert (mgmt.device.cursors[0], set(mgmt.registry)) == (cursor, ids)
+
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    def test_failing_map_to_val_func(self, variant):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(100))
+        handle = processing.create_handle(mgmt, REDUCE, init_func=lambda a: None,
+                                          map_to_val_func=self.boom,
+                                          acc_func=lambda a, b: None)
+        cursor, ids = mgmt.device.cursors[0], set(mgmt.registry)
+        with pytest.raises(RuntimeError):
+            processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
+        assert (mgmt.device.cursors[0], set(mgmt.registry)) == (cursor, ids)
 
 
 class TestMap:
