@@ -42,24 +42,20 @@ print(f"map: squared {len(data)} elements with {plan.num_tasklets} tasklets x "
 
 # --- keyed reduction: each element contributes (value, output index).
 # A histogram is the classic case: key = value * bins >> 12, value = 1.
+# The combiner is declared as a ufunc over u32 entries: the accumulator starts
+# at the ufunc's identity (0) and each batch folds with one np.add.at.  An
+# opaque acc_func/init_func pair, as demo 01 passes to allreduce, works too.
 device, mgmt = fresh()
 values = np.random.default_rng(0).integers(0, 4096, 50_000, dtype=np.uint32)
 scatter(mgmt, "pix", values, len(values), 4)
 BINS = 256
 
-def init(a):
-    a[:] = 0
-
 def to_bin(src, ctx):
     d = src.view(np.uint32).ravel()
     return np.ones(d.size, np.uint32), (d.astype(np.int64) * BINS) >> 12
 
-def add(dst, src):
-    a = dst.view(np.uint32)
-    np.add(a, src.view(np.uint32), out=a)
-
-h = create_handle(mgmt, "reduce", init_func=init, map_to_val_func=to_bin,
-                  acc_func=add)
+h = create_handle(mgmt, "reduce", map_to_val_func=to_bin,
+                  combine=(np.add, np.uint32))
 plan = array_red(mgmt, "pix", "histo", 4, BINS, h)
 histo = gather(mgmt, "histo").view(np.uint32)
 assert histo.sum() == len(values)

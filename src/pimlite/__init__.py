@@ -35,11 +35,13 @@ from .device import (
 )
 from .errors import (
     AlignmentViolation,
+    ArrayInUse,
     DistributionMismatch,
     DuplicateArrayId,
     ElementTooLarge,
     HandleKindMismatch,
     HostBufferInvalid,
+    InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
     MissingCallback,
@@ -82,6 +84,7 @@ from .processing import (
     array_zip,
     compute_batch_elems,
     create_handle,
+    free_handle,
     select_reduction_plan,
     update_context,
 )

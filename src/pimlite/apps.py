@@ -68,28 +68,6 @@ def trunc_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(a) < 0, -q, q)
 
 
-# --- shared callbacks ---------------------------------------------------------------
-
-
-def _init_zero(accum: np.ndarray) -> None:
-    accum[:] = 0
-
-
-def _acc_u32(dst: np.ndarray, src: np.ndarray) -> None:
-    a = dst.view(np.uint32)
-    np.add(a, src.view(np.uint32), out=a)
-
-
-def _acc_u64(dst: np.ndarray, src: np.ndarray) -> None:
-    a = dst.view(np.uint64)
-    np.add(a, src.view(np.uint64), out=a)
-
-
-def _acc_i64(dst: np.ndarray, src: np.ndarray) -> None:
-    a = dst.view(np.int64)
-    np.add(a, src.view(np.int64), out=a)
-
-
 # --- reduction: sum of a u32 vector into one u64 accumulator -------------------------
 
 
@@ -106,8 +84,8 @@ def run_reduction(mgmt: ManagementContext, spec: BenchmarkSpec,
         return vals, np.zeros(vals.size, np.int64)
 
     comm.scatter(mgmt, "red_in", data, spec.total_elems, 4)
-    handle = processing.create_handle(mgmt, REDUCE, init_func=_init_zero,
-                                      map_to_val_func=to_val, acc_func=_acc_u64)
+    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                      combine=(np.add, np.uint64))
     processing.array_red(mgmt, "red_in", "red_out", 8, 1, handle, variant=variant)
     total = int(comm.gather(mgmt, "red_out").view(np.uint64)[0])
     mgmt.free("red_out")
@@ -180,8 +158,8 @@ def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
         return np.ones(d.size, np.uint32), histogram_key(d, bins)
 
     comm.scatter(mgmt, "hist_in", data, spec.total_elems, 4)
-    handle = processing.create_handle(mgmt, REDUCE, init_func=_init_zero,
-                                      map_to_val_func=to_val, acc_func=_acc_u32)
+    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                      combine=(np.add, np.uint32))
     processing.array_red(mgmt, "hist_in", "hist_out", 4, bins, handle,
                          variant=variant)
     counts = comm.gather(mgmt, "hist_out").view(np.uint32).copy()
@@ -234,9 +212,8 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
 
     comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
     w = np.zeros(dims, np.int64)
-    handle = processing.create_handle(mgmt, REDUCE, init_func=_init_zero,
-                                      map_to_val_func=to_val, acc_func=_acc_i64,
-                                      context=w)
+    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                      combine=(np.add, np.int64), context=w)
     trajectory = np.zeros((spec.iterations, dims), np.int64)
     for it in range(spec.iterations):
         processing.update_context(mgmt, handle, w)
@@ -246,6 +223,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
         mgmt.free("reg_grad")
         w = w - (grad >> (2 * shift))
         trajectory[it] = w
+    processing.free_handle(mgmt, handle)
     mgmt.free("reg_in")
     return trajectory
 
@@ -321,9 +299,8 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
 
     comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
     centroids = points[:k].astype(np.int64).copy()
-    handle = processing.create_handle(mgmt, REDUCE, init_func=_init_zero,
-                                      map_to_val_func=to_val, acc_func=_acc_i64,
-                                      context=centroids)
+    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                      combine=(np.add, np.int64), context=centroids)
     trajectory = np.zeros((spec.iterations, k, dims), np.int64)
     for it in range(spec.iterations):
         processing.update_context(mgmt, handle, centroids)
@@ -336,6 +313,7 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
                              trunc_div(sums, np.maximum(counts, 1)[:, None]),
                              centroids)
         trajectory[it] = centroids
+    processing.free_handle(mgmt, handle)
     mgmt.free("km_pts")
     return trajectory
 

@@ -338,10 +338,15 @@ class PimDevice:
 
     def host_serial_transfer(self, core: int, direction: str, host_slice,
                              bank_offset: int, nbytes: int) -> None:
-        """Single-core variant of the host transfer; same alignment rules."""
+        """Single-core variant of the host transfer; same alignment rules.
+        For ``to_host``, ``host_slice`` must be a writable array, filled in
+        place; anything else raises before a byte moves."""
         if not 0 <= core < self.config.num_cores:
             raise OutOfBounds(f"core {core} out of range")
         self._check_host_transfer(bank_offset, nbytes)
+        if direction == TO_HOST and not (isinstance(host_slice, np.ndarray)
+                                         and host_slice.flags.writeable):
+            raise HostBufferInvalid("to_host needs a writable array to fill in place")
         buf = (host_slice if isinstance(host_slice, np.ndarray)
                else np.frombuffer(bytes(host_slice), np.uint8))
         if buf.size != nbytes:

@@ -29,7 +29,7 @@ class UnequalSliceSizes(PimError):
 
 
 class HostBufferInvalid(PimError):
-    """A to-host parallel transfer needs one (cores, bytes) array to fill."""
+    """A to-host transfer needs a writable array to fill in place."""
 
 
 class ScratchpadOverflow(PimError):
@@ -55,6 +55,10 @@ class WrongLayout(PimError):
     """The operation does not support this array's layout."""
 
 
+class ArrayInUse(PimError):
+    """The array is still named by a lazy zip and cannot be freed."""
+
+
 # --- handles and iterators ----------------------------------------------------
 
 
@@ -68,6 +72,10 @@ class MissingCallback(PimError):
 
 class HandleKindMismatch(PimError):
     """A handle of the wrong kind was passed to an iterator."""
+
+
+class InvalidCombiner(PimError):
+    """A declared reduction combiner is malformed or does not fit the handle."""
 
 
 class LengthMismatch(PimError):

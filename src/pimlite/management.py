@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import PimDevice
-from .errors import DuplicateArrayId, UnknownArrayId
+from .errors import ArrayInUse, DuplicateArrayId, UnknownArrayId
 
 LAYOUT_SCATTERED = "scattered"
 LAYOUT_REPLICATED = "replicated"
@@ -92,10 +92,14 @@ class ManagementContext:
 
     def free(self, array_id: str) -> None:
         """Drop the id.  Bank space is reclaimed only when the array was the
-        most recent allocation (LIFO discipline)."""
-        meta = self.registry.pop(array_id, None)
-        if meta is None:
-            raise UnknownArrayId(array_id)
+        most recent allocation (LIFO discipline).  An array that a lazy zip
+        still names cannot be freed; free the zip first."""
+        meta = self.lookup(array_id)
+        users = [m.id for m in self.registry.values()
+                 if m.layout == LAYOUT_LAZY_ZIP and array_id in m.zip_sources]
+        if users:
+            raise ArrayInUse(f"{array_id} is a source of lazy zip {', '.join(users)}")
+        del self.registry[array_id]
         if meta.layout != LAYOUT_LAZY_ZIP and meta.bank_offset is not None:
             self.device.dealloc(meta.bank_offset, meta.padded_chunk_bytes)
 

@@ -31,15 +31,29 @@ reinterpret them with ``.view(dtype)``:
     ``dst[i] ⊕= src[i]`` over entry rows, in place.  ``⊕`` must be commutative
     and associative; results are then independent of how work was split.
 
+A reduce handle may declare ``⊕`` instead of passing ``acc_func``:
+``combine=(ufunc, dtype)`` with a binary numpy ufunc that maps
+``(dtype, dtype)`` to ``dtype`` and an integer or bool ``dtype`` (float
+``⊕`` is not associative, so its result would depend on the work split).
+Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
+``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
+when ``init_func`` is omitted, the accumulator is filled with
+``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``; an
+opaque ``acc_func`` is folded by pair-reducing duplicate keys in log rounds.
+The ring merge and the host fold call ``acc_func`` either way, so both paths
+move the same bytes and give the same results.
+
 A callback that raises propagates out of the iterator; the iterator's own
-bank allocation is released first, so the registry and the allocator are left
-as they were before the call.
+bank allocation, and a context that the same call broadcast, are released
+first, so the registry and the allocator are left as they were before the
+call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +65,7 @@ from .errors import (
     ElementTooLarge,
     DistributionMismatch,
     HandleKindMismatch,
+    InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
     MissingCallback,
@@ -81,7 +96,9 @@ class Handle:
     """A registered bundle of user callbacks plus optional broadcast context.
 
     The context bytes are pushed to every core the first time an iterator
-    uses the handle and can be refreshed in place with ``update_context``.
+    uses the handle, can be refreshed in place with ``update_context`` and
+    are freed with ``free_handle``.  ``combine`` is the declared
+    ``(ufunc, dtype)`` combiner of a reduce handle, or None.
     """
 
     kind: str
@@ -89,6 +106,7 @@ class Handle:
     init_func: object = None
     map_to_val_func: object = None
     acc_func: object = None
+    combine: tuple[np.ufunc, np.dtype] | None = None
     context: np.ndarray | None = None
     context_size: int = 0
     input_type_size: int | None = None
@@ -105,13 +123,65 @@ def _as_context_bytes(context) -> np.ndarray | None:
     return np.ascontiguousarray(context).view(np.uint8).ravel().copy()
 
 
+def _check_combine(combine, init_func) -> tuple[np.ufunc, np.dtype]:
+    """Validate a ``combine=(ufunc, dtype)`` declaration."""
+    try:
+        ufunc, dtype = combine
+        dtype = np.dtype(dtype)
+    except (TypeError, ValueError):
+        raise InvalidCombiner(f"combine must be (ufunc, dtype), got {combine!r}") from None
+    if not (isinstance(ufunc, np.ufunc) and ufunc.nin == 2 and ufunc.nout == 1):
+        raise InvalidCombiner(f"combiner must be a binary numpy ufunc, got {ufunc!r}")
+    if dtype.kind not in "biu":
+        raise InvalidCombiner(
+            f"combiner dtype must be integer or bool, got {dtype}; other kinds "
+            f"are not associative, so results would depend on the work split")
+    try:
+        loop = ufunc.resolve_dtypes((dtype, dtype, None))
+    except TypeError:
+        loop = None
+    if loop != (dtype, dtype, dtype):
+        raise InvalidCombiner(f"{ufunc.__name__} does not map ({dtype}, {dtype}) to {dtype}")
+    if init_func is None and ufunc.identity is None:
+        raise MissingCallback(f"{ufunc.__name__} has no identity; the handle needs init_func")
+    return ufunc, dtype
+
+
+def _combine_callbacks(ufunc: np.ufunc, dtype: np.dtype, init_func):
+    """The ``acc_func`` derived from a declared combiner, and ``init_func``
+    or, when that is None, one that fills the accumulator with the identity."""
+    def acc_func(dst, src):
+        a = dst.view(dtype)
+        ufunc(a, src.view(dtype), out=a)
+
+    if init_func is None:
+        identity = np.array(ufunc.identity).astype(dtype)
+
+        def init_func(accum):
+            accum.view(dtype)[:] = identity
+
+    return acc_func, init_func
+
+
 def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
                   init_func=None, map_to_val_func=None, acc_func=None,
-                  context=None, input_type_size: int | None = None,
+                  combine=None, context=None, input_type_size: int | None = None,
                   output_type_size: int | None = None) -> Handle:
-    """Validate the callback bundle for ``kind`` and give it an id."""
+    """Validate the callback bundle for ``kind`` and give it an id.
+
+    A reduce handle takes either ``acc_func`` or ``combine=(ufunc, dtype)``;
+    with ``combine``, ``acc_func`` is derived and ``init_func`` defaults to
+    filling the accumulator with the ufunc's identity.
+    """
     if kind not in (MAP, REDUCE, ZIP):
         raise InvalidHandleKind(f"kind must be map/reduce/zip, got {kind!r}")
+    if combine is not None:
+        if kind != REDUCE:
+            raise InvalidCombiner(f"combine is declared on reduce handles, not {kind}")
+        if acc_func is not None:
+            raise InvalidCombiner("give either combine or acc_func, not both")
+        combine = _check_combine(combine, init_func)
+        acc_func, init_func = _combine_callbacks(*combine, init_func)
     if kind == MAP and map_func is None:
         raise MissingCallback("map handle needs map_func")
     if kind == REDUCE:
@@ -123,6 +193,7 @@ def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
     ctx = _as_context_bytes(context)
     return Handle(kind=kind, map_func=map_func, init_func=init_func,
                   map_to_val_func=map_to_val_func, acc_func=acc_func,
+                  combine=combine,
                   context=ctx, context_size=0 if ctx is None else ctx.size,
                   input_type_size=input_type_size,
                   output_type_size=output_type_size,
@@ -147,17 +218,34 @@ def update_context(mgmt: ManagementContext, handle: Handle, context) -> None:
     handle.context_size = ctx.size
 
 
-def _ensure_context(mgmt: ManagementContext, handle: Handle):
-    """Broadcast the handle context on first use; returns (bank_offset,
-    true_bytes, padded_bytes) or None."""
+def free_handle(mgmt: ManagementContext, handle: Handle) -> None:
+    """Free the handle's resident context, if any.  The handle stays usable:
+    the next iterator that uses it broadcasts the context again."""
+    if handle.ctx_array_id is not None:
+        mgmt.free(handle.ctx_array_id)
+        handle.ctx_array_id = None
+
+
+@contextmanager
+def _resident_context(mgmt: ManagementContext, handle: Handle):
+    """Broadcast the handle context on first use and yield (bank_offset,
+    true_bytes, padded_bytes), or None without a context.  A context that
+    this call broadcast is freed again when the body raises."""
     if handle.context is None or handle.context_size == 0:
-        return None
-    if handle.ctx_array_id is None:
+        yield None
+        return
+    fresh = handle.ctx_array_id is None
+    if fresh:
         cid = f"__ctx_{handle.id}"
         comm.broadcast(mgmt, cid, handle.context, handle.context_size, 1)
         handle.ctx_array_id = cid
     meta = mgmt.lookup(handle.ctx_array_id)
-    return (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
+    try:
+        yield (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
+    except BaseException:
+        if fresh:
+            free_handle(mgmt, handle)
+        raise
 
 
 # --- batch sizing --------------------------------------------------------------
@@ -500,9 +588,9 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
         raise ValueError("input element size disagrees with the handle declaration")
     plan = plan_iterator(mgmt.device.config, MAP, in_sizes, output_type_size,
                          context_bytes=handle.context_size)
-    ctx_info = _ensure_context(mgmt, handle)
-    return _stream_to_new_array(mgmt, meta, dest_id, in_streams, plan,
-                                output_type_size, ctx_info, handle.map_func)
+    with _resident_context(mgmt, handle) as ctx_info:
+        return _stream_to_new_array(mgmt, meta, dest_id, in_streams, plan,
+                                    output_type_size, ctx_info, handle.map_func)
 
 
 def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
@@ -553,6 +641,7 @@ class _RedJob:
     init_func: object
     map_to_val_func: object
     acc_func: object
+    combine: tuple[np.ufunc, np.dtype] | None
 
 
 def _red_kernel(tctx: TaskletContext, job: _RedJob):
@@ -567,6 +656,15 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
     mine = tctx.scratch[my_off:my_off + n * d].reshape(n, d)
     if private or t == 0:
         job.init_func(mine)
+    if job.combine is None:
+        def fold(rows, keys):
+            _scatter_accumulate(mine, rows, keys, job.acc_func)
+    else:
+        ufunc, dtype = job.combine
+        target = mine.view(dtype)
+
+        def fold(rows, keys):
+            ufunc.at(target, keys, rows.view(dtype))
     yield  # context + accumulators ready
     ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
@@ -585,11 +683,11 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
         if m and (ks.min() < 0 or ks.max() >= n):
             raise IndexError(f"reduction key outside [0, {n})")
         if private:
-            _scatter_accumulate(mine, rows, ks, job.acc_func)
+            fold(rows, ks)
         else:
             uniq = np.unique(ks)
             tctx.locks.acquire(t, uniq)
-            _scatter_accumulate(mine, rows, ks, job.acc_func)
+            fold(rows, ks)
             tctx.locks.release(t, uniq)
     yield  # all inputs consumed
     if private:
@@ -636,6 +734,9 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     n, d = output_len, output_type_size
     if handle.output_type_size not in (None, d):
         raise ValueError("output_type_size disagrees with the handle declaration")
+    if handle.combine is not None and d % handle.combine[1].itemsize:
+        raise InvalidCombiner(
+            f"{d}-byte entries are not whole {handle.combine[1]} values")
     in_streams = _physical_streams(mgmt, meta)
     in_sizes = [s.type_size for s in in_streams]
     if handle.input_type_size not in (None, sum(in_sizes)):
@@ -644,32 +745,31 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     cfg = device.config
     plan = select_reduction_plan(n, d, cfg, variant, input_sizes=in_sizes,
                                  context_bytes=handle.context_size)
-    ctx_info = _ensure_context(mgmt, handle)
-
     accum_slot = plan.accum_slot
-    staging_offset = device.alloc(accum_slot)
-    job = _RedJob(per_core_elems=meta.per_core_elems, plan=plan,
-                  in_streams=tuple(in_streams), ctx=ctx_info, n=n, d=d,
-                  staging_bank_offset=staging_offset,
-                  init_func=handle.init_func,
-                  map_to_val_func=handle.map_to_val_func,
-                  acc_func=handle.acc_func)
     partials = np.zeros((cfg.num_cores, accum_slot), np.uint8)
-    try:
-        _launch(mgmt, _red_kernel, job,
-                lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
-        device.host_parallel_transfer(comm.TO_HOST, partials, staging_offset,
-                                      accum_slot)
-    finally:
-        device.dealloc(staging_offset, accum_slot)
+    with _resident_context(mgmt, handle) as ctx_info:
+        staging_offset = device.alloc(accum_slot)
+        job = _RedJob(per_core_elems=meta.per_core_elems, plan=plan,
+                      in_streams=tuple(in_streams), ctx=ctx_info, n=n, d=d,
+                      staging_bank_offset=staging_offset,
+                      init_func=handle.init_func,
+                      map_to_val_func=handle.map_to_val_func,
+                      acc_func=handle.acc_func, combine=handle.combine)
+        try:
+            _launch(mgmt, _red_kernel, job,
+                    lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
+            device.host_parallel_transfer(comm.TO_HOST, partials, staging_offset,
+                                          accum_slot)
+        finally:
+            device.dealloc(staging_offset, accum_slot)
 
-    # fold the per-core partials on the host
-    combined = partials[0, :n * d].copy().reshape(n, d)
-    for core in range(1, cfg.num_cores):
-        handle.acc_func(combined, partials[core, :n * d].reshape(n, d))
+        # fold the per-core partials on the host
+        combined = partials[0, :n * d].copy().reshape(n, d)
+        for core in range(1, cfg.num_cores):
+            handle.acc_func(combined, partials[core, :n * d].reshape(n, d))
 
-    # the final output lives on core 0; later gathers stay trivial
-    dest_offset = device.alloc(accum_slot)
+        # the final output lives on core 0; later gathers stay trivial
+        dest_offset = device.alloc(accum_slot)
     padded_out = np.zeros(accum_slot, np.uint8)
     padded_out[:n * d] = combined.reshape(-1)
     device.host_serial_transfer(0, comm.TO_PIM, padded_out, dest_offset,

@@ -351,3 +351,14 @@ class TestKmeans:
         a = np.array([7, -7, 1, -1], np.int64)
         b = np.array([2, 2, 2, 2], np.int64)
         assert np.array_equal(trunc_div(a, b), [3, -3, 0, 0])
+
+
+def test_apps_leave_no_bank_space_or_arrays():
+    # the regression and k-means handle contexts used to stay resident
+    for name in ("reduction", "vecadd", "histogram", "linreg", "logreg", "kmeans"):
+        for cores in (1, 4):
+            spec = BenchmarkSpec(name=name, total_elems=300 * cores, seed=3)
+            mgmt = make_mgmt(cores=cores, bank_bytes=4 << 20)
+            getattr(apps, f"run_{name}")(mgmt, spec)
+            assert mgmt.device.cursors == [0] * cores, name
+            assert mgmt.registry == {}, name

@@ -147,6 +147,18 @@ class TestHostTransfers:
         assert dev.stats == before
         assert all((b == 0).all() for b in bufs)
 
+    def test_serial_to_host_into_bytes_raises_before_counting(self):
+        # a bytes object (or a read-only array) cannot be filled in place
+        dev = make_device(cores=2)
+        dev.banks[1, :8] = 7
+        before = dev.stats.copy()
+        for host in (bytes(8), bytearray(8), np.frombuffer(bytes(8), np.uint8)):
+            with pytest.raises(HostBufferInvalid):
+                dev.host_serial_transfer(1, TO_HOST, host, 0, 8)
+        assert dev.stats == before
+        dev.host_serial_transfer(1, TO_PIM, bytes(8), 0, 8)  # reading bytes is fine
+        assert (dev.banks[1, :8] == 0).all()
+
     def test_unequal_slices_rejected(self):
         dev = make_device(cores=2)
         with pytest.raises(UnequalSliceSizes):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pimlite import comm, processing
-from pimlite.errors import DuplicateArrayId, UnknownArrayId
+from pimlite.errors import ArrayInUse, DuplicateArrayId, UnknownArrayId
 from pimlite.management import (
     LAYOUT_LAZY_ZIP,
     LAYOUT_REPLICATED,
@@ -98,6 +98,31 @@ def test_lazy_zip_records_own_no_storage(mgmt):
     assert mgmt.device.cursors[0] == cursor
     mgmt.free("ab")
     assert mgmt.device.cursors[0] == cursor
+
+
+def test_zip_source_cannot_be_freed_while_the_zip_is_registered(mgmt):
+    # freeing "b" and scattering 100..107 under its name used to make the
+    # zip read the new data
+    scatter_u32(mgmt, "a", range(8))
+    scatter_u32(mgmt, "b", range(8))
+    processing.array_zip(mgmt, "a", "b", "ab")
+    registry, cursor = dict(mgmt.registry), mgmt.device.cursors[0]
+    with pytest.raises(ArrayInUse):
+        mgmt.free("b")
+    assert mgmt.registry == registry and mgmt.device.cursors[0] == cursor
+    with pytest.raises(DuplicateArrayId):
+        scatter_u32(mgmt, "b", range(100, 108))
+
+    def second(src, dst, ctx):
+        dst.view(np.uint32)[:, 0] = src.view(np.uint32)[:, 1]
+
+    handle = processing.create_handle(mgmt, processing.MAP, map_func=second)
+    processing.array_map(mgmt, "ab", "out", 4, handle)
+    assert np.array_equal(comm.gather(mgmt, "out").view(np.uint32), np.arange(8))
+    mgmt.free("out")
+    mgmt.free("ab")
+    mgmt.free("b")
+    assert set(mgmt.registry) == {"a"}
 
 
 def test_metadata_validation():

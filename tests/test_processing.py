@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mgmt
-from pimlite import comm, processing
+from pimlite import apps, comm, processing
+from pimlite.apps import BenchmarkSpec
 from pimlite.device import DeviceConfig
 from pimlite.errors import (
     DistributionMismatch,
     ElementTooLarge,
     HandleKindMismatch,
+    InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
     MissingCallback,
@@ -599,3 +601,248 @@ class TestBatchLegality:
         full = max(batch_bytes)
         assert full % (compute_batch_elems(4) * 4) == 0 or full <= compute_batch_elems(4) * 4
         assert sum(1 for b in batch_bytes if b != full) <= 1
+
+
+def keyed_handle(mgmt, key_fn, value_dtype, **kw):
+    """Reduce handle whose values are the u32 inputs cast to ``value_dtype``."""
+    def to_val(src, ctx):
+        v = src.view(np.uint32).ravel()
+        return v.astype(value_dtype), key_fn(v)
+
+    return processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val, **kw)
+
+
+class TestDeclaredCombiner:
+    """``combine=(ufunc, dtype)``: validation before any state changes, the
+    derived identity, and results equal to a host fold."""
+
+    def to_val(self, src, ctx):
+        v = src.view(np.uint32).ravel()
+        return v.astype(np.int64), np.zeros(v.size, np.int64)
+
+    def assert_rejected(self, mgmt, error, kind=REDUCE, **kw):
+        before = device_state(mgmt)
+        with pytest.raises(error):
+            processing.create_handle(mgmt, kind, **kw)
+        assert device_state(mgmt) == before
+
+    def test_combine_with_acc_func_rejected(self, mgmt):
+        scatter_u32(mgmt, "x", range(8))
+        self.assert_rejected(mgmt, InvalidCombiner, map_to_val_func=self.to_val,
+                             acc_func=lambda a, b: None, combine=(np.add, np.int64))
+
+    @pytest.mark.parametrize("kind", [MAP, ZIP])
+    def test_combine_on_non_reduce_handle_rejected(self, mgmt, kind):
+        scatter_u32(mgmt, "x", range(8))
+        self.assert_rejected(mgmt, InvalidCombiner, kind=kind,
+                             map_func=lambda s, d, c: None, combine=(np.add, np.int64))
+
+    @pytest.mark.parametrize("combine", [
+        (lambda a, b: a + b, np.int64), (np.negative, np.int64),
+        (np.divmod, np.int64), ("add", np.int64), np.add, (np.add,),
+        (np.add, "no such dtype")])
+    def test_combiner_must_be_a_binary_ufunc(self, mgmt, combine):
+        scatter_u32(mgmt, "x", range(8))
+        self.assert_rejected(mgmt, InvalidCombiner, map_to_val_func=self.to_val,
+                             combine=combine)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, object])
+    def test_combiner_dtype_must_be_integer_or_bool(self, mgmt, dtype):
+        scatter_u32(mgmt, "x", range(8))
+        self.assert_rejected(mgmt, InvalidCombiner, map_to_val_func=self.to_val,
+                             combine=(np.add, dtype))
+
+    @pytest.mark.parametrize("ufunc,dtype", [(np.true_divide, np.int64),
+                                             (np.logical_and, np.int32)])
+    def test_combiner_must_map_dtype_to_itself(self, mgmt, ufunc, dtype):
+        scatter_u32(mgmt, "x", range(8))
+        self.assert_rejected(mgmt, InvalidCombiner, map_to_val_func=self.to_val,
+                             combine=(ufunc, dtype))
+
+    def test_ufunc_without_identity_needs_init_func(self, mgmt):
+        data = scatter_u32(mgmt, "x", np.arange(1, 101) * 7 % 61)
+        self.assert_rejected(mgmt, MissingCallback, map_to_val_func=self.to_val,
+                             combine=(np.maximum, np.int64))
+
+        def init(a):
+            a[:] = 0
+
+        handle = keyed_handle(mgmt, lambda v: (v % 5).astype(np.int64), np.int64,
+                              init_func=init, combine=(np.maximum, np.int64))
+        processing.array_red(mgmt, "x", "m", 8, 5, handle)
+        expected = [data[data % 5 == k].max() for k in range(5)]
+        assert np.array_equal(comm.gather(mgmt, "m").view(np.int64), expected)
+
+    def test_entry_size_must_be_whole_values(self):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(100))
+        handle = keyed_handle(mgmt, lambda v: np.zeros(v.size, np.int64), np.int64,
+                              combine=(np.add, np.int64), context=np.zeros(100, np.uint8))
+        before = device_state(mgmt)
+        with pytest.raises(InvalidCombiner):
+            processing.array_red(mgmt, "x", "o", 12, 1, handle)
+        assert device_state(mgmt) == before
+        assert handle.ctx_array_id is None and mgmt.last_plan is None
+
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    @pytest.mark.parametrize("ufunc,dtype", [
+        (np.add, np.uint32), (np.bitwise_and, np.uint32), (np.bitwise_or, np.uint64),
+        (np.bitwise_xor, np.int64), (np.multiply, np.uint64)])
+    def test_declared_combiners_match_a_host_fold(self, ufunc, dtype, variant):
+        rng = np.random.default_rng(11)
+        entries, width = 7, 2  # two values per entry row
+        for cores in (1, 3, 5):
+            mgmt = make_mgmt(cores=cores)
+            data = scatter_u32(mgmt, "x", rng.integers(1, 1 << 32, 2000, dtype=np.uint32))
+
+            def to_val(src, ctx):
+                v = src.view(np.uint32).ravel().astype(dtype)
+                return np.stack([v, v >> 3], axis=1), (v % entries).astype(np.int64)
+
+            handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                              combine=(ufunc, dtype))
+            item = np.dtype(dtype).itemsize
+            processing.array_red(mgmt, "x", "o", width * item, entries, handle,
+                                 variant=variant)
+            got = comm.gather(mgmt, "o").view(dtype).reshape(entries, width)
+            vals = data.astype(dtype)
+            vals = np.stack([vals, vals >> 3], axis=1)
+            for k in range(entries):
+                expected = np.full(width, ufunc.identity).astype(dtype)
+                for row in vals[data % entries == k]:
+                    expected = ufunc(expected, row)
+                assert np.array_equal(got[k], expected)
+
+
+def opaque_create_handle(create):
+    """``create_handle`` with every declared combiner replaced by the
+    equivalent opaque ``acc_func`` and ``init_func``."""
+    def create_handle(mgmt, kind, *, combine=None, **kw):
+        if combine is not None:
+            ufunc, dtype = combine
+
+            def acc(dst, src):
+                a = dst.view(dtype)
+                ufunc(a, src.view(dtype), out=a)
+
+            def init(accum):
+                accum.view(dtype)[:] = ufunc.identity
+
+            kw.setdefault("init_func", init)
+            kw["acc_func"] = acc
+        return create(mgmt, kind, **kw)
+
+    return create_handle
+
+
+class TestDeclaredCombinerDifferential:
+    """Every reducing app gives the same results, bank and scratchpad bytes,
+    counters and transfer log with its declared combiner (one ``ufunc.at``
+    per batch) as with the equivalent opaque callbacks (pair-reduced
+    duplicate keys)."""
+
+    def run(self, monkeypatch, app, spec, cores, variant, opaque):
+        folds = []
+        scatter_accumulate = processing._scatter_accumulate
+
+        def counting(*args):
+            folds.append(1)
+            return scatter_accumulate(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processing, "_scatter_accumulate", counting)
+            if opaque:
+                patch.setattr(processing, "create_handle",
+                              opaque_create_handle(processing.create_handle))
+            mgmt = make_mgmt(cores=cores, bank_bytes=1 << 20, log_transfers=True)
+            result = getattr(apps, f"run_{app}")(mgmt, spec, variant=variant)
+        return result, mgmt.device, len(folds)
+
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    @pytest.mark.parametrize("app", ["reduction", "histogram", "linreg", "logreg",
+                                     "kmeans"])
+    def test_declared_equals_opaque(self, monkeypatch, app, variant):
+        rng = np.random.default_rng(2024)
+        for cores in (1, 3, 8):
+            for per_core in (int(rng.integers(1, 300)), int(rng.integers(1, 300)),
+                             int(rng.integers(1000, 4000))):
+                total = cores * per_core
+                spec = BenchmarkSpec(
+                    name=app, total_elems=total, dims=int(rng.integers(1, 13)),
+                    bins=int(rng.integers(2, 4097)),
+                    clusters=int(rng.integers(1, 1 + min(10, total))),
+                    iterations=int(rng.integers(1, 4)),
+                    seed=int(rng.integers(0, 2**31)))
+                fast, fdev, fast_folds = self.run(monkeypatch, app, spec, cores,
+                                                  variant, opaque=False)
+                slow, sdev, slow_folds = self.run(monkeypatch, app, spec, cores,
+                                                  variant, opaque=True)
+                assert fast_folds == 0 and slow_folds > 0
+                assert np.array_equal(fast, slow)
+                assert np.array_equal(fdev.banks, sdev.banks)
+                assert np.array_equal(fdev.scratchpads, sdev.scratchpads)
+                assert fdev.stats == sdev.stats
+                assert fdev.transfer_log == sdev.transfer_log
+                assert np.array_equal(fast, getattr(apps, f"oracle_{app}")(spec))
+
+
+class TestContextLifetime:
+    """A context broadcast by a call that then fails is freed again, and
+    ``free_handle`` frees a resident context."""
+
+    def boom(self, *args):
+        raise RuntimeError("callback failed")
+
+    def make_handle(self, mgmt, kind, fail):
+        if kind == MAP:
+            return processing.create_handle(
+                mgmt, MAP, map_func=self.boom if fail else u32_map(lambda v: v),
+                context=np.zeros(100, np.uint8))
+        return keyed_handle(
+            mgmt, self.boom if fail else (lambda v: np.zeros(v.size, np.int64)),
+            np.uint64, combine=(np.add, np.uint64), context=np.zeros(100, np.uint8))
+
+    def call(self, mgmt, kind, handle, variant):
+        if kind == MAP:
+            processing.array_map(mgmt, "x", "y", 4, handle)
+        else:
+            processing.array_red(mgmt, "x", "y", 8, 1, handle, variant=variant)
+
+    @pytest.mark.parametrize("kind,variant", [(MAP, None), (REDUCE, "shared"),
+                                              (REDUCE, "private")])
+    def test_failing_first_use_frees_the_context(self, kind, variant):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(8))
+        assert mgmt.device.cursors[0] == 16
+        handle = self.make_handle(mgmt, kind, fail=True)
+        with pytest.raises(RuntimeError):
+            self.call(mgmt, kind, handle, variant)
+        assert mgmt.device.cursors == [16, 16]
+        assert set(mgmt.registry) == {"x"} and handle.ctx_array_id is None
+
+    def test_context_of_an_earlier_call_stays_resident(self):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(8))
+        handle = self.make_handle(mgmt, MAP, fail=False)
+        self.call(mgmt, MAP, handle, None)
+        cid = handle.ctx_array_id
+        mgmt.free("y")
+        handle.map_func = self.boom
+        with pytest.raises(RuntimeError):
+            self.call(mgmt, MAP, handle, None)
+        assert handle.ctx_array_id == cid and cid in mgmt.registry
+
+    @pytest.mark.parametrize("kind", [MAP, REDUCE])
+    def test_free_handle_releases_the_context(self, kind):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(8))
+        handle = self.make_handle(mgmt, kind, fail=False)
+        for _ in range(2):  # the freed handle broadcasts its context again
+            self.call(mgmt, kind, handle, "private")
+            assert handle.ctx_array_id in mgmt.registry
+            mgmt.free("y")
+            processing.free_handle(mgmt, handle)
+            assert handle.ctx_array_id is None
+            assert mgmt.device.cursors[0] == 16 and set(mgmt.registry) == {"x"}
+        processing.free_handle(mgmt, handle)  # nothing resident: no-op
+        assert mgmt.device.cursors[0] == 16
