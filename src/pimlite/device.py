@@ -200,6 +200,10 @@ class PimDevice:
         self.config = config
         self.banks = np.zeros((config.num_cores, config.dram_bank_bytes), np.uint8)
         self.scratchpads = np.zeros((config.num_cores, config.scratchpad_bytes), np.uint8)
+        # a 1-D byte view of each core's row: a DMA command copies between two
+        # memoryview slices, about half the cost of indexing the 2-D arrays
+        self._bank_rows = [memoryview(row) for row in self.banks]
+        self._scratch_rows = [memoryview(row) for row in self.scratchpads]
         self.cursors = [0] * config.num_cores
         self.stats = TrafficStats()
         self.transfer_log: list[TransferRecord] = []
@@ -238,6 +242,15 @@ class PimDevice:
 
     def _check_dma(self, core: int, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
         cfg = self.config
+        align = cfg.dma_alignment
+        if (0 <= core < cfg.num_cores and 0 < nbytes <= cfg.dma_max_bytes
+                and nbytes % align == 0 and dram_offset % align == 0
+                and scratch_offset % align == 0
+                and 0 <= dram_offset and dram_offset + nbytes <= cfg.dram_bank_bytes
+                and 0 <= scratch_offset
+                and scratch_offset + nbytes <= cfg.scratchpad_bytes):
+            return
+        # a rejected command: report the first rule it breaks
         if not 0 <= core < cfg.num_cores:
             raise OutOfBounds(f"core {core} out of range")
         if nbytes <= 0 or nbytes > cfg.dma_max_bytes:
@@ -258,8 +271,8 @@ class PimDevice:
     def dma_read(self, core: int, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
         """Copy bank -> scratchpad, one hardware command."""
         self._check_dma(core, dram_offset, scratch_offset, nbytes)
-        self.scratchpads[core, scratch_offset:scratch_offset + nbytes] = \
-            self.banks[core, dram_offset:dram_offset + nbytes]
+        self._scratch_rows[core][scratch_offset:scratch_offset + nbytes] = \
+            self._bank_rows[core][dram_offset:dram_offset + nbytes]
         self.stats.dram_to_scratch_bytes += nbytes
         self.stats.dma_commands += 1
         if self.config.log_transfers:
@@ -269,8 +282,8 @@ class PimDevice:
     def dma_write(self, core: int, scratch_offset: int, dram_offset: int, nbytes: int) -> None:
         """Copy scratchpad -> bank, one hardware command."""
         self._check_dma(core, dram_offset, scratch_offset, nbytes)
-        self.banks[core, dram_offset:dram_offset + nbytes] = \
-            self.scratchpads[core, scratch_offset:scratch_offset + nbytes]
+        self._bank_rows[core][dram_offset:dram_offset + nbytes] = \
+            self._scratch_rows[core][scratch_offset:scratch_offset + nbytes]
         self.stats.scratch_to_dram_bytes += nbytes
         self.stats.dma_commands += 1
         if self.config.log_transfers:

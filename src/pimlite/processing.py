@@ -32,9 +32,12 @@ reinterpret them with ``.view(dtype)``:
     and associative; results are then independent of how work was split.
 
 A reduce handle may declare ``⊕`` instead of passing ``acc_func``:
-``combine=(ufunc, dtype)`` with a binary numpy ufunc that maps
-``(dtype, dtype)`` to ``dtype`` and an integer or bool ``dtype`` (float
-``⊕`` is not associative, so its result would depend on the work split).
+``combine=(ufunc, dtype)`` with an integer or bool ``dtype`` and one of the
+ufuncs that are commutative and associative there (``add``, ``multiply``,
+``bitwise_and/or/xor``, ``maximum``, ``minimum``, ``logical_and/or/xor``,
+``gcd``, ``lcm``) mapping ``(dtype, dtype)`` to ``dtype``.  Anything else,
+``subtract`` or a float ``⊕`` say, is refused with ``InvalidCombiner``: its
+result would depend on the work split.
 Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
 ``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
 when ``init_func`` is omitted, the accumulator is filled with
@@ -90,6 +93,13 @@ VARIANT_PRIVATE = "thread_private"
 # tasklet counts tried when throttling; 12 keeps the core pipeline saturated
 TASKLET_CANDIDATES = (12, 8, 4, 2, 1)
 
+# ufuncs that are commutative and associative on integers and bools, so a
+# declared combiner gives the same result however the work is split
+_ASSOCIATIVE_UFUNCS = frozenset((
+    np.add, np.multiply, np.bitwise_and, np.bitwise_or, np.bitwise_xor,
+    np.maximum, np.minimum, np.logical_and, np.logical_or, np.logical_xor,
+    np.gcd, np.lcm))
+
 
 @dataclass
 class Handle:
@@ -132,6 +142,10 @@ def _check_combine(combine, init_func) -> tuple[np.ufunc, np.dtype]:
         raise InvalidCombiner(f"combine must be (ufunc, dtype), got {combine!r}") from None
     if not (isinstance(ufunc, np.ufunc) and ufunc.nin == 2 and ufunc.nout == 1):
         raise InvalidCombiner(f"combiner must be a binary numpy ufunc, got {ufunc!r}")
+    if ufunc not in _ASSOCIATIVE_UFUNCS:
+        raise InvalidCombiner(
+            f"{ufunc.__name__} is not both commutative and associative, so results "
+            f"would depend on the work split")
     if dtype.kind not in "biu":
         raise InvalidCombiner(
             f"combiner dtype must be integer or bool, got {dtype}; other kinds "
@@ -482,27 +496,72 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
     accum[k] = slot
 
 
-def _load_batch_views(tctx: TaskletContext, job, base: int, lo: int, m: int):
-    """DMA the current batch of every input stream and return per-stream views,
-    combining multi-stream elements into the zip slot when present."""
-    align = tctx.device.config.dma_alignment
-    views = []
-    for s, rel in zip(job.in_streams, job.plan.stream_rels):
-        slot = base + rel
-        tctx.dma_read(s.bank_offset + lo * s.type_size, slot,
-                      round_up(m * s.type_size, align))
-        views.append(tctx.scratch[slot:slot + m * s.type_size]
-                     .reshape(m, s.type_size))
-    if job.plan.combine_rel is None:
-        return views[0]
-    total = sum(s.type_size for s in job.in_streams)
-    cslot = base + job.plan.combine_rel
-    z = tctx.scratch[cslot:cslot + m * total].reshape(m, total)
-    col = 0
-    for view in views:
-        z[:, col:col + view.shape[1]] = view
-        col += view.shape[1]
-    return z
+class _BatchLoader:
+    """One tasklet's batch buffers, laid out once at kernel entry.
+
+    Holds, for a full batch, the view of every stream slot, the zip slot with
+    one word column per stream, and the slot written back to the bank.  The
+    zip slot is filled in the widest unsigned word that divides 8 and every
+    element size, so each stream is copied in whole words.
+    """
+
+    __slots__ = ("device", "core", "align", "batch_elems", "reads", "batch",
+                 "columns", "out_slot", "out")
+
+    def __init__(self, tctx: TaskletContext, plan: IteratorPlan, in_streams,
+                 out_size: int = 0):
+        scratch = tctx.scratch
+        b = plan.batch_elems
+        base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
+        self.device, self.core = tctx.device, tctx.core_id
+        self.align = tctx.device.config.dma_alignment
+        self.batch_elems = b
+        self.reads = []  # (bank offset, element size, slot, full-batch bytes)
+        views = []
+        for s, rel in zip(in_streams, plan.stream_rels):
+            slot = base + rel
+            self.reads.append((s.bank_offset, s.type_size, slot,
+                               round_up(b * s.type_size, self.align)))
+            views.append(scratch[slot:slot + b * s.type_size].reshape(b, s.type_size))
+        self.columns = []  # (zip slot words, stream slot words) per stream
+        if plan.combine_rel is None:
+            self.batch = views[0]
+        else:
+            sizes = [s.type_size for s in in_streams]
+            word = np.dtype(f"u{math.gcd(8, *sizes)}")
+            cslot = base + plan.combine_rel
+            self.batch = scratch[cslot:cslot + b * sum(sizes)].reshape(b, sum(sizes))
+            words = self.batch.view(word)
+            col = 0
+            for view in views:
+                width = view.shape[1] // word.itemsize
+                self.columns.append((words[:, col:col + width], view.view(word)))
+                col += width
+        self.out_slot = self.out = None
+        if plan.out_rel is not None:
+            self.out_slot = base + plan.out_rel
+            self.out = scratch[self.out_slot:self.out_slot + b * out_size] \
+                .reshape(b, out_size)
+
+
+def _load_batch_views(loader: _BatchLoader, lo: int, m: int) -> np.ndarray:
+    """DMA elements ``lo`` to ``lo + m`` of every input stream into the
+    tasklet's slots and return them as ``(m, element bytes)`` rows, combining
+    zipped streams into the zip slot.  Only a partial batch (``m`` below the
+    full batch) slices views of its own size."""
+    device, core = loader.device, loader.core
+    if m == loader.batch_elems:
+        for bank_offset, size, slot, nbytes in loader.reads:
+            device.dma_read(core, bank_offset + lo * size, slot, nbytes)
+        for dst, src in loader.columns:
+            dst[...] = src
+        return loader.batch
+    for bank_offset, size, slot, _ in loader.reads:
+        device.dma_read(core, bank_offset + lo * size, slot,
+                        round_up(m * size, loader.align))
+    for dst, src in loader.columns:
+        dst[:m] = src[:m]
+    return loader.batch[:m]
 
 
 # --- map / zip-materialize kernel -------------------------------------------------
@@ -520,27 +579,24 @@ class _StreamJob:
 
 
 def _stream_kernel(tctx: TaskletContext, job: _StreamJob):
-    align = tctx.device.config.dma_alignment
     plan = job.plan
+    loader = _BatchLoader(tctx, plan, job.in_streams, job.out_type_size)
     if job.ctx is not None and tctx.tasklet_id == 0:
         tctx.stream_read(job.ctx[0], 0, job.ctx[2])
     yield  # context resident before anyone computes
     ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
     b = plan.batch_elems
-    num_batches = -(-local // b) if local else 0
-    base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
-    oslot = base + plan.out_rel
-    for k in range(tctx.tasklet_id, num_batches, tctx.num_tasklets):
-        lo = k * b
+    size = job.out_type_size
+    device, core, align = tctx.device, tctx.core_id, loader.align
+    full_bytes = round_up(b * size, align)
+    for lo in range(tctx.tasklet_id * b, local, tctx.num_tasklets * b):
         m = min(b, local - lo)
-        src = _load_batch_views(tctx, job, base, lo, m)
+        src = _load_batch_views(loader, lo, m)
         if job.map_func is not None:
-            out = tctx.scratch[oslot:oslot + m * job.out_type_size] \
-                .reshape(m, job.out_type_size)
-            job.map_func(src, out, ctx_view)
-        tctx.dma_write(oslot, job.out_bank_offset + lo * job.out_type_size,
-                       round_up(m * job.out_type_size, align))
+            job.map_func(src, loader.out if m == b else loader.out[:m], ctx_view)
+        device.dma_write(core, loader.out_slot, job.out_bank_offset + lo * size,
+                         full_bytes if m == b else round_up(m * size, align))
 
 
 def _stream_to_new_array(mgmt: ManagementContext, meta: ArrayMetadata,
@@ -650,6 +706,7 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
     plan = job.plan
     n, d = job.n, job.d
     private = plan.variant == VARIANT_PRIVATE
+    loader = _BatchLoader(tctx, plan, job.in_streams)
     if job.ctx is not None and t == 0:
         tctx.stream_read(job.ctx[0], 0, job.ctx[2])
     my_off = plan.accum_base + (t * plan.accum_slot if private else 0)
@@ -661,20 +718,23 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
             _scatter_accumulate(mine, rows, keys, job.acc_func)
     else:
         ufunc, dtype = job.combine
-        target = mine.view(dtype)
+        if d == dtype.itemsize:  # one value per entry: 1-D ufunc.at is ~3x cheaper
+            target = mine.view(dtype)[:, 0]
 
-        def fold(rows, keys):
-            ufunc.at(target, keys, rows.view(dtype))
+            def fold(rows, keys):
+                ufunc.at(target, keys, rows.view(dtype)[:, 0])
+        else:
+            target = mine.view(dtype)
+
+            def fold(rows, keys):
+                ufunc.at(target, keys, rows.view(dtype))
     yield  # context + accumulators ready
     ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
     b = plan.batch_elems
-    num_batches = -(-local // b) if local else 0
-    base = plan.blocks_base + t * plan.block_bytes
-    for k in range(t, num_batches, num_t):
-        lo = k * b
+    for lo in range(t * b, local, num_t * b):
         m = min(b, local - lo)
-        src = _load_batch_views(tctx, job, base, lo, m)
+        src = _load_batch_views(loader, lo, m)
         vals, keys = job.map_to_val_func(src, ctx_view)
         rows = _as_entry_rows(vals, m, d)
         ks = np.asarray(keys, np.int64).ravel()

@@ -117,6 +117,46 @@ class TestDma:
         assert (dev.banks[0, 128:192] == 7).all()
         assert dev.stats.scratch_to_dram_bytes == 64
 
+    # (config overrides, core, dram offset, scratch offset, size, error); the
+    # command is legal except for the one violation its name says
+    VIOLATIONS = {
+        "core_negative": ({}, -1, 0, 0, 64, OutOfBounds),
+        "core_past_last": ({}, 2, 0, 0, 64, OutOfBounds),
+        "size_zero": ({}, 0, 0, 0, 0, SizeLimitViolation),
+        "size_negative": ({}, 0, 0, 0, -8, SizeLimitViolation),
+        "size_over_limit": ({}, 0, 0, 0, 2048 + 8, SizeLimitViolation),
+        "size_misaligned": ({}, 0, 0, 0, 12, AlignmentViolation),
+        "dram_misaligned": ({}, 0, 4, 0, 64, AlignmentViolation),
+        "scratch_misaligned": ({}, 0, 0, 4, 64, AlignmentViolation),
+        "dram_negative": ({}, 0, -8, 0, 64, OutOfBounds),
+        "scratch_negative": ({}, 0, 0, -8, 64, OutOfBounds),
+        "dram_past_end": ({}, 0, 4096 - 8, 0, 16, OutOfBounds),
+        "scratch_past_end": ({}, 0, 0, 65536 - 8, 16, OutOfBounds),
+        # alignment 12 is not a power of two: 4 | 8 | 12 is a multiple of 12
+        "alignment_12": ({"dma_max_bytes": 1536, "dma_alignment": 12}, 0, 4, 8, 12,
+                         AlignmentViolation),
+    }
+
+    @pytest.mark.parametrize("op", ["dma_read", "dma_write"])
+    @pytest.mark.parametrize("violation", VIOLATIONS)
+    def test_rejected_command_changes_nothing(self, op, violation):
+        overrides, core, dram, scratch, nbytes, error = self.VIOLATIONS[violation]
+        dev = make_device(cores=2, bank_bytes=4096, log_transfers=True, **overrides)
+        rng = np.random.default_rng(7)
+        dev.banks[:] = rng.integers(0, 256, dev.banks.shape, dtype=np.uint8)
+        dev.scratchpads[:] = rng.integers(0, 256, dev.scratchpads.shape, dtype=np.uint8)
+        dev.dma_read(1, 0, 0, 24)  # one logged command to keep
+        banks, scratchpads = dev.banks.copy(), dev.scratchpads.copy()
+        stats, log = dev.stats.copy(), list(dev.transfer_log)
+        with pytest.raises(error):
+            if op == "dma_read":
+                dev.dma_read(core, dram, scratch, nbytes)
+            else:
+                dev.dma_write(core, scratch, dram, nbytes)
+        assert np.array_equal(dev.banks, banks)
+        assert np.array_equal(dev.scratchpads, scratchpads)
+        assert dev.stats == stats and dev.transfer_log == log
+
 
 class TestHostTransfers:
     def test_parallel_to_pim_updates_all_banks(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -640,7 +642,11 @@ class TestDeclaredCombiner:
     @pytest.mark.parametrize("combine", [
         (lambda a, b: a + b, np.int64), (np.negative, np.int64),
         (np.divmod, np.int64), ("add", np.int64), np.add, (np.add,),
-        (np.add, "no such dtype")])
+        (np.add, "no such dtype"),
+        # binary integer ufuncs that are not commutative and associative
+        (np.subtract, np.int64), (np.floor_divide, np.int64), (np.remainder, np.int64),
+        (np.fmod, np.int32), (np.power, np.uint64), (np.left_shift, np.int64),
+        (np.right_shift, np.uint32)])
     def test_combiner_must_be_a_binary_ufunc(self, mgmt, combine):
         scatter_u32(mgmt, "x", range(8))
         self.assert_rejected(mgmt, InvalidCombiner, map_to_val_func=self.to_val,
@@ -846,3 +852,127 @@ class TestContextLifetime:
             assert mgmt.device.cursors[0] == 16 and set(mgmt.registry) == {"x"}
         processing.free_handle(mgmt, handle)  # nothing resident: no-op
         assert mgmt.device.cursors[0] == 16
+
+
+def _weighted_row_sums(src, ctx):
+    """One u64 per element row: its bytes weighted by column, plus the context."""
+    weights = np.arange(1, src.shape[1] + 1, dtype=np.uint64)
+    return (src.astype(np.uint64) * weights).sum(axis=1) + ctx.astype(np.uint64).sum()
+
+
+ZIPPED_SIZES = [(12, 4), (2, 6), (8, 8), (40, 8), (24, 16), (1, 1)]
+BIT_IDENTITY_SCENARIOS = (
+    ["vecadd-lazy", "vecadd-eager"]
+    + [f"{kind}-{a}x{b}" for a, b in ZIPPED_SIZES
+       for kind in ("zip", "map", "shared", "private")])
+
+# SHA-256 over every configuration of a scenario (cores 1/3/8 x three lengths)
+# of the banks, scratchpads, repr(stats) and transfer log after the run.  The
+# digests were computed with the batch loop that preceded the per-tasklet
+# loaders; any change to a modelled byte, counter or command changes them.
+BIT_IDENTITY_DIGESTS = {
+    "vecadd-lazy": "20d0fe56e408d22a32830a964155b43c7519854eb8e3d9afdbcc9998ca09f631",
+    "vecadd-eager": "fd3e44d70eea5892fb9dfc9bd5080d00891971662bc9f12a7471861ed75eb045",
+    "zip-12x4": "83bdff70632a3fa88aba26f8f627a24bdcf5b83f45795b49a9afcb7ae6765db3",
+    "map-12x4": "3b54475a26eb697cb2c30685fb65e1b95e563cba922c06679136b9fd03590a30",
+    "shared-12x4": "4e7f1ec2734765923a1460c0e97021fce3443562c0692e1cb531155d512853d0",
+    "private-12x4": "9f968d580d358788734b4ca388a700400dd75d2594203c7403f0fac54965665f",
+    "zip-2x6": "09667a930b3df8f70e4d8185ef12fa9a407b80f85f8102bbbcd800bc4cfd831c",
+    "map-2x6": "1dd7fca3702842948e7f63338afd645037e64af69b02d1486d3b7b4eac4e7112",
+    "shared-2x6": "4470737e9da76ccbb2a80c8ad0991a59b4128ef32d4978abb7bf5a37b19cbf03",
+    "private-2x6": "17e2b0bd8794b8f2bbbf2aee91fbe479dd819fdb8dcf0bb46691443acd6b7ef5",
+    "zip-8x8": "d81172fe798ff29281668681b15f1b0766e0d2f4f7d67a914b346db86b91fddf",
+    "map-8x8": "7f4868148c7cd19fb585b4de577bc9445ff2dbe0de85061f994b5957866f5a22",
+    "shared-8x8": "80f516a15e24026aa86286c0b43e802ffc6272377eed34604335158c3503b41d",
+    "private-8x8": "323503ec4eed2d2ddeba8ef79ccd54a2b775eb97e9a4741f0171b5913009a9c2",
+    "zip-40x8": "fbc0246536593cabef7af89dfe506b9c0e8ab1da85de8424c6bd5ba22f9b01bf",
+    "map-40x8": "7dc2605b297830c135017f617155717787523f0cfc0cf3c9adbdcda850193b85",
+    "shared-40x8": "be8d9a20019b60bfdd9aa67b9a93bd7d5fc16526a6adb25dd0570beb4790086f",
+    "private-40x8": "3867512dffb267326e145623d69b19b4a1bef6bf6753d87edbdeae55efa5be1e",
+    "zip-24x16": "94b178112b21cc8d1a2ca0a135263996eb01bb2ca8501c03b9b7faeebedcff67",
+    "map-24x16": "6173eafae502957642bd43831b47e5d39282af3f507c01d051bc49d14bf21e4f",
+    "shared-24x16": "e1c85f633fc7361e7f60093f76a8156f5ba51a278c24b67e4ec3a4fb1048152c",
+    "private-24x16": "36dc76e77511f48c9ad728e09409fa0c50be988dc3fc41171a01c2d0994e44e1",
+    "zip-1x1": "b2cf6e9ae39b83082e2c054e6dd81900c381fa3199b3ea22ccadd607752e80e0",
+    "map-1x1": "c081b062bf0a46df50261d2014640e954f514638587bbddafcaa61074c3bbf22",
+    "shared-1x1": "42dbb941ef2f48c214903ec9c3ad14ab091398a76cf1c4a590d9ca2deb5b6fd4",
+    "private-1x1": "aa5da35b3817f2e29f8eeaf5a8257882017050ebde84fcec4ae946f2c75c43b6",
+}
+
+
+class TestBatchLoopBitIdentity:
+    """The batch loop leaves the same bytes, counters and commands behind as
+    the loop it replaced, on full, partial and one-element last batches."""
+
+    def run_zipped(self, mgmt, scenario, a, b, total, rng):
+        ctx = rng.integers(0, 256, 37, dtype=np.uint8)
+        for name, size in (("a", a), ("b", b)):
+            comm.scatter(mgmt, name, rng.integers(0, 256, total * size, dtype=np.uint8),
+                         total, size)
+        kind = scenario.split("-")[0]
+        processing.array_zip(mgmt, "a", "b", "ab", materialize=kind == "zip")
+        if kind == "zip":
+            return
+        if kind == "map":
+            def map_func(src, dst, ctx_bytes):
+                dst.view(np.uint64)[:, 0] = _weighted_row_sums(src, ctx_bytes)
+
+            handle = processing.create_handle(mgmt, MAP, map_func=map_func, context=ctx)
+            processing.array_map(mgmt, "ab", "out", 8, handle)
+            return
+
+        def to_val(src, ctx_bytes):
+            keys = (src[:, 0].astype(np.int64) + int(ctx_bytes[0])) % 13
+            return _weighted_row_sums(src, ctx_bytes), keys
+
+        if kind == "private":
+            handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                              combine=(np.add, np.uint64), context=ctx)
+        else:
+            def acc(dst, src):
+                d = dst.view(np.uint64)
+                np.add(d, src.view(np.uint64), out=d)
+
+            def init(accum):
+                accum[:] = 0
+
+            handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                              init_func=init, acc_func=acc, context=ctx)
+        processing.array_red(mgmt, "ab", "out", 8, 13, handle, variant=kind)
+
+    def digest(self, scenario):
+        h = hashlib.sha256()
+        config = DeviceConfig(num_cores=1)
+        if scenario.startswith("vecadd"):
+            plan = processing.plan_iterator(config, MAP, (4, 4), 4)
+        else:
+            kind, pair = scenario.split("-")
+            sizes = tuple(int(s) for s in pair.split("x"))
+            if kind == "zip":
+                plan = processing.plan_iterator(config, ZIP, sizes, sum(sizes))
+            elif kind == "map":
+                plan = processing.plan_iterator(config, MAP, sizes, 8, context_bytes=37)
+            else:
+                plan = processing.plan_iterator(config, REDUCE, sizes, 8, output_len=13,
+                                                variant=kind, context_bytes=37)
+        b = plan.batch_elems
+        rng = np.random.default_rng(4)
+        for cores in (1, 3, 8):
+            for per_core in (b + b // 3 + 1, 2 * b + 1, 13 * b + 1):
+                mgmt = make_mgmt(cores=cores, bank_bytes=1 << 18, log_transfers=True)
+                total = cores * per_core
+                if scenario.startswith("vecadd"):
+                    apps.run_vecadd(mgmt, BenchmarkSpec(total_elems=total, seed=cores),
+                                    eager=scenario.endswith("eager"))
+                else:
+                    self.run_zipped(mgmt, scenario, *sizes, total, rng)
+                dev = mgmt.device
+                h.update(dev.banks.tobytes())
+                h.update(dev.scratchpads.tobytes())
+                h.update(repr(dev.stats).encode())
+                h.update("\n".join(r.as_line() for r in dev.transfer_log).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("scenario", BIT_IDENTITY_SCENARIOS)
+    def test_digest_matches_the_previous_loop(self, scenario):
+        assert self.digest(scenario) == BIT_IDENTITY_DIGESTS[scenario]
