@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import TO_HOST, TO_PIM, round_up
-from .errors import DuplicateArrayId, HandleKindMismatch, WrongLayout
+from .errors import DuplicateArrayId, HandleKindMismatch, InvalidCombiner, WrongLayout
 from .management import (
     LAYOUT_REPLICATED,
     LAYOUT_SCATTERED,
@@ -32,9 +32,6 @@ from .management import (
 class TransferPlan:
     """How one host array is split into equal-sized padded per-core chunks."""
 
-    num_cores: int
-    len: int
-    type_size: int
     per_core_elems: tuple[int, ...]
     padded_chunk_bytes: int
 
@@ -61,7 +58,7 @@ def plan_scatter(length: int, type_size: int, num_cores: int,
         counts.append(take)
         remaining -= take
     padded = round_up(max(counts, default=0) * type_size, dma_alignment)
-    return TransferPlan(num_cores, length, type_size, tuple(counts), padded)
+    return TransferPlan(tuple(counts), padded)
 
 
 def _as_flat_bytes(host, length: int, type_size: int) -> np.ndarray:
@@ -75,6 +72,38 @@ def _as_flat_bytes(host, length: int, type_size: int) -> np.ndarray:
     return flat
 
 
+def _push_replicated(device, data: np.ndarray, bank_offset: int, padded: int) -> None:
+    """Write the bytes ``data``, zero-padded to ``padded``, at ``bank_offset``
+    of every bank in one parallel transfer."""
+    buf = np.zeros((device.config.num_cores, padded), np.uint8)
+    buf[:, :data.size] = data
+    device.host_parallel_transfer(TO_PIM, buf, bank_offset, padded)
+
+
+def _fold_copies(device, acc_func, bank_offset: int, padded: int, length: int,
+                 type_size: int) -> np.ndarray:
+    """Pull every core's ``padded``-byte copy at ``bank_offset`` in one
+    parallel transfer and fold the first ``length`` elements of each into
+    core 0's with ``acc_func``; return the folded copy, zero-padded."""
+    buf = np.zeros((device.config.num_cores, padded), np.uint8)
+    device.host_parallel_transfer(TO_HOST, buf, bank_offset, padded)
+    nbytes = length * type_size
+    out = np.zeros(padded, np.uint8)
+    out[:nbytes] = buf[0, :nbytes]
+    combined = out[:nbytes].reshape(length, type_size)
+    for core in range(1, device.config.num_cores):
+        acc_func(combined, buf[core, :nbytes].reshape(length, type_size))
+    return out
+
+
+def _check_combiner_fits(handle, entry_bytes: int) -> None:
+    """Refuse a handle whose declared combiner dtype does not divide the
+    entry size, before the caller moves anything."""
+    combine = getattr(handle, "combine", None)
+    if combine is not None and entry_bytes % combine[1].itemsize:
+        raise InvalidCombiner(f"{entry_bytes}-byte entries are not whole {combine[1]} values")
+
+
 def broadcast(mgmt: ManagementContext, array_id: str, host, length: int,
               type_size: int) -> None:
     """Copy one host array to every core and register it as replicated."""
@@ -85,9 +114,7 @@ def broadcast(mgmt: ManagementContext, array_id: str, host, length: int,
     padded = round_up(flat.size, device.config.dma_alignment)
     offset = device.alloc(padded)
     if padded:
-        buf = np.zeros((device.config.num_cores, padded), np.uint8)
-        buf[:, :flat.size] = flat
-        device.host_parallel_transfer(TO_PIM, buf, offset, padded)
+        _push_replicated(device, flat, offset, padded)
     mgmt.register(ArrayMetadata(
         id=array_id, len=length, type_size=type_size, bank_offset=offset,
         per_core_elems=(length,) * device.config.num_cores,
@@ -151,19 +178,12 @@ def allreduce(mgmt: ManagementContext, array_id: str, handle) -> None:
         raise WrongLayout(f"{array_id} is {meta.layout}, allreduce needs replicated")
     if getattr(handle, "acc_func", None) is None:
         raise HandleKindMismatch("allreduce needs a handle with an acc_func")
+    _check_combiner_fits(handle, meta.type_size)
     if meta.len == 0:
         return
-    nbytes = meta.len * meta.type_size
-    buf = np.zeros((device.config.num_cores, meta.padded_chunk_bytes), np.uint8)
-    device.host_parallel_transfer(TO_HOST, buf, meta.bank_offset,
-                                  meta.padded_chunk_bytes)
-    combined = buf[0, :nbytes].copy().reshape(meta.len, meta.type_size)
-    for core in range(1, device.config.num_cores):
-        handle.acc_func(combined, buf[core, :nbytes].reshape(meta.len, meta.type_size))
-    out = np.zeros_like(buf)
-    out[:, :nbytes] = combined.reshape(-1)
-    device.host_parallel_transfer(TO_PIM, out, meta.bank_offset,
-                                  meta.padded_chunk_bytes)
+    combined = _fold_copies(device, handle.acc_func, meta.bank_offset,
+                            meta.padded_chunk_bytes, meta.len, meta.type_size)
+    _push_replicated(device, combined, meta.bank_offset, meta.padded_chunk_bytes)
 
 
 def allgather(mgmt: ManagementContext, array_id: str, new_id: str) -> None:

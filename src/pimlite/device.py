@@ -42,6 +42,12 @@ def round_up(n: int, align: int) -> int:
     return -(-n // align) * align
 
 
+def _check_bytes(host: np.ndarray) -> None:
+    """Host transfers move bytes: a wider element would be truncated."""
+    if host.dtype != np.uint8:
+        raise HostBufferInvalid(f"host buffer must be uint8, got {host.dtype}")
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Geometry and hardware limits of the simulated machine.
@@ -302,6 +308,7 @@ class PimDevice:
             if len(sizes) > 1:
                 raise UnequalSliceSizes(f"slice sizes differ: {sorted(sizes)}")
             mat = np.stack(rows) if rows else np.zeros((0, 0), np.uint8)
+        _check_bytes(mat)
         if mat.shape[0] != self.config.num_cores:
             raise UnequalSliceSizes(
                 f"need one slice per core ({self.config.num_cores}), got {mat.shape[0]}")
@@ -327,8 +334,9 @@ class PimDevice:
         one parallel command.
 
         ``host`` is a (num_cores, nbytes_per_core) uint8 array (or a sequence
-        of equal-sized buffers for the to-pim direction).  For ``to_host`` the
-        array is filled in place; anything else raises before a byte moves.
+        of equal-sized byte buffers for the to-pim direction).  For
+        ``to_host`` the array is filled in place; anything else, an array of
+        another dtype included, raises before a byte moves.
         """
         self._check_host_transfer(bank_offset, nbytes_per_core)
         if direction == TO_HOST and not (isinstance(host, np.ndarray) and host.ndim == 2):
@@ -352,8 +360,9 @@ class PimDevice:
     def host_serial_transfer(self, core: int, direction: str, host_slice,
                              bank_offset: int, nbytes: int) -> None:
         """Single-core variant of the host transfer; same alignment rules.
-        For ``to_host``, ``host_slice`` must be a writable array, filled in
-        place; anything else raises before a byte moves."""
+        ``host_slice`` is a uint8 array or a bytes-like object; for
+        ``to_host`` it must be a writable uint8 array, filled in place.
+        Anything else raises before a byte moves."""
         if not 0 <= core < self.config.num_cores:
             raise OutOfBounds(f"core {core} out of range")
         self._check_host_transfer(bank_offset, nbytes)
@@ -362,6 +371,7 @@ class PimDevice:
             raise HostBufferInvalid("to_host needs a writable array to fill in place")
         buf = (host_slice if isinstance(host_slice, np.ndarray)
                else np.frombuffer(bytes(host_slice), np.uint8))
+        _check_bytes(buf)
         if buf.size != nbytes:
             raise UnequalSliceSizes(f"slice size {buf.size} != declared {nbytes}")
         span = self.banks[core, bank_offset:bank_offset + nbytes]

@@ -29,7 +29,8 @@ class UnequalSliceSizes(PimError):
 
 
 class HostBufferInvalid(PimError):
-    """A to-host transfer needs a writable array to fill in place."""
+    """A host buffer is not uint8, or a to-host transfer has no writable
+    array to fill in place."""
 
 
 class ScratchpadOverflow(PimError):

@@ -4,12 +4,19 @@ Execution strategy: inputs stream through per-tasklet scratchpad buffers in
 aligned batches.  One planner, :func:`plan_iterator`, sizes the batches from
 the element sizes, the DMA command limit and the remaining scratchpad budget,
 throttles the tasklet count and lays out the scratchpad; every iterator runs
-exactly the plan it returns.  Reductions keep their accumulators in the
-scratchpad in one of two variants (one shared array behind per-entry locks,
-or one private array per tasklet merged ring-style with barriers).  Zip is
-lazy: it records the two source arrays and the next iterator streams both of
-them, combining batches in the scratchpad; zipping an already-lazy array
-forces physical materialization (laziness is one level deep).
+exactly the plan it returns.  Map, a materializing zip and a reduction share
+one skeleton: plan, make the handle's context resident, allocate the output
+array, launch the kernel with one job record, register the output.  Every
+kernel starts the same way: tasklet 0 streams the context into the
+scratchpad while each tasklet lays out its batch views.  Reductions keep
+their accumulators in the scratchpad in one of two variants (one shared
+array behind per-entry locks, or one private array per tasklet merged
+ring-style with barriers); each core then writes its partial result into its
+copy of the output array, and the host folds the copies with ``acc_func``
+and rewrites core 0's.  Zip is lazy: it records the two source arrays and
+the next iterator streams both of them, combining batches in the
+scratchpad; zipping an already-lazy array forces physical materialization
+(laziness is one level deep).
 
 Callback contract.  All buffers are uint8 views of scratchpad rows; callbacks
 reinterpret them with ``.view(dtype)``:
@@ -118,11 +125,12 @@ class Handle:
     acc_func: object = None
     combine: tuple[np.ufunc, np.dtype] | None = None
     context: np.ndarray | None = None
-    context_size: int = 0
-    input_type_size: int | None = None
-    output_type_size: int | None = None
     id: str = ""
     ctx_array_id: str | None = None
+
+    @property
+    def context_size(self) -> int:
+        return 0 if self.context is None else self.context.size
 
 
 def _as_context_bytes(context) -> np.ndarray | None:
@@ -179,8 +187,7 @@ def _combine_callbacks(ufunc: np.ufunc, dtype: np.dtype, init_func):
 
 def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
                   init_func=None, map_to_val_func=None, acc_func=None,
-                  combine=None, context=None, input_type_size: int | None = None,
-                  output_type_size: int | None = None) -> Handle:
+                  combine=None, context=None) -> Handle:
     """Validate the callback bundle for ``kind`` and give it an id.
 
     A reduce handle takes either ``acc_func`` or ``combine=(ufunc, dtype)``;
@@ -204,13 +211,9 @@ def create_handle(mgmt: ManagementContext, kind: str, *, map_func=None,
                          ("acc_func", acc_func)):
             if fn is None:
                 raise MissingCallback(f"reduce handle needs {name}")
-    ctx = _as_context_bytes(context)
     return Handle(kind=kind, map_func=map_func, init_func=init_func,
                   map_to_val_func=map_to_val_func, acc_func=acc_func,
-                  combine=combine,
-                  context=ctx, context_size=0 if ctx is None else ctx.size,
-                  input_type_size=input_type_size,
-                  output_type_size=output_type_size,
+                  combine=combine, context=_as_context_bytes(context),
                   id=mgmt.new_handle_id())
 
 
@@ -223,13 +226,9 @@ def update_context(mgmt: ManagementContext, handle: Handle, context) -> None:
         if ctx.size != handle.context_size:
             raise ValueError("resident context can only be replaced same-size")
         meta = mgmt.lookup(handle.ctx_array_id)
-        buf = np.zeros((mgmt.device.config.num_cores, meta.padded_chunk_bytes),
-                       np.uint8)
-        buf[:, :ctx.size] = ctx
-        mgmt.device.host_parallel_transfer(comm.TO_PIM, buf, meta.bank_offset,
-                                           meta.padded_chunk_bytes)
+        comm._push_replicated(mgmt.device, ctx, meta.bank_offset,
+                              meta.padded_chunk_bytes)
     handle.context = ctx
-    handle.context_size = ctx.size
 
 
 def free_handle(mgmt: ManagementContext, handle: Handle) -> None:
@@ -245,7 +244,7 @@ def _resident_context(mgmt: ManagementContext, handle: Handle):
     """Broadcast the handle context on first use and yield (bank_offset,
     true_bytes, padded_bytes), or None without a context.  A context that
     this call broadcast is freed again when the body raises."""
-    if handle.context is None or handle.context_size == 0:
+    if not handle.context_size:
         yield None
         return
     fresh = handle.ctx_array_id is None
@@ -442,7 +441,51 @@ def _physical_streams(mgmt: ManagementContext, meta: ArrayMetadata) -> list[_Str
     return [_Stream(meta.bank_offset, meta.type_size)]
 
 
-def _launch(mgmt: ManagementContext, kernel, job, lock_entries: int = 0) -> None:
+@dataclass
+class _Job:
+    """One iterator kernel launch: the handle whose callbacks run, the plan,
+    the streamed inputs, the resident context as (bank offset, bytes, padded
+    bytes) or None, and the output array of ``out_len`` elements of
+    ``out_size`` bytes at ``out_offset`` (a reduction's entries)."""
+
+    handle: Handle
+    plan: IteratorPlan
+    per_core_elems: tuple[int, ...]
+    in_streams: tuple[_Stream, ...]
+    ctx: tuple[int, int, int] | None
+    out_offset: int
+    out_len: int
+    out_size: int
+
+
+@contextmanager
+def _output_array(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
+                  src: ArrayMetadata, in_streams, dest_id: str,
+                  out_per_core: tuple[int, ...], out_size: int):
+    """Make the handle's context resident, allocate ``dest_id`` with
+    ``out_per_core`` elements of ``out_size`` bytes per core and yield the
+    job that fills it; register ``dest_id`` when the block returns.  If
+    anything raises, the allocation and a context that this call broadcast
+    are released first, so allocator and registry are as they were."""
+    device = mgmt.device
+    out_len = sum(out_per_core)
+    padded = round_up(max(out_per_core, default=0) * out_size,
+                      device.config.dma_alignment)
+    with _resident_context(mgmt, handle) as ctx:
+        offset = device.alloc(padded)
+        try:
+            yield _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
+                       offset, out_len, out_size)
+            mgmt.register(ArrayMetadata(
+                id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
+                per_core_elems=out_per_core, padded_chunk_bytes=padded,
+                layout=LAYOUT_SCATTERED))
+        except BaseException:
+            device.dealloc(offset, padded)
+            raise
+
+
+def _launch(mgmt: ManagementContext, kernel, job: _Job, lock_entries: int = 0) -> None:
     """Run ``job`` with exactly its plan and record that plan as executed."""
     plan = job.plan
     mgmt.device.launch_kernel(kernel, plan.num_tasklets, job,
@@ -497,19 +540,22 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
 
 
 class _BatchLoader:
-    """One tasklet's batch buffers, laid out once at kernel entry.
+    """One tasklet's scratchpad views, laid out once at kernel entry.
 
-    Holds, for a full batch, the view of every stream slot, the zip slot with
-    one word column per stream, and the slot written back to the bank.  The
-    zip slot is filled in the widest unsigned word that divides 8 and every
-    element size, so each stream is copied in whole words.
+    Tasklet 0 streams the handle context to scratchpad offset 0; ``ctx`` is
+    its view (None without a context), filled once the kernel has passed its
+    first barrier.  For a full batch the loader holds the view of every
+    stream slot, the zip slot with one word column per stream, and the slot
+    written back to the bank.  The zip slot is filled in the widest unsigned
+    word that divides 8 and every element size, so each stream is copied in
+    whole words.
     """
 
     __slots__ = ("device", "core", "align", "batch_elems", "reads", "batch",
-                 "columns", "out_slot", "out")
+                 "columns", "out_slot", "out", "ctx")
 
-    def __init__(self, tctx: TaskletContext, plan: IteratorPlan, in_streams,
-                 out_size: int = 0):
+    def __init__(self, tctx: TaskletContext, job: _Job):
+        plan = job.plan
         scratch = tctx.scratch
         b = plan.batch_elems
         base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
@@ -518,7 +564,7 @@ class _BatchLoader:
         self.batch_elems = b
         self.reads = []  # (bank offset, element size, slot, full-batch bytes)
         views = []
-        for s, rel in zip(in_streams, plan.stream_rels):
+        for s, rel in zip(job.in_streams, plan.stream_rels):
             slot = base + rel
             self.reads.append((s.bank_offset, s.type_size, slot,
                                round_up(b * s.type_size, self.align)))
@@ -527,7 +573,7 @@ class _BatchLoader:
         if plan.combine_rel is None:
             self.batch = views[0]
         else:
-            sizes = [s.type_size for s in in_streams]
+            sizes = [s.type_size for s in job.in_streams]
             word = np.dtype(f"u{math.gcd(8, *sizes)}")
             cslot = base + plan.combine_rel
             self.batch = scratch[cslot:cslot + b * sum(sizes)].reshape(b, sum(sizes))
@@ -540,8 +586,14 @@ class _BatchLoader:
         self.out_slot = self.out = None
         if plan.out_rel is not None:
             self.out_slot = base + plan.out_rel
-            self.out = scratch[self.out_slot:self.out_slot + b * out_size] \
-                .reshape(b, out_size)
+            self.out = scratch[self.out_slot:self.out_slot + b * job.out_size] \
+                .reshape(b, job.out_size)
+        self.ctx = None
+        if job.ctx is not None:
+            bank_offset, nbytes, padded = job.ctx
+            if tctx.tasklet_id == 0:
+                tctx.stream_read(bank_offset, 0, padded)
+            self.ctx = scratch[:nbytes]
 
 
 def _load_batch_views(loader: _BatchLoader, lo: int, m: int) -> np.ndarray:
@@ -567,61 +619,21 @@ def _load_batch_views(loader: _BatchLoader, lo: int, m: int) -> np.ndarray:
 # --- map / zip-materialize kernel -------------------------------------------------
 
 
-@dataclass
-class _StreamJob:
-    per_core_elems: tuple[int, ...]
-    plan: IteratorPlan
-    in_streams: tuple[_Stream, ...]
-    out_bank_offset: int
-    out_type_size: int
-    ctx: tuple[int, int, int] | None
-    map_func: object
-
-
-def _stream_kernel(tctx: TaskletContext, job: _StreamJob):
-    plan = job.plan
-    loader = _BatchLoader(tctx, plan, job.in_streams, job.out_type_size)
-    if job.ctx is not None and tctx.tasklet_id == 0:
-        tctx.stream_read(job.ctx[0], 0, job.ctx[2])
+def _stream_kernel(tctx: TaskletContext, job: _Job):
+    loader = _BatchLoader(tctx, job)
     yield  # context resident before anyone computes
-    ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
-    b = plan.batch_elems
-    size = job.out_type_size
+    b = job.plan.batch_elems
+    size, map_func = job.out_size, job.handle.map_func
     device, core, align = tctx.device, tctx.core_id, loader.align
     full_bytes = round_up(b * size, align)
     for lo in range(tctx.tasklet_id * b, local, tctx.num_tasklets * b):
         m = min(b, local - lo)
         src = _load_batch_views(loader, lo, m)
-        if job.map_func is not None:
-            job.map_func(src, loader.out if m == b else loader.out[:m], ctx_view)
-        device.dma_write(core, loader.out_slot, job.out_bank_offset + lo * size,
+        if map_func is not None:
+            map_func(src, loader.out if m == b else loader.out[:m], loader.ctx)
+        device.dma_write(core, loader.out_slot, job.out_offset + lo * size,
                          full_bytes if m == b else round_up(m * size, align))
-
-
-def _stream_to_new_array(mgmt: ManagementContext, meta: ArrayMetadata,
-                         dest_id: str, in_streams, plan: IteratorPlan,
-                         out_type_size: int, ctx_info, map_func) -> IteratorPlan:
-    """Allocate ``dest_id``, run the streaming kernel into it and register it
-    with ``meta``'s distribution; the allocation is released if the kernel
-    raises."""
-    device = mgmt.device
-    dest_padded = round_up(max(meta.per_core_elems, default=0) * out_type_size,
-                           device.config.dma_alignment)
-    dest_offset = device.alloc(dest_padded)
-    job = _StreamJob(per_core_elems=meta.per_core_elems, plan=plan,
-                     in_streams=tuple(in_streams), out_bank_offset=dest_offset,
-                     out_type_size=out_type_size, ctx=ctx_info, map_func=map_func)
-    try:
-        _launch(mgmt, _stream_kernel, job)
-    except BaseException:
-        device.dealloc(dest_offset, dest_padded)
-        raise
-    mgmt.register(ArrayMetadata(
-        id=dest_id, len=meta.len, type_size=out_type_size,
-        bank_offset=dest_offset, per_core_elems=meta.per_core_elems,
-        padded_chunk_bytes=dest_padded, layout=LAYOUT_SCATTERED))
-    return plan
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -636,17 +648,13 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
         raise HandleKindMismatch(f"array_map needs a map handle, got {handle.kind}")
     if output_type_size < 1:
         raise ValueError("output_type_size must be >= 1")
-    if handle.output_type_size not in (None, output_type_size):
-        raise ValueError("output_type_size disagrees with the handle declaration")
     in_streams = _physical_streams(mgmt, meta)
-    in_sizes = [s.type_size for s in in_streams]
-    if handle.input_type_size not in (None, sum(in_sizes)):
-        raise ValueError("input element size disagrees with the handle declaration")
-    plan = plan_iterator(mgmt.device.config, MAP, in_sizes, output_type_size,
-                         context_bytes=handle.context_size)
-    with _resident_context(mgmt, handle) as ctx_info:
-        return _stream_to_new_array(mgmt, meta, dest_id, in_streams, plan,
-                                    output_type_size, ctx_info, handle.map_func)
+    plan = plan_iterator(mgmt.device.config, MAP, [s.type_size for s in in_streams],
+                         output_type_size, context_bytes=handle.context_size)
+    with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
+                       meta.per_core_elems, output_type_size) as job:
+        _launch(mgmt, _stream_kernel, job)
+    return plan
 
 
 def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
@@ -678,46 +686,31 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
     in_streams = _physical_streams(mgmt, a) + _physical_streams(mgmt, b)
     plan = plan_iterator(mgmt.device.config, ZIP,
                          [s.type_size for s in in_streams], out_type_size)
-    return _stream_to_new_array(mgmt, a, dest_id, in_streams, plan,
-                                out_type_size, None, None)
+    # a zip handle has no callbacks: the kernel writes the combined batches
+    with _output_array(mgmt, Handle(ZIP), plan, a, in_streams, dest_id,
+                       a.per_core_elems, out_type_size) as job:
+        _launch(mgmt, _stream_kernel, job)
+    return plan
 
 
 # --- keyed reduction ---------------------------------------------------------------
 
 
-@dataclass
-class _RedJob:
-    per_core_elems: tuple[int, ...]
-    plan: IteratorPlan
-    in_streams: tuple[_Stream, ...]
-    ctx: tuple[int, int, int] | None
-    n: int
-    d: int
-    staging_bank_offset: int
-    init_func: object
-    map_to_val_func: object
-    acc_func: object
-    combine: tuple[np.ufunc, np.dtype] | None
-
-
-def _red_kernel(tctx: TaskletContext, job: _RedJob):
+def _red_kernel(tctx: TaskletContext, job: _Job):
     t, num_t = tctx.tasklet_id, tctx.num_tasklets
-    align = tctx.device.config.dma_alignment
-    plan = job.plan
-    n, d = job.n, job.d
+    plan, handle = job.plan, job.handle
+    n, d = job.out_len, job.out_size
     private = plan.variant == VARIANT_PRIVATE
-    loader = _BatchLoader(tctx, plan, job.in_streams)
-    if job.ctx is not None and t == 0:
-        tctx.stream_read(job.ctx[0], 0, job.ctx[2])
+    loader = _BatchLoader(tctx, job)
     my_off = plan.accum_base + (t * plan.accum_slot if private else 0)
     mine = tctx.scratch[my_off:my_off + n * d].reshape(n, d)
     if private or t == 0:
-        job.init_func(mine)
-    if job.combine is None:
+        handle.init_func(mine)
+    if handle.combine is None:
         def fold(rows, keys):
-            _scatter_accumulate(mine, rows, keys, job.acc_func)
+            _scatter_accumulate(mine, rows, keys, handle.acc_func)
     else:
-        ufunc, dtype = job.combine
+        ufunc, dtype = handle.combine
         if d == dtype.itemsize:  # one value per entry: 1-D ufunc.at is ~3x cheaper
             target = mine.view(dtype)[:, 0]
 
@@ -729,13 +722,13 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
             def fold(rows, keys):
                 ufunc.at(target, keys, rows.view(dtype))
     yield  # context + accumulators ready
-    ctx_view = tctx.scratch[:job.ctx[1]] if job.ctx is not None else None
     local = job.per_core_elems[tctx.core_id]
     b = plan.batch_elems
+    map_to_val = handle.map_to_val_func
     for lo in range(t * b, local, num_t * b):
         m = min(b, local - lo)
         src = _load_batch_views(loader, lo, m)
-        vals, keys = job.map_to_val_func(src, ctx_view)
+        vals, keys = map_to_val(src, loader.ctx)
         rows = _as_entry_rows(vals, m, d)
         ks = np.asarray(keys, np.int64).ravel()
         if ks.size != m:
@@ -762,7 +755,7 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
             if hi_e > lo_e:
                 noff = plan.accum_base + neighbor * plan.accum_slot
                 other = tctx.scratch[noff:noff + n * d].reshape(n, d)
-                job.acc_func(mine[lo_e:hi_e], other[lo_e:hi_e])
+                handle.acc_func(mine[lo_e:hi_e], other[lo_e:hi_e])
             yield
         own = (t + 1) % num_t
         if t:
@@ -771,9 +764,8 @@ def _red_kernel(tctx: TaskletContext, job: _RedJob):
                 .reshape(n, d)
             first[lo_e:hi_e] = mine[lo_e:hi_e]
         yield
-    if t == 0:
-        tctx.stream_write(plan.accum_base, job.staging_bank_offset,
-                          round_up(n * d, align))
+    if t == 0:  # this core's partial goes to its copy of the output array
+        tctx.stream_write(plan.accum_base, job.out_offset, plan.accum_slot)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -782,9 +774,10 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     """Keyed reduction: every input element maps to (value, output index) and
     is accumulated into that entry.
 
-    Per-core partial results are gathered to the host, folded with the
-    handle's accumulation function, and the combined output array is placed
-    on core 0 under ``dest_id``.  Returns the plan that was executed.
+    Every core writes its partial result into its copy of the output array;
+    the host pulls those, folds them with the handle's accumulation function
+    and rewrites core 0's copy, so the combined output is on core 0 under
+    ``dest_id``.  Returns the plan that was executed.
     """
     meta = mgmt.lookup(src_id)
     if dest_id in mgmt.registry:
@@ -792,50 +785,18 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     if handle.kind != REDUCE:
         raise HandleKindMismatch(f"array_red needs a reduce handle, got {handle.kind}")
     n, d = output_len, output_type_size
-    if handle.output_type_size not in (None, d):
-        raise ValueError("output_type_size disagrees with the handle declaration")
-    if handle.combine is not None and d % handle.combine[1].itemsize:
-        raise InvalidCombiner(
-            f"{d}-byte entries are not whole {handle.combine[1]} values")
+    comm._check_combiner_fits(handle, d)
     in_streams = _physical_streams(mgmt, meta)
-    in_sizes = [s.type_size for s in in_streams]
-    if handle.input_type_size not in (None, sum(in_sizes)):
-        raise ValueError("input element size disagrees with the handle declaration")
     device = mgmt.device
-    cfg = device.config
-    plan = select_reduction_plan(n, d, cfg, variant, input_sizes=in_sizes,
+    plan = select_reduction_plan(n, d, device.config, variant,
+                                 input_sizes=[s.type_size for s in in_streams],
                                  context_bytes=handle.context_size)
-    accum_slot = plan.accum_slot
-    partials = np.zeros((cfg.num_cores, accum_slot), np.uint8)
-    with _resident_context(mgmt, handle) as ctx_info:
-        staging_offset = device.alloc(accum_slot)
-        job = _RedJob(per_core_elems=meta.per_core_elems, plan=plan,
-                      in_streams=tuple(in_streams), ctx=ctx_info, n=n, d=d,
-                      staging_bank_offset=staging_offset,
-                      init_func=handle.init_func,
-                      map_to_val_func=handle.map_to_val_func,
-                      acc_func=handle.acc_func, combine=handle.combine)
-        try:
-            _launch(mgmt, _red_kernel, job,
-                    lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
-            device.host_parallel_transfer(comm.TO_HOST, partials, staging_offset,
-                                          accum_slot)
-        finally:
-            device.dealloc(staging_offset, accum_slot)
-
-        # fold the per-core partials on the host
-        combined = partials[0, :n * d].copy().reshape(n, d)
-        for core in range(1, cfg.num_cores):
-            handle.acc_func(combined, partials[core, :n * d].reshape(n, d))
-
-        # the final output lives on core 0; later gathers stay trivial
-        dest_offset = device.alloc(accum_slot)
-    padded_out = np.zeros(accum_slot, np.uint8)
-    padded_out[:n * d] = combined.reshape(-1)
-    device.host_serial_transfer(0, comm.TO_PIM, padded_out, dest_offset,
-                                accum_slot)
-    mgmt.register(ArrayMetadata(
-        id=dest_id, len=n, type_size=d, bank_offset=dest_offset,
-        per_core_elems=(n,) + (0,) * (cfg.num_cores - 1),
-        padded_chunk_bytes=accum_slot, layout=LAYOUT_SCATTERED))
+    with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
+                       (n,) + (0,) * (device.config.num_cores - 1), d) as job:
+        _launch(mgmt, _red_kernel, job,
+                lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
+        combined = comm._fold_copies(device, handle.acc_func, job.out_offset,
+                                     plan.accum_slot, n, d)
+        device.host_serial_transfer(0, comm.TO_PIM, combined, job.out_offset,
+                                    plan.accum_slot)
     return plan

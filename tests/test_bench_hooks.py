@@ -1,0 +1,73 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps pimlite entry
+points by name: ``array_map``, ``array_zip``, ``array_red``,
+``create_handle``, ``update_context``, ``_load_batch_views``,
+``LockTable.acquire`` and each device's ``dma_read``/``dma_write``.  Its own
+smoke test is not part of this suite, so a rename or a kernel that stops
+going through those names would break the traced benchmark unnoticed; these
+tests run one tiny op of each benchmarked workload under the tracer."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import make_mgmt
+from pimlite import apps, comm, processing
+from pimlite.apps import BenchmarkSpec
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+CORES = 4
+# app: (run keyword arguments, spec, streamed element bytes), at sizes well
+# below the benchmark's
+WORKLOADS = {
+    "vecadd": ({"eager": False}, BenchmarkSpec(total_elems=CORES * 1_000, seed=5), 4),
+    "histogram": ({"variant": "auto"},
+                  BenchmarkSpec(total_elems=CORES * 1_000, bins=4096, seed=5), 4),
+    "kmeans": ({"variant": "auto"},
+               BenchmarkSpec(total_elems=CORES * 200, dims=10, clusters=10,
+                             iterations=3, seed=5), 40),
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def batches_of(plan, per_core_elems):
+    return sum(-(-n // plan.batch_elems) for n in per_core_elems)
+
+
+@pytest.mark.parametrize("app", WORKLOADS)
+def test_traced_op_sees_every_batch_command_and_plan(tracing, app):
+    kwargs, spec, elem_bytes = WORKLOADS[app]
+    originals = (processing.array_red, processing.create_handle,
+                 processing._load_batch_views)
+    mgmt = make_mgmt(cores=CORES)
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        tracing.instrument_op(tracer, mgmt.device, mgmt)
+        result = getattr(apps, f"run_{app}")(mgmt, spec, **kwargs)
+    assert (processing.array_red, processing.create_handle,
+            processing._load_batch_views) == originals
+    assert np.array_equal(result, getattr(apps, f"oracle_{app}")(spec))
+
+    stats = mgmt.device.stats
+    assert tracer.calls["device.dma"] == stats.dma_commands > 0
+    reductions = tracer.calls["processing.array_red"]
+    assert len(tracer.plans) == reductions
+    if app == "vecadd":
+        assert reductions == 0 and tracer.calls["processing.array_map"] == 1
+        plans = [mgmt.last_plan]
+    else:
+        assert reductions == (spec.iterations if app == "kmeans" else 1)
+        assert all(p.variant == processing.VARIANT_PRIVATE for p in tracer.plans)
+        plans = tracer.plans
+    per_core = comm.plan_scatter(spec.total_elems, elem_bytes, CORES).per_core_elems
+    assert tracer.counts["processing.kernel.batches"] == \
+        sum(batches_of(p, per_core) for p in plans) > 0

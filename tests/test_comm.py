@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_mgmt
 from pimlite import comm, processing
 from pimlite.comm import plan_scatter
-from pimlite.errors import DuplicateArrayId, UnknownArrayId, WrongLayout
+from pimlite.errors import DuplicateArrayId, InvalidCombiner, UnknownArrayId, WrongLayout
 
 
 def check_plan(plan, length, type_size, cores, align=8):
@@ -191,6 +191,20 @@ class TestAllreduce:
         comm.scatter(mgmt, "s", np.zeros(8, np.uint32), 8, 4)
         with pytest.raises(WrongLayout):
             comm.allreduce(mgmt, "s", _acc_handle(mgmt))
+
+    def test_combiner_wider_than_the_element_raises_before_any_transfer(self):
+        # u64 values do not tile 4-byte elements, as array_red already refuses
+        mgmt = make_mgmt(cores=4)
+        meta = self._replicate(mgmt, np.arange(8, dtype=np.uint32).reshape(4, 2))
+        handle = processing.create_handle(
+            mgmt, processing.REDUCE, map_to_val_func=lambda s, c: None,
+            combine=(np.add, np.uint64))
+        banks, before = mgmt.device.banks.copy(), mgmt.device.stats.copy()
+        with pytest.raises(InvalidCombiner):
+            comm.allreduce(mgmt, "r", handle)
+        assert mgmt.device.stats == before
+        assert np.array_equal(mgmt.device.banks, banks)
+        assert mgmt.lookup("r") == meta
 
 
 class TestAllgather:

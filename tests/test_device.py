@@ -199,6 +199,31 @@ class TestHostTransfers:
         dev.host_serial_transfer(1, TO_PIM, bytes(8), 0, 8)  # reading bytes is fine
         assert (dev.banks[1, :8] == 0).all()
 
+    @pytest.mark.parametrize("kind,direction,host", [
+        ("parallel", TO_PIM, np.full((2, 8), 300, np.uint32)),
+        ("parallel", TO_PIM, [np.full(8, 300, np.uint32)] * 2),
+        ("parallel", TO_PIM, np.full((2, 8), -1, np.int8)),
+        ("parallel", TO_HOST, np.zeros((2, 8), np.uint32)),
+        ("serial", TO_PIM, np.full(8, 1000, np.int64)),
+        ("serial", TO_HOST, np.zeros(8, np.uint32)),
+    ])
+    def test_non_byte_host_array_raises_before_anything_moves(self, kind, direction,
+                                                              host):
+        # host transfers move bytes; a wider element would be truncated
+        # silently (300 -> 44, 1000 -> 232) while the bytes were counted
+        dev = make_device(cores=2, log_transfers=True)
+        dev.banks[:, :24] = 7
+        banks, before = dev.banks.copy(), dev.stats.copy()
+        with pytest.raises(HostBufferInvalid):
+            if kind == "parallel":
+                dev.host_parallel_transfer(direction, host, 16, 8)
+            else:
+                dev.host_serial_transfer(0, direction, host, 16, 8)
+        assert np.array_equal(dev.banks, banks)
+        assert dev.stats == before and dev.transfer_log == []
+        if direction == TO_HOST:
+            assert (host == 0).all()
+
     def test_unequal_slices_rejected(self):
         dev = make_device(cores=2)
         with pytest.raises(UnequalSliceSizes):

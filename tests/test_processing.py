@@ -336,6 +336,34 @@ class TestFailingCallbacks:
             processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
         assert (mgmt.device.cursors[0], set(mgmt.registry)) == (cursor, ids)
 
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    def test_acc_func_failing_in_the_host_fold(self, variant):
+        # the fold runs while the output array is allocated; the allocation
+        # and the context this call broadcast are released
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(100))
+        launches = mgmt.device.stats.kernel_launches
+        host_calls = []
+
+        def acc(dst, src):
+            if mgmt.device.stats.kernel_launches > launches:  # the kernel has run
+                host_calls.append(1)
+                self.boom()
+            a = dst.view(np.uint32)
+            np.add(a, src.view(np.uint32), out=a)
+
+        handle = processing.create_handle(
+            mgmt, REDUCE, init_func=lambda a: a.fill(0), acc_func=acc,
+            map_to_val_func=lambda s, c: (s.view(np.uint32).ravel(),
+                                          np.zeros(s.shape[0], np.int64)),
+            context=np.zeros(100, np.uint8))
+        cursor, ids = list(mgmt.device.cursors), set(mgmt.registry)
+        with pytest.raises(RuntimeError):
+            processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
+        assert host_calls == [1]
+        assert (mgmt.device.cursors, set(mgmt.registry)) == (cursor, ids)
+        assert handle.ctx_array_id is None
+
 
 class TestMap:
     def test_square(self):
