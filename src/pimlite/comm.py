@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import TO_HOST, TO_PIM, round_up
+from .device import TO_HOST, TO_PIM, byte_array, round_up
 from .errors import DuplicateArrayId, HandleKindMismatch, InvalidCombiner, WrongLayout
 from .management import (
     LAYOUT_REPLICATED,
@@ -62,10 +62,7 @@ def plan_scatter(length: int, type_size: int, num_cores: int,
 
 
 def _as_flat_bytes(host, length: int, type_size: int) -> np.ndarray:
-    if isinstance(host, (bytes, bytearray, memoryview)):
-        flat = np.frombuffer(host, np.uint8)
-    else:
-        flat = np.ascontiguousarray(host).view(np.uint8).ravel()
+    flat = np.ascontiguousarray(byte_array(host)).view(np.uint8).ravel()
     if flat.size != length * type_size:
         raise ValueError(
             f"host buffer holds {flat.size} bytes, expected {length * type_size}")

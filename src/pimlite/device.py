@@ -42,10 +42,18 @@ def round_up(n: int, align: int) -> int:
     return -(-n // align) * align
 
 
-def _check_bytes(host: np.ndarray) -> None:
-    """Host transfers move bytes: a wider element would be truncated."""
-    if host.dtype != np.uint8:
-        raise HostBufferInvalid(f"host buffer must be uint8, got {host.dtype}")
+def byte_array(buf):
+    """A bytes-like object as a read-only uint8 array; anything else as is."""
+    if isinstance(buf, (bytes, bytearray, memoryview)):
+        return np.frombuffer(bytes(buf), np.uint8)
+    return buf
+
+
+def split_dma(src: int, dst: int, nbytes: int, max_bytes: int) -> tuple:
+    """``nbytes`` from ``src`` to ``dst`` as ``(src, dst, nbytes)`` commands
+    of at most ``max_bytes`` each, in address order."""
+    return tuple((src + done, dst + done, min(max_bytes, nbytes - done))
+                 for done in range(0, nbytes, max_bytes))
 
 
 @dataclass(frozen=True)
@@ -175,20 +183,9 @@ class TaskletContext:
 
     def stream_read(self, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
         """Read ``nbytes`` (any aligned size) as a sequence of legal commands."""
-        step = self.device.config.dma_max_bytes
-        done = 0
-        while done < nbytes:
-            n = min(step, nbytes - done)
-            self.dma_read(dram_offset + done, scratch_offset + done, n)
-            done += n
-
-    def stream_write(self, scratch_offset: int, dram_offset: int, nbytes: int) -> None:
-        step = self.device.config.dma_max_bytes
-        done = 0
-        while done < nbytes:
-            n = min(step, nbytes - done)
-            self.dma_write(scratch_offset + done, dram_offset + done, n)
-            done += n
+        for cmd in split_dma(dram_offset, scratch_offset, nbytes,
+                             self.device.config.dma_max_bytes):
+            self.dma_read(*cmd)
 
 
 Kernel = Callable[[TaskletContext, object], object]
@@ -298,27 +295,15 @@ class PimDevice:
 
     # -- host <-> bank transfers ------------------------------------------------
 
-    def _as_slice_matrix(self, host, nbytes_per_core: int) -> np.ndarray:
-        if isinstance(host, np.ndarray) and host.ndim == 2:
-            mat = host
-        else:
-            rows = [np.frombuffer(bytes(s), np.uint8) if not isinstance(s, np.ndarray) else s
-                    for s in host]
-            sizes = {r.size for r in rows}
-            if len(sizes) > 1:
-                raise UnequalSliceSizes(f"slice sizes differ: {sorted(sizes)}")
-            mat = np.stack(rows) if rows else np.zeros((0, 0), np.uint8)
-        _check_bytes(mat)
-        if mat.shape[0] != self.config.num_cores:
-            raise UnequalSliceSizes(
-                f"need one slice per core ({self.config.num_cores}), got {mat.shape[0]}")
-        if mat.shape[1] != nbytes_per_core:
-            raise UnequalSliceSizes(
-                f"slice size {mat.shape[1]} != declared {nbytes_per_core}")
-        return mat
-
-    def _check_host_transfer(self, bank_offset: int, nbytes: int) -> None:
+    def _host_transfer(self, direction: str, core: int | None, host,
+                       bank_offset: int, nbytes: int) -> None:
+        """The one host <-> bank path: check everything, then move, count and
+        log.  ``core`` is None for a parallel transfer, whose ``host`` holds
+        one ``nbytes`` row per core, or the core of a serial transfer, whose
+        ``host`` is one row.  A rejected transfer moves nothing."""
         cfg = self.config
+        if core is not None and not 0 <= core < cfg.num_cores:
+            raise OutOfBounds(f"core {core} out of range")
         if nbytes < 0:
             raise SizeLimitViolation("negative transfer size")
         if nbytes % cfg.dma_alignment or bank_offset % cfg.dma_alignment:
@@ -327,66 +312,60 @@ class PimDevice:
                 f"{cfg.dma_alignment}-byte aligned")
         if bank_offset < 0 or bank_offset + nbytes > cfg.dram_bank_bytes:
             raise OutOfBounds(f"bank range [{bank_offset}, +{nbytes}) out of bounds")
+        if direction not in (TO_PIM, TO_HOST):
+            raise ValueError(f"unknown direction {direction!r}")
+        if direction == TO_HOST and not (isinstance(host, np.ndarray)
+                                         and host.flags.writeable):
+            raise HostBufferInvalid("to_host needs a writable array to fill in place")
+        if core is None and isinstance(host, (list, tuple)):
+            rows = [byte_array(r) for r in host]
+            if len({getattr(r, "shape", None) for r in rows}) > 1:
+                raise UnequalSliceSizes("slices differ in size")
+            host = np.stack(rows) if rows else np.zeros((0, 0), np.uint8)
+        host = byte_array(host)
+        if not isinstance(host, np.ndarray):
+            raise HostBufferInvalid(f"host buffer must be a uint8 array, got {type(host)}")
+        if host.dtype != np.uint8:  # a wider element would be truncated
+            raise HostBufferInvalid(f"host buffer must be uint8, got {host.dtype}")
+        span = self.banks[slice(None) if core is None else core,
+                          bank_offset:bank_offset + nbytes]
+        if host.shape != span.shape:
+            raise UnequalSliceSizes(
+                f"host buffer of shape {host.shape} for a transfer of {span.shape} bytes")
+        if direction == TO_PIM:
+            span[:] = host
+            self.stats.host_to_pim_bytes += span.size
+        else:
+            host[:] = span
+            self.stats.pim_to_host_bytes += span.size
+        if core is None:
+            self.stats.parallel_transfers += 1
+        else:
+            self.stats.serial_transfers += 1
+        if cfg.log_transfers:
+            self.transfer_log.append(TransferRecord(
+                "parallel" if core is None else "serial", direction,
+                -1 if core is None else core, bank_offset, None, nbytes))
 
     def host_parallel_transfer(self, direction: str, host, bank_offset: int,
                                nbytes_per_core: int) -> None:
         """Move equal-sized slices between the host and every core's bank in
         one parallel command.
 
-        ``host`` is a (num_cores, nbytes_per_core) uint8 array (or a sequence
-        of equal-sized byte buffers for the to-pim direction).  For
-        ``to_host`` the array is filled in place; anything else, an array of
-        another dtype included, raises before a byte moves.
+        ``host`` is a (num_cores, nbytes_per_core) uint8 array (or a list of
+        equal-sized byte buffers for the to-pim direction).  For ``to_host``
+        the array is filled in place; anything else, an array of another
+        dtype or shape included, raises before a byte moves.
         """
-        self._check_host_transfer(bank_offset, nbytes_per_core)
-        if direction == TO_HOST and not (isinstance(host, np.ndarray) and host.ndim == 2):
-            raise HostBufferInvalid(
-                "to_host needs one (num_cores, nbytes_per_core) array to fill in place")
-        mat = self._as_slice_matrix(host, nbytes_per_core)
-        span = self.banks[:, bank_offset:bank_offset + nbytes_per_core]
-        if direction == TO_PIM:
-            span[:] = mat
-            self.stats.host_to_pim_bytes += self.config.num_cores * nbytes_per_core
-        elif direction == TO_HOST:
-            mat[:] = span
-            self.stats.pim_to_host_bytes += self.config.num_cores * nbytes_per_core
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        self.stats.parallel_transfers += 1
-        if self.config.log_transfers:
-            self.transfer_log.append(TransferRecord(
-                "parallel", direction, -1, bank_offset, None, nbytes_per_core))
+        self._host_transfer(direction, None, host, bank_offset, nbytes_per_core)
 
     def host_serial_transfer(self, core: int, direction: str, host_slice,
                              bank_offset: int, nbytes: int) -> None:
         """Single-core variant of the host transfer; same alignment rules.
-        ``host_slice`` is a uint8 array or a bytes-like object; for
+        ``host_slice`` is a 1-D uint8 array or a bytes-like object; for
         ``to_host`` it must be a writable uint8 array, filled in place.
         Anything else raises before a byte moves."""
-        if not 0 <= core < self.config.num_cores:
-            raise OutOfBounds(f"core {core} out of range")
-        self._check_host_transfer(bank_offset, nbytes)
-        if direction == TO_HOST and not (isinstance(host_slice, np.ndarray)
-                                         and host_slice.flags.writeable):
-            raise HostBufferInvalid("to_host needs a writable array to fill in place")
-        buf = (host_slice if isinstance(host_slice, np.ndarray)
-               else np.frombuffer(bytes(host_slice), np.uint8))
-        _check_bytes(buf)
-        if buf.size != nbytes:
-            raise UnequalSliceSizes(f"slice size {buf.size} != declared {nbytes}")
-        span = self.banks[core, bank_offset:bank_offset + nbytes]
-        if direction == TO_PIM:
-            span[:] = buf
-            self.stats.host_to_pim_bytes += nbytes
-        elif direction == TO_HOST:
-            buf[:] = span
-            self.stats.pim_to_host_bytes += nbytes
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        self.stats.serial_transfers += 1
-        if self.config.log_transfers:
-            self.transfer_log.append(TransferRecord(
-                "serial", direction, core, bank_offset, None, nbytes))
+        self._host_transfer(direction, core, host_slice, bank_offset, nbytes)
 
     # -- kernel execution ---------------------------------------------------------
 

@@ -6,9 +6,9 @@ the element sizes, the DMA command limit and the remaining scratchpad budget,
 throttles the tasklet count and lays out the scratchpad; every iterator runs
 exactly the plan it returns.  Map, a materializing zip and a reduction share
 one skeleton: plan, make the handle's context resident, allocate the output
-array, launch the kernel with one job record, register the output.  Every
-kernel starts the same way: tasklet 0 streams the context into the
-scratchpad while each tasklet lays out its batch views.  Reductions keep
+array, launch the kernel with one job record, register the output.  The
+kernels compute no DMA command: they issue, in order, the commands that
+:func:`dma_schedule` derives from the job once per launch.  Reductions keep
 their accumulators in the scratchpad in one of two variants (one shared
 array behind per-entry locks, or one private array per tasklet merged
 ring-style with barriers); each core then writes its partial result into its
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comm
-from .device import TaskletContext, round_up
+from .device import TaskletContext, byte_array, round_up, split_dma
 from .errors import (
     DuplicateArrayId,
     ElementTooLarge,
@@ -136,9 +136,7 @@ class Handle:
 def _as_context_bytes(context) -> np.ndarray | None:
     if context is None:
         return None
-    if isinstance(context, (bytes, bytearray, memoryview)):
-        return np.frombuffer(bytes(context), np.uint8).copy()
-    return np.ascontiguousarray(context).view(np.uint8).ravel().copy()
+    return np.ascontiguousarray(byte_array(context)).view(np.uint8).ravel().copy()
 
 
 def _check_combine(combine, init_func) -> tuple[np.ufunc, np.dtype]:
@@ -363,10 +361,11 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     ``output_len`` entries.  ``auto`` means thread-private accumulators.
 
     Tasklet counts are tried from ``max_tasklets`` down the candidate list.
-    A count is skipped when its accumulators plus one full DMA command per
-    tasklet exceed the usable scratchpad (the context is not counted in this
-    cap).  Otherwise the largest batch whose buffers fit beside the context
-    and the accumulators is taken; the first count with a batch wins.
+    A count above one is skipped when its accumulators plus one full DMA
+    command per tasklet exceed the usable scratchpad (the context is not
+    counted in this cap); one tasklet may run any batch that fits.  Otherwise
+    the largest batch whose buffers fit beside the context and the
+    accumulators is taken; the first count with a batch wins.
     """
     align = config.dma_alignment
     usable = config.usable_scratchpad_bytes
@@ -388,7 +387,7 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     ctx_pad = round_up(context_bytes, align)
     for tasklets in _tasklet_candidates(config.max_tasklets):
         accum = accum_slot * (tasklets if variant == VARIANT_PRIVATE else 1)
-        if accum + tasklets * config.dma_max_bytes > usable:
+        if tasklets > 1 and accum + tasklets * config.dma_max_bytes > usable:
             continue
         batch = _fit_batch(batch0, group, buffers, usable - ctx_pad - accum,
                            tasklets, align)
@@ -485,12 +484,51 @@ def _output_array(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
             raise
 
 
+def dma_schedule(config, job: _Job) -> dict[int, tuple]:
+    """Every DMA command of ``job``'s kernel: for each per-core element count,
+    ``(context, tasklets, partial)`` in the order a core issues them.
+
+    ``context`` are tasklet 0's context reads at kernel entry.
+    ``tasklets[t]`` are tasklet ``t``'s batches in order, each ``(m, reads,
+    write)``: ``m`` elements, one read per input stream and the write of the
+    batch's output (None in a reduction).  ``partial`` are the writes of a
+    reduction's partial result after the merge.  Reads are ``(bank offset,
+    scratch offset, nbytes)``, writes ``(scratch offset, bank offset, nbytes)``.
+    A pure function of the plan, the offsets and counts in ``job`` and
+    ``config``: cores with the same count share one schedule.
+    """
+    plan, align, step = job.plan, config.dma_alignment, config.dma_max_bytes
+    b, num_t = plan.batch_elems, plan.num_tasklets
+    context = () if job.ctx is None else split_dma(job.ctx[0], 0, job.ctx[2], step)
+    partial = () if plan.variant is None else split_dma(
+        plan.accum_base, job.out_offset, plan.accum_slot, step)
+    schedule = {}
+    for local in set(job.per_core_elems):
+        tasklets = []
+        for t in range(num_t):
+            base = plan.blocks_base + t * plan.block_bytes
+            batches = []
+            for lo in range(t * b, local, num_t * b):  # batches go round-robin
+                m = min(b, local - lo)
+                reads = tuple((s.bank_offset + lo * s.type_size, base + rel,
+                               round_up(m * s.type_size, align))
+                              for s, rel in zip(job.in_streams, plan.stream_rels))
+                write = None if plan.out_rel is None else (
+                    base + plan.out_rel, job.out_offset + lo * job.out_size,
+                    round_up(m * job.out_size, align))
+                batches.append((m, reads, write))
+            tasklets.append(tuple(batches))
+        schedule[local] = (context, tuple(tasklets), partial)
+    return schedule
+
+
 def _launch(mgmt: ManagementContext, kernel, job: _Job, lock_entries: int = 0) -> None:
-    """Run ``job`` with exactly its plan and record that plan as executed."""
-    plan = job.plan
-    mgmt.device.launch_kernel(kernel, plan.num_tasklets, job,
-                              scratch_bytes=plan.occupancy_bytes,
-                              lock_entries=lock_entries)
+    """Run ``job`` with its plan and DMA schedule; record the plan as executed."""
+    plan, device = job.plan, mgmt.device
+    device.launch_kernel(kernel, plan.num_tasklets,
+                         (job, dma_schedule(device.config, job)),
+                         scratch_bytes=plan.occupancy_bytes,
+                         lock_entries=lock_entries)
     mgmt.last_plan = plan
 
 
@@ -542,33 +580,26 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
 class _BatchLoader:
     """One tasklet's scratchpad views, laid out once at kernel entry.
 
-    Tasklet 0 streams the handle context to scratchpad offset 0; ``ctx`` is
-    its view (None without a context), filled once the kernel has passed its
-    first barrier.  For a full batch the loader holds the view of every
-    stream slot, the zip slot with one word column per stream, and the slot
-    written back to the bank.  The zip slot is filled in the widest unsigned
-    word that divides 8 and every element size, so each stream is copied in
-    whole words.
+    Tasklet 0 issues the scheduled context reads to scratchpad offset 0;
+    ``ctx`` is the context's view (None without a context), filled once the
+    kernel has passed its first barrier.  For a full batch the loader holds
+    the view of every stream slot, the zip slot with one word column per
+    stream, and the slot written back to the bank.  The zip slot is filled
+    in the widest unsigned word that divides 8 and every element size, so
+    each stream is copied in whole words.
     """
 
-    __slots__ = ("device", "core", "align", "batch_elems", "reads", "batch",
-                 "columns", "out_slot", "out", "ctx")
+    __slots__ = ("dma_read", "core", "batch_elems", "batch", "columns", "out", "ctx")
 
-    def __init__(self, tctx: TaskletContext, job: _Job):
+    def __init__(self, tctx: TaskletContext, job: _Job, context_reads):
         plan = job.plan
         scratch = tctx.scratch
         b = plan.batch_elems
         base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
-        self.device, self.core = tctx.device, tctx.core_id
-        self.align = tctx.device.config.dma_alignment
+        self.dma_read, self.core = tctx.device.dma_read, tctx.core_id
         self.batch_elems = b
-        self.reads = []  # (bank offset, element size, slot, full-batch bytes)
-        views = []
-        for s, rel in zip(job.in_streams, plan.stream_rels):
-            slot = base + rel
-            self.reads.append((s.bank_offset, s.type_size, slot,
-                               round_up(b * s.type_size, self.align)))
-            views.append(scratch[slot:slot + b * s.type_size].reshape(b, s.type_size))
+        views = [scratch[base + rel:base + rel + b * s.type_size].reshape(b, s.type_size)
+                 for s, rel in zip(job.in_streams, plan.stream_rels)]
         self.columns = []  # (zip slot words, stream slot words) per stream
         if plan.combine_rel is None:
             self.batch = views[0]
@@ -583,34 +614,30 @@ class _BatchLoader:
                 width = view.shape[1] // word.itemsize
                 self.columns.append((words[:, col:col + width], view.view(word)))
                 col += width
-        self.out_slot = self.out = None
+        self.out = None
         if plan.out_rel is not None:
-            self.out_slot = base + plan.out_rel
-            self.out = scratch[self.out_slot:self.out_slot + b * job.out_size] \
-                .reshape(b, job.out_size)
+            out = base + plan.out_rel
+            self.out = scratch[out:out + b * job.out_size].reshape(b, job.out_size)
         self.ctx = None
         if job.ctx is not None:
-            bank_offset, nbytes, padded = job.ctx
             if tctx.tasklet_id == 0:
-                tctx.stream_read(bank_offset, 0, padded)
-            self.ctx = scratch[:nbytes]
+                for cmd in context_reads:
+                    self.dma_read(self.core, *cmd)
+            self.ctx = scratch[:job.ctx[1]]
 
 
-def _load_batch_views(loader: _BatchLoader, lo: int, m: int) -> np.ndarray:
-    """DMA elements ``lo`` to ``lo + m`` of every input stream into the
-    tasklet's slots and return them as ``(m, element bytes)`` rows, combining
-    zipped streams into the zip slot.  Only a partial batch (``m`` below the
-    full batch) slices views of its own size."""
-    device, core = loader.device, loader.core
+def _load_batch_views(loader: _BatchLoader, m: int, reads) -> np.ndarray:
+    """Issue one batch's scheduled ``reads`` and return its ``m`` elements as
+    ``(m, element bytes)`` rows, combining zipped streams into the zip slot.
+    Only a partial batch (``m`` below the full batch) slices views of its
+    own size."""
+    dma_read, core = loader.dma_read, loader.core
+    for bank, slot, nbytes in reads:
+        dma_read(core, bank, slot, nbytes)
     if m == loader.batch_elems:
-        for bank_offset, size, slot, nbytes in loader.reads:
-            device.dma_read(core, bank_offset + lo * size, slot, nbytes)
         for dst, src in loader.columns:
             dst[...] = src
         return loader.batch
-    for bank_offset, size, slot, _ in loader.reads:
-        device.dma_read(core, bank_offset + lo * size, slot,
-                        round_up(m * size, loader.align))
     for dst, src in loader.columns:
         dst[:m] = src[:m]
     return loader.batch[:m]
@@ -619,21 +646,18 @@ def _load_batch_views(loader: _BatchLoader, lo: int, m: int) -> np.ndarray:
 # --- map / zip-materialize kernel -------------------------------------------------
 
 
-def _stream_kernel(tctx: TaskletContext, job: _Job):
-    loader = _BatchLoader(tctx, job)
+def _stream_kernel(tctx: TaskletContext, params):
+    job, schedule = params
+    context, tasklets, _ = schedule[job.per_core_elems[tctx.core_id]]
+    loader = _BatchLoader(tctx, job, context)
     yield  # context resident before anyone computes
-    local = job.per_core_elems[tctx.core_id]
-    b = job.plan.batch_elems
-    size, map_func = job.out_size, job.handle.map_func
-    device, core, align = tctx.device, tctx.core_id, loader.align
-    full_bytes = round_up(b * size, align)
-    for lo in range(tctx.tasklet_id * b, local, tctx.num_tasklets * b):
-        m = min(b, local - lo)
-        src = _load_batch_views(loader, lo, m)
+    b, out, map_func = loader.batch_elems, loader.out, job.handle.map_func
+    dma_write, core = tctx.device.dma_write, tctx.core_id
+    for m, reads, (slot, bank, nbytes) in tasklets[tctx.tasklet_id]:
+        src = _load_batch_views(loader, m, reads)
         if map_func is not None:
-            map_func(src, loader.out if m == b else loader.out[:m], loader.ctx)
-        device.dma_write(core, loader.out_slot, job.out_offset + lo * size,
-                         full_bytes if m == b else round_up(m * size, align))
+            map_func(src, out if m == b else out[:m], loader.ctx)
+        dma_write(core, slot, bank, nbytes)
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -696,12 +720,14 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
 # --- keyed reduction ---------------------------------------------------------------
 
 
-def _red_kernel(tctx: TaskletContext, job: _Job):
+def _red_kernel(tctx: TaskletContext, params):
+    job, schedule = params
+    context, tasklets, partial = schedule[job.per_core_elems[tctx.core_id]]
     t, num_t = tctx.tasklet_id, tctx.num_tasklets
     plan, handle = job.plan, job.handle
     n, d = job.out_len, job.out_size
     private = plan.variant == VARIANT_PRIVATE
-    loader = _BatchLoader(tctx, job)
+    loader = _BatchLoader(tctx, job, context)
     my_off = plan.accum_base + (t * plan.accum_slot if private else 0)
     mine = tctx.scratch[my_off:my_off + n * d].reshape(n, d)
     if private or t == 0:
@@ -722,12 +748,9 @@ def _red_kernel(tctx: TaskletContext, job: _Job):
             def fold(rows, keys):
                 ufunc.at(target, keys, rows.view(dtype))
     yield  # context + accumulators ready
-    local = job.per_core_elems[tctx.core_id]
-    b = plan.batch_elems
     map_to_val = handle.map_to_val_func
-    for lo in range(t * b, local, num_t * b):
-        m = min(b, local - lo)
-        src = _load_batch_views(loader, lo, m)
+    for m, reads, _ in tasklets[t]:
+        src = _load_batch_views(loader, m, reads)
         vals, keys = map_to_val(src, loader.ctx)
         rows = _as_entry_rows(vals, m, d)
         ks = np.asarray(keys, np.int64).ravel()
@@ -765,7 +788,8 @@ def _red_kernel(tctx: TaskletContext, job: _Job):
             first[lo_e:hi_e] = mine[lo_e:hi_e]
         yield
     if t == 0:  # this core's partial goes to its copy of the output array
-        tctx.stream_write(plan.accum_base, job.out_offset, plan.accum_slot)
+        for cmd in partial:
+            tctx.device.dma_write(tctx.core_id, *cmd)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

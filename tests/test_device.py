@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_device, make_mgmt
 from pimlite import apps
-from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable
+from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, TrafficStats
 from pimlite.errors import (
     AlignmentViolation,
     HostBufferInvalid,
@@ -223,6 +223,41 @@ class TestHostTransfers:
         assert dev.stats == before and dev.transfer_log == []
         if direction == TO_HOST:
             assert (host == 0).all()
+
+    @pytest.mark.parametrize("kind,host", [
+        ("serial", np.zeros((2, 4), np.uint8)),
+        ("serial", np.zeros((8, 1), np.uint8)),
+        ("parallel", np.zeros(16, np.uint8)),
+        ("parallel", np.zeros((2, 2, 4), np.uint8)),
+        ("parallel", np.zeros((1, 16), np.uint8)),
+    ])
+    @pytest.mark.parametrize("direction", [TO_PIM, TO_HOST])
+    def test_misshaped_byte_array_raises_before_anything_moves(self, kind, direction,
+                                                               host):
+        # the right dtype and number of bytes in the wrong shape used to fail
+        # inside numpy's copy with an untyped ValueError
+        dev = make_device(cores=2, log_transfers=True)
+        dev.banks[:, :24] = 7
+        banks, before = dev.banks.copy(), dev.stats.copy()
+        with pytest.raises((HostBufferInvalid, UnequalSliceSizes)):
+            if kind == "parallel":
+                dev.host_parallel_transfer(direction, host, 16, 8)
+            else:
+                dev.host_serial_transfer(0, direction, host, 16, 8)
+        assert np.array_equal(dev.banks, banks)
+        assert dev.stats == before and dev.transfer_log == []
+        assert (host == 0).all()
+
+    def test_to_host_into_a_read_only_array_raises_before_anything_moves(self):
+        dev = make_device(cores=2, log_transfers=True)
+        dev.banks[:, :8] = 7
+        host = np.zeros((2, 8), np.uint8)
+        host.flags.writeable = False
+        with pytest.raises(HostBufferInvalid):
+            dev.host_parallel_transfer(TO_HOST, host, 0, 8)
+        with pytest.raises(HostBufferInvalid):
+            dev.host_serial_transfer(0, TO_HOST, host[0], 0, 8)
+        assert dev.stats == TrafficStats() and dev.transfer_log == []
 
     def test_unequal_slices_rejected(self):
         dev = make_device(cores=2)

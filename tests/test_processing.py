@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mgmt
-from pimlite import apps, comm, processing
+from pimlite import apps, comm, harness, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import DeviceConfig
 from pimlite.errors import (
@@ -291,6 +291,21 @@ class TestPlanner:
         scatter_u32(mgmt, "b", range(8))
         assert processing.array_zip(mgmt, "a", "b", "ab") is None
         assert mgmt.last_plan is None
+
+    def test_one_tasklet_runs_a_batch_beside_a_large_accumulator(self):
+        # 8,664 B of bins leave 2,699 B of the 11,363 usable: too little for a
+        # full 3,180 B command, enough for a 672-element batch.  Only several
+        # tasklets need room for full commands each.
+        geometry = dict(scratchpad_bytes=16384, scratchpad_reserve_bytes=5021,
+                        dma_max_bytes=3180, dma_alignment=12)
+        plan = select_reduction_plan(2166, 4, DeviceConfig(num_cores=1, **geometry))
+        assert (plan.num_tasklets, plan.batch_elems) == (1, 672)
+        assert plan.occupancy_bytes == 11_352
+        mgmt = make_mgmt(cores=3, log_transfers=True, **geometry)
+        spec = BenchmarkSpec(name="histogram", total_elems=5000, bins=2166, seed=9)
+        assert np.array_equal(apps.run_histogram(mgmt, spec), apps.oracle_histogram(spec))
+        assert mgmt.last_plan == plan
+        assert harness.audit_transfer_log(mgmt.device) == []
 
     def test_context_that_leaves_no_room_fails_before_broadcast(self):
         # k-means shape: 12-dim int32 points, 300 clusters of 13 int64 sums;
