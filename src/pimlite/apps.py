@@ -279,8 +279,12 @@ def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
 
 
 def nearest_centroid(points64: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((points64[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Index of each int64 point row's nearest centroid by squared distance,
+    ties to the lowest index.  ``|p - c|² = |p|² - 2p·c + |c|²`` and ``|p|²``
+    is the same for every centroid of a row, so ``|c|² - 2p·c`` has the same
+    argmin; in int64 it is exact."""
+    cents = np.asarray(centroids, np.int64)
+    return ((cents * cents).sum(axis=1) - 2 * (points64 @ cents.T)).argmin(axis=1)
 
 
 def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,

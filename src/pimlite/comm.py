@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import TO_HOST, TO_PIM, byte_array, round_up
-from .errors import DuplicateArrayId, HandleKindMismatch, InvalidCombiner, WrongLayout
+from .errors import (
+    DuplicateArrayId,
+    HandleKindMismatch,
+    HostBufferInvalid,
+    InvalidCombiner,
+    WrongLayout,
+)
 from .management import (
     LAYOUT_REPLICATED,
     LAYOUT_SCATTERED,
@@ -64,7 +70,7 @@ def plan_scatter(length: int, type_size: int, num_cores: int,
 def _as_flat_bytes(host, length: int, type_size: int) -> np.ndarray:
     flat = np.ascontiguousarray(byte_array(host)).view(np.uint8).ravel()
     if flat.size != length * type_size:
-        raise ValueError(
+        raise HostBufferInvalid(
             f"host buffer holds {flat.size} bytes, expected {length * type_size}")
     return flat
 

@@ -19,6 +19,7 @@ are the only performance proxy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -201,8 +202,14 @@ class PimDevice:
 
     def __init__(self, config: DeviceConfig):
         self.config = config
-        self.banks = np.zeros((config.num_cores, config.dram_bank_bytes), np.uint8)
-        self.scratchpads = np.zeros((config.num_cores, config.scratchpad_bytes), np.uint8)
+        try:
+            self.banks = np.zeros((config.num_cores, config.dram_bank_bytes), np.uint8)
+            self.scratchpads = np.zeros((config.num_cores, config.scratchpad_bytes),
+                                        np.uint8)
+        except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+            raise OutOfBankMemory(
+                f"cannot allocate {config.num_cores} banks of {config.dram_bank_bytes} "
+                f"bytes: {exc}") from exc
         # a 1-D byte view of each core's row: a DMA command copies between two
         # memoryview slices, about half the cost of indexing the 2-D arrays
         self._bank_rows = [memoryview(row) for row in self.banks]
@@ -376,7 +383,10 @@ class PimDevice:
         ``kernel(ctx, params)`` may return a generator; each ``yield`` waits at
         the per-core barrier.  ``scratch_bytes`` is the kernel's declared
         scratchpad footprint (buffers + accumulators) and must fit the usable
-        budget.  ``lock_entries`` sizes the per-core entry lock table.
+        budget.  ``lock_entries`` sizes the per-core entry lock table.  Cores
+        are independent, so a kernel may act for several cores at once: the
+        launch's log records are stable-sorted by core, the order that
+        running the cores one after another gives.
         """
         cfg = self.config
         if not 1 <= num_tasklets <= cfg.max_tasklets:
@@ -386,6 +396,7 @@ class PimDevice:
             raise ScratchpadOverflow(
                 f"kernel claims {scratch_bytes} B, usable scratchpad is "
                 f"{cfg.usable_scratchpad_bytes} B")
+        log_start = len(self.transfer_log)
         for core in range(cfg.num_cores):
             locks = LockTable(lock_entries) if lock_entries else None
             live = []
@@ -404,4 +415,7 @@ class PimDevice:
                     except StopIteration:
                         pass
                 live = nxt
+        if cfg.log_transfers:
+            self.transfer_log[log_start:] = sorted(self.transfer_log[log_start:],
+                                                   key=attrgetter("core"))
         self.stats.kernel_launches += 1

@@ -29,8 +29,9 @@ class UnequalSliceSizes(PimError):
 
 
 class HostBufferInvalid(PimError):
-    """A host buffer is not uint8, or a to-host transfer has no writable
-    array to fill in place."""
+    """A host buffer is not uint8 or holds the wrong number of bytes, a
+    to-host transfer has no writable array to fill in place, or a handle
+    context is None or would change size while resident."""
 
 
 class ScratchpadOverflow(PimError):

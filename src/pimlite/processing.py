@@ -7,27 +7,37 @@ throttles the tasklet count and lays out the scratchpad; every iterator runs
 exactly the plan it returns.  Map, a materializing zip and a reduction share
 one skeleton: plan, make the handle's context resident, allocate the output
 array, launch the kernel with one job record, register the output.  The
-kernels compute no DMA command: they issue, in order, the commands that
-:func:`dma_schedule` derives from the job once per launch.  Reductions keep
-their accumulators in the scratchpad in one of two variants (one shared
-array behind per-entry locks, or one private array per tasklet merged
-ring-style with barriers); each core then writes its partial result into its
-copy of the output array, and the host folds the copies with ``acc_func``
-and rewrites core 0's.  Zip is lazy: it records the two source arrays and
-the next iterator streams both of them, combining batches in the
-scratchpad; zipping an already-lazy array forces physical materialization
-(laziness is one level deep).
+kernel computes no DMA command: it issues, in order, the commands that
+:func:`dma_schedule` derives from the job once per launch.  The cores run in
+lockstep: consecutive cores with the same element count and the same context
+bytes form a run, and each batch step runs once per run (each core's
+scheduled reads, one callback over the rows of all the run's cores, each
+core's write).  Cores are independent, so the bytes, counters and commands
+are those of running the cores one after another, and a launch's transfer
+log records are in core order.  Reductions keep their accumulators in the
+scratchpad in one of two variants (one shared array behind per-entry locks,
+or one private array per tasklet merged ring-style); each core then writes
+its partial result into its copy of the output array, and the host folds the
+copies with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the
+two source arrays and the next iterator streams both of them, combining
+batches in the scratchpad; zipping an already-lazy array forces physical
+materialization (laziness is one level deep).
 
-Callback contract.  All buffers are uint8 views of scratchpad rows; callbacks
-reinterpret them with ``.view(dtype)``:
+Callback contract.  All buffers are C-contiguous uint8 rows of scratchpad
+batches (copies when they span several cores; outputs are copied back);
+callbacks reinterpret them with ``.view(dtype)``.  One call may receive the
+rows of several cores, stacked core by core: a callback must treat rows
+independently, and it sees one copy of the context, the one all those cores
+hold.
 
 ``map_func(src, dst, ctx)``
     ``src`` is ``(m, in_size)``, ``dst`` is ``(m, out_size)``; fill ``dst``
     elementwise.  ``ctx`` is the broadcast context bytes or None.
 
 ``init_func(accum)``
-    ``accum`` is ``(entries, entry_size)``.  Must write the identity of
-    ``acc_func``: per-tasklet and per-core partial results are merged with
+    ``accum`` is ``(k * entries, entry_size)``: the accumulators of ``k``
+    cores and tasklets.  Must write the identity of ``acc_func`` into every
+    row: per-tasklet and per-core partial results are merged with
     ``acc_func`` afterwards.
 
 ``map_to_val_func(src, ctx) -> (vals, keys)``
@@ -69,12 +79,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comm
-from .device import TaskletContext, byte_array, round_up, split_dma
+from .device import LockTable, TaskletContext, byte_array, round_up, split_dma
 from .errors import (
     DuplicateArrayId,
     ElementTooLarge,
     DistributionMismatch,
     HandleKindMismatch,
+    HostBufferInvalid,
     InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
@@ -219,10 +230,12 @@ def update_context(mgmt: ManagementContext, handle: Handle, context) -> None:
     """Replace the handle's context; re-broadcast in place if already resident."""
     ctx = _as_context_bytes(context)
     if ctx is None:
-        raise ValueError("context must not be None")
+        raise HostBufferInvalid("context must not be None")
     if handle.ctx_array_id is not None:
         if ctx.size != handle.context_size:
-            raise ValueError("resident context can only be replaced same-size")
+            raise HostBufferInvalid(
+                f"resident context holds {handle.context_size} bytes; it can only "
+                f"be replaced by as many, got {ctx.size}")
         meta = mgmt.lookup(handle.ctx_array_id)
         comm._push_replicated(mgmt.device, ctx, meta.bank_offset,
                               meta.padded_chunk_bytes)
@@ -522,13 +535,12 @@ def dma_schedule(config, job: _Job) -> dict[int, tuple]:
     return schedule
 
 
-def _launch(mgmt: ManagementContext, kernel, job: _Job, lock_entries: int = 0) -> None:
+def _launch(mgmt: ManagementContext, job: _Job) -> None:
     """Run ``job`` with its plan and DMA schedule; record the plan as executed."""
     plan, device = job.plan, mgmt.device
-    device.launch_kernel(kernel, plan.num_tasklets,
+    device.launch_kernel(_iterator_kernel, plan.num_tasklets,
                          (job, dma_schedule(device.config, job)),
-                         scratch_bytes=plan.occupancy_bytes,
-                         lock_entries=lock_entries)
+                         scratch_bytes=plan.occupancy_bytes)
     mgmt.last_plan = plan
 
 
@@ -577,87 +589,130 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
     accum[k] = slot
 
 
-class _BatchLoader:
-    """One tasklet's scratchpad views, laid out once at kernel entry.
+# --- lockstep kernel ----------------------------------------------------------------
 
-    Tasklet 0 issues the scheduled context reads to scratchpad offset 0;
-    ``ctx`` is the context's view (None without a context), filled once the
-    kernel has passed its first barrier.  For a full batch the loader holds
-    the view of every stream slot, the zip slot with one word column per
-    stream, and the slot written back to the bank.  The zip slot is filled
-    in the widest unsigned word that divides 8 and every element size, so
-    each stream is copied in whole words.
+
+def _core_groups(per_core_elems, contexts) -> list[tuple[int, int]]:
+    """Split the cores into runs ``(first, end)`` of consecutive cores with
+    the same element count and, when ``contexts`` holds each core's context
+    bytes as one row, the same context.  The cores of a run execute the same
+    schedule on the same data layout and context, so the kernel runs each of
+    their batch steps once for the whole run."""
+    counts = np.asarray(per_core_elems)
+    cut = counts[1:] != counts[:-1]
+    if contexts is not None:
+        cut |= (contexts[1:] != contexts[:-1]).any(axis=1)
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(counts)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _rows(view: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` rows of each core of a ``(cores, batch, bytes)`` slot
+    view as C-contiguous ``(cores * m, bytes)`` rows: a copy unless the run
+    has one core.  A strided view would lose what a callback writes through
+    ``ravel()``."""
+    part = view[:, :m]
+    return part.reshape(-1, part.shape[2])
+
+
+class _Slots:
+    """Tasklet ``t``'s scratchpad slots on a run of cores, as ``(cores,
+    batch, element bytes)`` views of ``scratch``, the run's scratchpad rows.
+
+    ``batch`` holds the rows a callback reads: the stream slot, or the zip
+    slot for zipped streams.  ``columns`` pairs each word column of the zip
+    slot with its stream slot; the zip slot is filled in the widest unsigned
+    word that divides 8 and every element size, so each stream is copied in
+    whole words.  ``out`` is the slot written back to the bank (None in a
+    reduction).
     """
 
-    __slots__ = ("dma_read", "core", "batch_elems", "batch", "columns", "out", "ctx")
+    __slots__ = ("batch", "columns", "out")
 
-    def __init__(self, tctx: TaskletContext, job: _Job, context_reads):
-        plan = job.plan
-        scratch = tctx.scratch
-        b = plan.batch_elems
-        base = plan.blocks_base + tctx.tasklet_id * plan.block_bytes
-        self.dma_read, self.core = tctx.device.dma_read, tctx.core_id
-        self.batch_elems = b
-        views = [scratch[base + rel:base + rel + b * s.type_size].reshape(b, s.type_size)
-                 for s, rel in zip(job.in_streams, plan.stream_rels)]
-        self.columns = []  # (zip slot words, stream slot words) per stream
+    def __init__(self, scratch: np.ndarray, job: _Job, t: int):
+        plan, b = job.plan, job.plan.batch_elems
+        base = plan.blocks_base + t * plan.block_bytes
+
+        def slot(rel, size):
+            return scratch[:, base + rel:base + rel + b * size].reshape(-1, b, size)
+
+        views = [slot(rel, s.type_size) for s, rel in zip(job.in_streams, plan.stream_rels)]
+        self.columns = []
         if plan.combine_rel is None:
             self.batch = views[0]
         else:
             sizes = [s.type_size for s in job.in_streams]
             word = np.dtype(f"u{math.gcd(8, *sizes)}")
-            cslot = base + plan.combine_rel
-            self.batch = scratch[cslot:cslot + b * sum(sizes)].reshape(b, sum(sizes))
+            self.batch = slot(plan.combine_rel, sum(sizes))
             words = self.batch.view(word)
             col = 0
             for view in views:
-                width = view.shape[1] // word.itemsize
-                self.columns.append((words[:, col:col + width], view.view(word)))
+                width = view.shape[2] // word.itemsize
+                self.columns.append((words[:, :, col:col + width], view.view(word)))
                 col += width
-        self.out = None
-        if plan.out_rel is not None:
-            out = base + plan.out_rel
-            self.out = scratch[out:out + b * job.out_size].reshape(b, job.out_size)
-        self.ctx = None
-        if job.ctx is not None:
-            if tctx.tasklet_id == 0:
-                for cmd in context_reads:
-                    self.dma_read(self.core, *cmd)
-            self.ctx = scratch[:job.ctx[1]]
+        self.out = None if plan.out_rel is None else slot(plan.out_rel, job.out_size)
+
+    def combine(self, m: int) -> None:
+        """Interleave the first ``m`` elements of the zipped streams into the
+        zip slot of every core."""
+        for dst, src in self.columns:
+            dst[:, :m] = src[:, :m]
 
 
-def _load_batch_views(loader: _BatchLoader, m: int, reads) -> np.ndarray:
-    """Issue one batch's scheduled ``reads`` and return its ``m`` elements as
-    ``(m, element bytes)`` rows, combining zipped streams into the zip slot.
-    Only a partial batch (``m`` below the full batch) slices views of its
-    own size."""
-    dma_read, core = loader.dma_read, loader.core
+def _load_batch_views(dma_read, core: int, reads) -> None:
+    """Issue one core's scheduled ``reads`` of one batch, one command each.
+    Called once per core and batch."""
     for bank, slot, nbytes in reads:
         dma_read(core, bank, slot, nbytes)
-    if m == loader.batch_elems:
-        for dst, src in loader.columns:
-            dst[...] = src
-        return loader.batch
-    for dst, src in loader.columns:
-        dst[:m] = src[:m]
-    return loader.batch[:m]
+
+
+def _iterator_kernel(tctx: TaskletContext, params) -> None:
+    """The kernel of every iterator, in lockstep over cores.
+
+    The launch's first (core, tasklet) runs the whole launch and every other
+    one returns at once.  It issues each core's context reads, splits the
+    cores into runs with :func:`_core_groups` and runs each batch step once
+    per run: each core's scheduled reads, one callback over the rows of all
+    the run's cores, then each core's write.  Cores are independent, so this
+    moves the same bytes and commands as running them one after another;
+    ``launch_kernel`` puts the log records back in core order.
+    """
+    if tctx.core_id or tctx.tasklet_id:
+        return
+    job, schedule = params
+    device = tctx.device
+    dma_read = device.dma_read
+    for core, local in enumerate(job.per_core_elems):
+        for bank, slot, nbytes in schedule[local][0]:  # tasklet 0's context reads
+            dma_read(core, bank, slot, nbytes)
+    contexts = None if job.ctx is None else device.scratchpads[:, :job.ctx[1]]
+    run = _stream_run if job.plan.variant is None else _red_run
+    for first, end in _core_groups(job.per_core_elems, contexts):
+        run(device, job, schedule[job.per_core_elems[first]], first, end,
+            None if contexts is None else contexts[first])
 
 
 # --- map / zip-materialize kernel -------------------------------------------------
 
 
-def _stream_kernel(tctx: TaskletContext, params):
-    job, schedule = params
-    context, tasklets, _ = schedule[job.per_core_elems[tctx.core_id]]
-    loader = _BatchLoader(tctx, job, context)
-    yield  # context resident before anyone computes
-    b, out, map_func = loader.batch_elems, loader.out, job.handle.map_func
-    dma_write, core = tctx.device.dma_write, tctx.core_id
-    for m, reads, (slot, bank, nbytes) in tasklets[tctx.tasklet_id]:
-        src = _load_batch_views(loader, m, reads)
-        if map_func is not None:
-            map_func(src, out if m == b else out[:m], loader.ctx)
-        dma_write(core, slot, bank, nbytes)
+def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
+    """Map or materializing zip on cores ``first..end-1``, which share
+    ``schedule`` and the context ``ctx``."""
+    scratch = device.scratchpads[first:end]
+    dma_read, dma_write = device.dma_read, device.dma_write
+    map_func = job.handle.map_func
+    for t, batches in enumerate(schedule[1]):
+        slots = _Slots(scratch, job, t)
+        for m, reads, (slot, bank, nbytes) in batches:
+            for core in range(first, end):
+                _load_batch_views(dma_read, core, reads)
+            slots.combine(m)
+            if map_func is not None:
+                dst = _rows(slots.out, m)
+                map_func(_rows(slots.batch, m), dst, ctx)
+                slots.out[:, :m] = dst.reshape(end - first, m, -1)
+            for core in range(first, end):
+                dma_write(core, slot, bank, nbytes)
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -677,7 +732,7 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
                          output_type_size, context_bytes=handle.context_size)
     with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
                        meta.per_core_elems, output_type_size) as job:
-        _launch(mgmt, _stream_kernel, job)
+        _launch(mgmt, job)
     return plan
 
 
@@ -713,83 +768,100 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
     # a zip handle has no callbacks: the kernel writes the combined batches
     with _output_array(mgmt, Handle(ZIP), plan, a, in_streams, dest_id,
                        a.per_core_elems, out_type_size) as job:
-        _launch(mgmt, _stream_kernel, job)
+        _launch(mgmt, job)
     return plan
 
 
 # --- keyed reduction ---------------------------------------------------------------
 
 
-def _red_kernel(tctx: TaskletContext, params):
-    job, schedule = params
-    context, tasklets, partial = schedule[job.per_core_elems[tctx.core_id]]
-    t, num_t = tctx.tasklet_id, tctx.num_tasklets
+def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
+    """Keyed reduction on cores ``first..end-1``, which share ``schedule``
+    and the context ``ctx``.
+
+    The accumulators of all these cores (one per tasklet when private) are
+    one C-contiguous array of entry rows, row ``(core * copies + tasklet) * n
+    + key``, copied out of the scratchpad unless they lie there that way.
+    They are initialized, folded and merged there and copied back before
+    each core writes its partial.
+    """
+    _, tasklets, partial = schedule
     plan, handle = job.plan, job.handle
     n, d = job.out_len, job.out_size
+    cores, num_t = end - first, plan.num_tasklets
     private = plan.variant == VARIANT_PRIVATE
-    loader = _BatchLoader(tctx, job, context)
-    my_off = plan.accum_base + (t * plan.accum_slot if private else 0)
-    mine = tctx.scratch[my_off:my_off + n * d].reshape(n, d)
-    if private or t == 0:
-        handle.init_func(mine)
+    copies = num_t if private else 1
+    scratch = device.scratchpads[first:end]
+    accum_slots = scratch[:, plan.accum_base:plan.accum_base + copies * plan.accum_slot] \
+        .reshape(cores, copies, plan.accum_slot)[:, :, :n * d]
+    accum = accum_slots.reshape(cores * copies * n, d)
+    handle.init_func(accum)
     if handle.combine is None:
-        def fold(rows, keys):
-            _scatter_accumulate(mine, rows, keys, handle.acc_func)
+        def fold(rows, idx):
+            _scatter_accumulate(accum, rows, idx, handle.acc_func)
     else:
         ufunc, dtype = handle.combine
         if d == dtype.itemsize:  # one value per entry: 1-D ufunc.at is ~3x cheaper
-            target = mine.view(dtype)[:, 0]
+            target = accum.view(dtype)[:, 0]
 
-            def fold(rows, keys):
-                ufunc.at(target, keys, rows.view(dtype)[:, 0])
+            def fold(rows, idx):
+                ufunc.at(target, idx, rows.view(dtype)[:, 0])
         else:
-            target = mine.view(dtype)
+            target = accum.view(dtype)
 
-            def fold(rows, keys):
-                ufunc.at(target, keys, rows.view(dtype))
-    yield  # context + accumulators ready
-    map_to_val = handle.map_to_val_func
-    for m, reads, _ in tasklets[t]:
-        src = _load_batch_views(loader, m, reads)
-        vals, keys = map_to_val(src, loader.ctx)
-        rows = _as_entry_rows(vals, m, d)
-        ks = np.asarray(keys, np.int64).ravel()
-        if ks.size != m:
-            raise ValueError(f"callback returned {ks.size} keys for {m} elements")
-        if m and (ks.min() < 0 or ks.max() >= n):
-            raise IndexError(f"reduction key outside [0, {n})")
-        if private:
-            fold(rows, ks)
-        else:
-            uniq = np.unique(ks)
-            tctx.locks.acquire(t, uniq)
-            fold(rows, ks)
-            tctx.locks.release(t, uniq)
-    yield  # all inputs consumed
+            def fold(rows, idx):
+                ufunc.at(target, idx, rows.view(dtype))
+    # the run's entry locks: each core's table of n entries, side by side
+    locks = None if private else LockTable(cores * n)
+    core_rows = np.arange(cores) * (copies * n)
+    full_batch_rows = np.repeat(core_rows, plan.batch_elems)
+    map_to_val, dma_read = handle.map_to_val_func, device.dma_read
+    for t, batches in enumerate(tasklets):
+        slots = _Slots(scratch, job, t)
+        for m, reads, _ in batches:
+            for core in range(first, end):
+                _load_batch_views(dma_read, core, reads)
+            slots.combine(m)
+            vals, keys = map_to_val(_rows(slots.batch, m), ctx)
+            rows = _as_entry_rows(vals, cores * m, d)
+            ks = np.asarray(keys, np.int64).ravel()
+            if ks.size != cores * m:
+                raise ValueError(
+                    f"callback returned {ks.size} keys for {cores * m} elements")
+            if ks.min() < 0 or ks.max() >= n:
+                raise IndexError(f"reduction key outside [0, {n})")
+            idx = ks + (full_batch_rows if m == plan.batch_elems
+                        else np.repeat(core_rows, m))
+            if private:
+                fold(rows, idx + t * n)
+            else:
+                uniq = np.unique(idx)
+                locks.acquire(t, uniq)
+                fold(rows, idx)
+                locks.release(t, uniq)
     if private:
-        # ring merge: after num_t-1 barrier-separated steps each tasklet owns
-        # one fully reduced segment (segment s is entries s*n//num_t up to
-        # (s+1)*n//num_t), then segments are assembled into the first copy
-        # for a single writer
+        # ring merge, each step on every core at once: after num_t-1 steps
+        # each tasklet owns one fully reduced segment (segment s is entries
+        # s*n//num_t up to (s+1)*n//num_t), then segments are assembled into
+        # the first copy for a single writer
+        copy = accum.reshape(cores, num_t, n, d)
         for step in range(num_t - 1):
-            neighbor = (t - 1) % num_t
-            seg = (t - 1 - step) % num_t
-            lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
-            if hi_e > lo_e:
-                noff = plan.accum_base + neighbor * plan.accum_slot
-                other = tctx.scratch[noff:noff + n * d].reshape(n, d)
-                handle.acc_func(mine[lo_e:hi_e], other[lo_e:hi_e])
-            yield
-        own = (t + 1) % num_t
-        if t:
+            for t in range(num_t):
+                seg = (t - 1 - step) % num_t
+                lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
+                if hi_e > lo_e:
+                    mine = copy[:, t, lo_e:hi_e].reshape(-1, d)
+                    handle.acc_func(mine, copy[:, t - 1, lo_e:hi_e].reshape(-1, d))
+                    copy[:, t, lo_e:hi_e] = mine.reshape(cores, -1, d)
+        for t in range(1, num_t):
+            own = (t + 1) % num_t
             lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
-            first = tctx.scratch[plan.accum_base:plan.accum_base + n * d] \
-                .reshape(n, d)
-            first[lo_e:hi_e] = mine[lo_e:hi_e]
-        yield
-    if t == 0:  # this core's partial goes to its copy of the output array
-        for cmd in partial:
-            tctx.device.dma_write(tctx.core_id, *cmd)
+            copy[:, 0, lo_e:hi_e] = copy[:, t, lo_e:hi_e]
+    accum_slots[...] = accum.reshape(accum_slots.shape)
+    dma_write = device.dma_write
+    for core in range(first, end):  # each core's partial goes to its output copy
+        for scratch_off, bank, nbytes in partial:
+            dma_write(core, scratch_off, bank, nbytes)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -817,8 +889,7 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
                                  context_bytes=handle.context_size)
     with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
                        (n,) + (0,) * (device.config.num_cores - 1), d) as job:
-        _launch(mgmt, _red_kernel, job,
-                lock_entries=0 if plan.variant == VARIANT_PRIVATE else n)
+        _launch(mgmt, job)
         combined = comm._fold_copies(device, handle.acc_func, job.out_offset,
                                      plan.accum_slot, n, d)
         device.host_serial_transfer(0, comm.TO_PIM, combined, job.out_offset,

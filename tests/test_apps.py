@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_mgmt
 from pimlite import apps, comm, processing
@@ -346,6 +348,24 @@ class TestKmeans:
         new = np.where(counts[:, None] > 0,
                        trunc_div(sums, np.maximum(counts, 1)[:, None]), cents)
         assert np.array_equal(new, [[7, 7], [9999, 9999], [5000, 5000]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nearest_centroid_equals_the_direct_squared_distance(self, data):
+        dims = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 10))
+        coord = st.one_of(st.sampled_from([0, 4095]), st.integers(0, 4095))
+        cents = np.array(data.draw(st.lists(st.lists(coord, min_size=dims, max_size=dims),
+                                            min_size=k, max_size=k)), np.int64)
+        dups = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+        for src, dst in dups:  # duplicated centroids force ties
+            cents[dst] = cents[src]
+        rows = data.draw(st.integers(1, 60))
+        points = np.array(data.draw(st.lists(st.lists(coord, min_size=dims, max_size=dims),
+                                             min_size=rows, max_size=rows)), np.int64)
+        points[:k] = cents[:rows]  # points on a centroid: ties at distance 0
+        direct = ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        assert np.array_equal(apps.nearest_centroid(points, cents), direct)
 
     def test_trunc_div_rounds_toward_zero(self):
         a = np.array([7, -7, 1, -1], np.int64)

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from conftest import make_mgmt
 from pimlite import comm, processing
 from pimlite.comm import plan_scatter
-from pimlite.errors import DuplicateArrayId, InvalidCombiner, UnknownArrayId, WrongLayout
+from pimlite.errors import (
+    DuplicateArrayId,
+    HostBufferInvalid,
+    InvalidCombiner,
+    UnknownArrayId,
+    WrongLayout,
+)
 
 
 def check_plan(plan, length, type_size, cores, align=8):
@@ -109,6 +115,19 @@ class TestScatterGather:
         comm.scatter(mgmt, "x", np.zeros(4, np.uint32), 4, 4)
         with pytest.raises(DuplicateArrayId):
             comm.scatter(mgmt, "x", np.zeros(4, np.uint32), 4, 4)
+
+
+@pytest.mark.parametrize("collective", [comm.scatter, comm.broadcast])
+@pytest.mark.parametrize("host", [np.zeros(5, np.uint8), b"abc", np.zeros(3, np.uint32)],
+                         ids=["5-bytes", "3-bytes", "12-bytes"])
+def test_host_buffer_of_the_wrong_byte_count_raises_before_anything_moves(collective,
+                                                                          host):
+    mgmt = make_mgmt(cores=2)
+    dev = mgmt.device
+    with pytest.raises(HostBufferInvalid):
+        collective(mgmt, "x", host, 2, 4)  # 8 bytes expected
+    assert dev.cursors == [0, 0] and mgmt.registry == {}
+    assert dev.stats == type(dev.stats)() and not dev.banks.any()
 
 
 class TestBroadcast:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_device, make_mgmt
 from pimlite import apps
-from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, TrafficStats
+from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, PimDevice, TrafficStats
 from pimlite.errors import (
     AlignmentViolation,
     HostBufferInvalid,
@@ -53,6 +53,15 @@ class TestAlloc:
         dev = make_device()
         with pytest.raises(OutOfBankMemory):
             dev.alloc(dev.config.dram_bank_bytes + 1)
+
+    @pytest.mark.parametrize("cores,bank_bytes", [
+        (1 << 12, 1 << 40),  # 2**52 bytes: above a 47-bit address space
+        (1 << 32, 1 << 32),  # 2**64 bytes: more than numpy can even index
+    ])
+    def test_banks_that_cannot_be_allocated(self, cores, bank_bytes):
+        # the request fails at once, so nothing is reserved or touched
+        with pytest.raises(OutOfBankMemory):
+            PimDevice(DeviceConfig(num_cores=cores, dram_bank_bytes=bank_bytes))
 
     def test_dealloc_is_lifo(self):
         dev = make_device()

@@ -13,6 +13,7 @@ from pimlite.errors import (
     DistributionMismatch,
     ElementTooLarge,
     HandleKindMismatch,
+    HostBufferInvalid,
     InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
@@ -895,6 +896,23 @@ class TestContextLifetime:
             assert mgmt.device.cursors[0] == 16 and set(mgmt.registry) == {"x"}
         processing.free_handle(mgmt, handle)  # nothing resident: no-op
         assert mgmt.device.cursors[0] == 16
+
+    def test_update_context_misuse_raises_before_anything_moves(self):
+        mgmt = make_mgmt(cores=2)
+        scatter_u32(mgmt, "x", range(8))
+        handle = self.make_handle(mgmt, MAP, fail=False)  # a 100-byte context
+        for resident in (False, True):
+            if resident:
+                self.call(mgmt, MAP, handle, None)
+            state, context = device_state(mgmt), handle.context.copy()
+            banks = mgmt.device.banks.copy()
+            # None, and a resized context once one is resident
+            for new in (None,) + ((np.zeros(96, np.uint8),) if resident else ()):
+                with pytest.raises(HostBufferInvalid):
+                    processing.update_context(mgmt, handle, new)
+                assert device_state(mgmt) == state
+                assert np.array_equal(handle.context, context)
+                assert np.array_equal(mgmt.device.banks, banks)
 
 
 def _weighted_row_sums(src, ctx):
