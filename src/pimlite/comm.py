@@ -133,19 +133,21 @@ def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
     flat = _as_flat_bytes(host, length, type_size)
     plan = plan_scatter(length, type_size, device.config.num_cores,
                         device.config.dma_alignment)
-    offset = device.alloc(plan.padded_chunk_bytes)
-    if plan.padded_chunk_bytes:
-        buf = np.zeros((device.config.num_cores, plan.padded_chunk_bytes), np.uint8)
-        pos = 0
-        for core, count in enumerate(plan.per_core_elems):
-            nbytes = count * type_size
-            buf[core, :nbytes] = flat[pos:pos + nbytes]
-            pos += nbytes
-        device.host_parallel_transfer(TO_PIM, buf, offset, plan.padded_chunk_bytes)
+    padded, cores = plan.padded_chunk_bytes, device.config.num_cores
+    offset = device.alloc(padded)
+    if padded:
+        # every core before the last non-empty one takes exactly ``padded``
+        # bytes, so the chunks are consecutive slices of ``flat``
+        if flat.size == cores * padded:
+            buf = flat.reshape(cores, padded)
+        else:
+            buf = np.zeros((cores, padded), np.uint8)
+            buf.reshape(-1)[:flat.size] = flat
+        device.host_parallel_transfer(TO_PIM, buf, offset, padded)
     mgmt.register(ArrayMetadata(
         id=array_id, len=length, type_size=type_size, bank_offset=offset,
         per_core_elems=plan.per_core_elems,
-        padded_chunk_bytes=plan.padded_chunk_bytes, layout=LAYOUT_SCATTERED))
+        padded_chunk_bytes=padded, layout=LAYOUT_SCATTERED))
 
 
 def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:

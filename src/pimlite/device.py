@@ -18,6 +18,7 @@ are the only performance proxy.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable
@@ -192,24 +193,40 @@ class TaskletContext:
 Kernel = Callable[[TaskletContext, object], object]
 
 
+def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
+    """A zeroed, writable, C-contiguous ``(rows, row_bytes)`` uint8 array in
+    an anonymous memory mapping.  The OS backs a page only when a byte of it
+    is first touched, and in base pages, so resident memory grows with the
+    bytes the program uses, not with the geometry.  A mapping the OS refuses
+    raises ``OutOfBankMemory`` before anything is reserved."""
+    size = rows * row_bytes
+    try:
+        buf = mmap.mmap(-1, size) if size else bytearray()
+    except (OSError, OverflowError, ValueError) as exc:
+        raise OutOfBankMemory(
+            f"cannot map {rows} {what} of {row_bytes} bytes: {exc}") from exc
+    return np.frombuffer(buf, np.uint8).reshape(rows, row_bytes)
+
+
 class PimDevice:
     """The simulated machine: banks, scratchpads, DMA engine, tasklet runner.
 
     The host-side API (alloc, transfers, launch) is meant to be driven from a
     single control thread.  Everything is deterministic: the same sequence of
     calls produces bit-identical bank contents and identical counters.
+
+    ``banks`` and ``scratchpads`` are ``(num_cores, bytes)`` uint8 arrays that
+    start as zeros.  Each lives in an anonymous memory mapping, so the
+    process's resident memory grows with the bytes touched, not with
+    ``num_cores * dram_bank_bytes``.  A geometry whose mapping the OS refuses
+    raises ``OutOfBankMemory``.
     """
 
     def __init__(self, config: DeviceConfig):
         self.config = config
-        try:
-            self.banks = np.zeros((config.num_cores, config.dram_bank_bytes), np.uint8)
-            self.scratchpads = np.zeros((config.num_cores, config.scratchpad_bytes),
-                                        np.uint8)
-        except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
-            raise OutOfBankMemory(
-                f"cannot allocate {config.num_cores} banks of {config.dram_bank_bytes} "
-                f"bytes: {exc}") from exc
+        self.banks = _zeroed_rows(config.num_cores, config.dram_bank_bytes, "banks")
+        self.scratchpads = _zeroed_rows(config.num_cores, config.scratchpad_bytes,
+                                        "scratchpads")
         # a 1-D byte view of each core's row: a DMA command copies between two
         # memoryview slices, about half the cost of indexing the 2-D arrays
         self._bank_rows = [memoryview(row) for row in self.banks]

@@ -781,9 +781,11 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
 
     The accumulators of all these cores (one per tasklet when private) are
     one C-contiguous array of entry rows, row ``(core * copies + tasklet) * n
-    + key``, copied out of the scratchpad unless they lie there that way.
-    They are initialized, folded and merged there and copied back before
-    each core writes its partial.
+    + key``: the scratchpad slots themselves when they already lie that way
+    (one core, no padding between copies), else a copy.  They are
+    initialized, folded and merged there and copied back before each core
+    writes its partial.  A declared combiner folds each batch step with one
+    1-D ``ufunc.at`` over the entries' values.
     """
     _, tasklets, partial = schedule
     plan, handle = job.plan, job.handle
@@ -794,23 +796,19 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     scratch = device.scratchpads[first:end]
     accum_slots = scratch[:, plan.accum_base:plan.accum_base + copies * plan.accum_slot] \
         .reshape(cores, copies, plan.accum_slot)[:, :, :n * d]
-    accum = accum_slots.reshape(cores * copies * n, d)
+    accum = np.ascontiguousarray(accum_slots.reshape(cores * copies * n, d))
     handle.init_func(accum)
     if handle.combine is None:
         def fold(rows, idx):
             _scatter_accumulate(accum, rows, idx, handle.acc_func)
     else:
         ufunc, dtype = handle.combine
-        if d == dtype.itemsize:  # one value per entry: 1-D ufunc.at is ~3x cheaper
-            target = accum.view(dtype)[:, 0]
+        w = d // dtype.itemsize  # values per entry
+        target, lanes = accum.view(dtype).reshape(-1), np.arange(w)
 
-            def fold(rows, idx):
-                ufunc.at(target, idx, rows.view(dtype)[:, 0])
-        else:
-            target = accum.view(dtype)
-
-            def fold(rows, idx):
-                ufunc.at(target, idx, rows.view(dtype))
+        def fold(rows, idx):  # value j of entry i is value i * w + j
+            ufunc.at(target, (idx[:, None] * w + lanes).reshape(-1),
+                     rows.view(dtype).reshape(-1))
     # the run's entry locks: each core's table of n entries, side by side
     locks = None if private else LockTable(cores * n)
     core_rows = np.arange(cores) * (copies * n)

@@ -111,6 +111,42 @@ class TestScatterGather:
         with pytest.raises(WrongLayout):
             comm.gather(mgmt, "r")
 
+    @settings(max_examples=150, deadline=None)
+    @given(length=st.integers(0, 3000),
+           type_size=st.sampled_from([1, 2, 3, 4, 7, 8, 12, 16, 24, 40]),
+           cores=st.integers(1, 12), lead=st.integers(0, 40), seed=st.integers(0, 99))
+    def test_scatter_equals_a_per_core_copy(self, length, type_size, cores, lead, seed):
+        # the chunks of every core before the last non-empty one fill the
+        # padded chunk exactly, so they are consecutive slices of the input
+        plan = plan_scatter(length, type_size, cores)
+        nonempty = [c for c, n in enumerate(plan.per_core_elems) if n]
+        assert all(plan.per_core_elems[c] * type_size == plan.padded_chunk_bytes
+                   for c in nonempty[:-1])
+        payload = np.random.default_rng(seed).integers(
+            0, 256, length * type_size, dtype=np.uint8)
+        fast, slow = (make_mgmt(cores=cores, bank_bytes=1 << 18, log_transfers=True)
+                      for _ in range(2))
+        for m in (fast, slow):  # an earlier array puts the chunks off offset 0
+            comm.broadcast(m, "lead", np.ones(lead, np.uint8), lead, 1)
+        comm.scatter(fast, "x", payload, length, type_size)
+        # the reference: stage each core's chunk with its own copy
+        dev = slow.device
+        offset = dev.alloc(plan.padded_chunk_bytes)
+        if plan.padded_chunk_bytes:
+            buf = np.zeros((cores, plan.padded_chunk_bytes), np.uint8)
+            pos = 0
+            for core, count in enumerate(plan.per_core_elems):
+                buf[core, :count * type_size] = payload[pos:pos + count * type_size]
+                pos += count * type_size
+            dev.host_parallel_transfer(comm.TO_PIM, buf, offset, plan.padded_chunk_bytes)
+        assert fast.lookup("x").bank_offset == offset
+        assert fast.lookup("x").per_core_elems == plan.per_core_elems
+        assert np.array_equal(fast.device.banks, dev.banks)
+        assert fast.device.stats == dev.stats
+        assert fast.device.transfer_log == dev.transfer_log
+        assert fast.device.cursors == dev.cursors
+        assert np.array_equal(comm.gather(fast, "x"), payload)
+
     def test_scatter_duplicate_id(self, mgmt):
         comm.scatter(mgmt, "x", np.zeros(4, np.uint32), 4, 4)
         with pytest.raises(DuplicateArrayId):

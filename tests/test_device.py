@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device, make_mgmt
-from pimlite import apps
+from pimlite import apps, comm
 from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, PimDevice, TrafficStats
 from pimlite.errors import (
     AlignmentViolation,
@@ -79,6 +81,34 @@ class TestAlloc:
         for n in sizes:
             dev.alloc(n)
         assert len(set(dev.cursors)) == 1
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestBankMemory:
+    @pytest.mark.parametrize("cores,bank_bytes", [(1, 8), (3, 1 << 12), (5, 1 << 20)])
+    def test_banks_and_scratchpads_start_as_zeroed_rows(self, cores, bank_bytes):
+        dev = make_device(cores=cores, bank_bytes=bank_bytes)
+        for arr, row in ((dev.banks, bank_bytes),
+                         (dev.scratchpads, dev.config.scratchpad_bytes)):
+            assert arr.shape == (cores, row) and arr.dtype == np.uint8
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert not arr.any()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads resident memory from /proc/self/statm")
+    def test_resident_memory_grows_with_the_bytes_touched(self):
+        # 640 banks of 1 MB, 8 bytes scattered to each: a bank allocated in
+        # huge pages makes hundreds of MB resident here
+        before = resident_bytes()
+        mgmt = make_mgmt(cores=640, bank_bytes=1 << 20)
+        comm.scatter(mgmt, "x", np.arange(640, dtype=np.uint64), 640, 8)
+        assert resident_bytes() - before < 32 << 20
+        assert np.array_equal(mgmt.device.banks[:, :8].view(np.uint64).ravel(),
+                              np.arange(640))
 
 
 class TestDma:

@@ -619,6 +619,31 @@ class TestReduce:
             (a + b).astype(np.uint64), a % 4, 4, np.uint64)
         assert np.array_equal(got, expected)
 
+    def test_init_func_writes_through_a_flat_view_of_a_shared_run(self):
+        # one 8-byte entry, shared: the slot of each core has no padding, so
+        # a run of two cores once got a strided view that lost these writes
+        mgmt = make_mgmt(cores=2)
+        comm.scatter(mgmt, "x", np.arange(16, dtype=np.uint64), 16, 8)
+        mgmt.device.scratchpads[:] = 0xAB  # what earlier kernels left behind
+        seen = []
+
+        def init(acc):
+            seen.append(acc.flags.c_contiguous)
+            acc.reshape(-1).view(np.uint64)[:] = 0
+
+        def to_val(src, ctx):
+            return src.view(np.uint64).ravel(), np.zeros(src.shape[0], np.int64)
+
+        def acc(dst, src):
+            x = dst.view(np.uint64)
+            np.add(x, src.view(np.uint64), out=x)
+
+        handle = processing.create_handle(mgmt, REDUCE, init_func=init,
+                                          map_to_val_func=to_val, acc_func=acc)
+        processing.array_red(mgmt, "x", "total", 8, 1, handle, variant="shared")
+        assert seen == [True]
+        assert comm.gather(mgmt, "total").view(np.uint64)[0] == 120
+
     def test_accumulator_too_large(self):
         mgmt = make_mgmt(cores=1)
         scatter_u32(mgmt, "x", range(8))
