@@ -196,9 +196,10 @@ Kernel = Callable[[TaskletContext, object], object]
 def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
     """A zeroed, writable, C-contiguous ``(rows, row_bytes)`` uint8 array in
     an anonymous memory mapping.  The OS backs a page only when a byte of it
-    is first touched, and in base pages, so resident memory grows with the
-    bytes the program uses, not with the geometry.  A mapping the OS refuses
-    raises ``OutOfBankMemory`` before anything is reserved."""
+    is first touched, in base pages unless it puts all anonymous memory in
+    huge pages, so resident memory grows with the bytes the program uses,
+    not with the geometry.  A mapping the OS refuses raises
+    ``OutOfBankMemory`` before anything is reserved."""
     size = rows * row_bytes
     try:
         buf = mmap.mmap(-1, size) if size else bytearray()
