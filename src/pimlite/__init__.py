@@ -41,6 +41,7 @@ from .errors import (
     ElementTooLarge,
     HandleKindMismatch,
     HostBufferInvalid,
+    InvalidArgument,
     InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,

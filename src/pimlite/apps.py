@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comm, processing
+from .errors import InvalidArgument
 from .management import ManagementContext
 from .processing import MAP, REDUCE
 
@@ -40,7 +41,7 @@ class BenchmarkSpec:
 
     def __post_init__(self) -> None:
         if self.dims < 1 or self.bins < 2 or self.clusters < 1 or self.iterations < 1:
-            raise ValueError("dims >= 1, bins >= 2, clusters >= 1, iterations >= 1")
+            raise InvalidArgument("dims >= 1, bins >= 2, clusters >= 1, iterations >= 1")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -292,7 +293,7 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
     points = make_kmeans_points(spec)
     k, dims = spec.clusters, spec.dims
     if spec.total_elems < k:
-        raise ValueError("need at least one point per cluster seed")
+        raise InvalidArgument("need at least one point per cluster seed")
 
     def to_val(src, ctx):
         pts = src.view(np.int32).reshape(-1, dims).astype(np.int64)

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateArrayId,
     HandleKindMismatch,
     HostBufferInvalid,
+    InvalidArgument,
     InvalidCombiner,
     WrongLayout,
 )
@@ -52,7 +53,7 @@ def plan_scatter(length: int, type_size: int, num_cores: int,
     core takes the remainder, trailing cores may take zero.
     """
     if length < 0 or type_size < 1 or num_cores < 1:
-        raise ValueError("length >= 0, type_size >= 1, num_cores >= 1 required")
+        raise InvalidArgument("length >= 0, type_size >= 1, num_cores >= 1 required")
     group = math.lcm(type_size, dma_alignment) // type_size
     base = 0
     if length:

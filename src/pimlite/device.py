@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     AlignmentViolation,
     HostBufferInvalid,
+    InvalidArgument,
     OutOfBankMemory,
     OutOfBounds,
     ScratchpadOverflow,
@@ -77,15 +78,15 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
+            raise InvalidArgument("num_cores must be >= 1")
         if self.max_tasklets < 1:
-            raise ValueError("max_tasklets must be >= 1")
+            raise InvalidArgument("max_tasklets must be >= 1")
         if self.dma_max_bytes % self.dma_alignment != 0:
-            raise ValueError("dma_alignment must divide dma_max_bytes")
+            raise InvalidArgument("dma_alignment must divide dma_max_bytes")
         if self.dma_max_bytes > self.scratchpad_bytes:
-            raise ValueError("dma_max_bytes must not exceed scratchpad_bytes")
+            raise InvalidArgument("dma_max_bytes must not exceed scratchpad_bytes")
         if self.scratchpad_reserve_bytes >= self.scratchpad_bytes:
-            raise ValueError("reserve leaves no usable scratchpad")
+            raise InvalidArgument("reserve leaves no usable scratchpad")
 
     @property
     def usable_scratchpad_bytes(self) -> int:
@@ -144,9 +145,6 @@ class LockTable:
     def __init__(self, num_entries: int):
         self._owner = np.full(num_entries, -1, np.int32)
         self.acquisitions = 0
-
-    def __len__(self) -> int:
-        return len(self._owner)
 
     def acquire(self, tasklet_id: int, indices: np.ndarray) -> None:
         if (self._owner[indices] != -1).any():
@@ -242,7 +240,7 @@ class PimDevice:
         """Reserve ``nbytes`` (rounded up to alignment) at the same offset in
         every bank and return that offset."""
         if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+            raise InvalidArgument("nbytes must be non-negative")
         aligned = round_up(nbytes, self.config.dma_alignment)
         offset = self.cursors[0]
         assert all(c == offset for c in self.cursors), "allocator lost symmetry"
@@ -338,7 +336,7 @@ class PimDevice:
         if bank_offset < 0 or bank_offset + nbytes > cfg.dram_bank_bytes:
             raise OutOfBounds(f"bank range [{bank_offset}, +{nbytes}) out of bounds")
         if direction not in (TO_PIM, TO_HOST):
-            raise ValueError(f"unknown direction {direction!r}")
+            raise InvalidArgument(f"unknown direction {direction!r}")
         if direction == TO_HOST and not (isinstance(host, np.ndarray)
                                          and host.flags.writeable):
             raise HostBufferInvalid("to_host needs a writable array to fill in place")

@@ -1,8 +1,17 @@
-"""Exception types raised by the device model and the framework layers."""
+"""Exception types raised by the device model and the framework layers.
+
+Every framework error is a :class:`PimError`.  :class:`InvalidArgument` is
+also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+"""
 
 
 class PimError(Exception):
     """Base class for all framework errors."""
+
+
+class InvalidArgument(PimError, ValueError):
+    """An argument, configuration field or callback result is out of range
+    or of the wrong shape."""
 
 
 # --- device faults (hard errors, mirroring hardware behavior) ---------------

@@ -26,6 +26,7 @@ import numpy as np
 from . import apps, comm, processing
 from .apps import BenchmarkSpec
 from .device import DeviceConfig, PimDevice, round_up
+from .errors import InvalidArgument
 from .management import ManagementContext
 
 RUNNERS = {
@@ -54,11 +55,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.benchmark not in RUNNERS:
-            raise ValueError(f"unknown benchmark {self.benchmark!r}")
+            raise InvalidArgument(f"unknown benchmark {self.benchmark!r}")
         if self.scaling not in ("weak", "strong"):
-            raise ValueError("scaling must be weak or strong")
+            raise InvalidArgument("scaling must be weak or strong")
         if not self.core_counts or any(c < 1 for c in self.core_counts):
-            raise ValueError("core_counts must be positive")
+            raise InvalidArgument("core_counts must be positive")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import PimDevice
-from .errors import ArrayInUse, DuplicateArrayId, UnknownArrayId
+from .errors import ArrayInUse, DuplicateArrayId, InvalidArgument, UnknownArrayId
 
 LAYOUT_SCATTERED = "scattered"
 LAYOUT_REPLICATED = "replicated"
@@ -39,25 +39,25 @@ class ArrayMetadata:
 
     def validate(self, dma_alignment: int) -> None:
         if self.len < 0 or self.type_size < 1:
-            raise ValueError(f"{self.id}: bad len/type_size")
+            raise InvalidArgument(f"{self.id}: bad len/type_size")
         if self.padded_chunk_bytes % dma_alignment != 0:
-            raise ValueError(f"{self.id}: padded chunk not aligned")
+            raise InvalidArgument(f"{self.id}: padded chunk not aligned")
         if self.layout == LAYOUT_SCATTERED:
             if sum(self.per_core_elems) != self.len:
-                raise ValueError(f"{self.id}: per-core counts do not sum to len")
+                raise InvalidArgument(f"{self.id}: per-core counts do not sum to len")
         elif self.layout == LAYOUT_REPLICATED:
             if any(c != self.len for c in self.per_core_elems):
-                raise ValueError(f"{self.id}: replicated copies must be full length")
+                raise InvalidArgument(f"{self.id}: replicated copies must be full length")
         elif self.layout == LAYOUT_LAZY_ZIP:
             if self.zip_sources is None or self.bank_offset is not None:
-                raise ValueError(f"{self.id}: lazy zip owns no storage")
+                raise InvalidArgument(f"{self.id}: lazy zip owns no storage")
             if sum(self.per_core_elems) != self.len:
-                raise ValueError(f"{self.id}: per-core counts do not sum to len")
+                raise InvalidArgument(f"{self.id}: per-core counts do not sum to len")
         else:
-            raise ValueError(f"{self.id}: unknown layout {self.layout!r}")
+            raise InvalidArgument(f"{self.id}: unknown layout {self.layout!r}")
         if any(c * self.type_size > self.padded_chunk_bytes
                for c in self.per_core_elems if self.layout != LAYOUT_LAZY_ZIP):
-            raise ValueError(f"{self.id}: per-core bytes exceed padded chunk")
+            raise InvalidArgument(f"{self.id}: per-core bytes exceed padded chunk")
 
 
 class ManagementContext:
@@ -86,7 +86,7 @@ class ManagementContext:
         if meta.id in self.registry:
             raise DuplicateArrayId(meta.id)
         if len(meta.per_core_elems) != self.device.config.num_cores:
-            raise ValueError(f"{meta.id}: need one count per core")
+            raise InvalidArgument(f"{meta.id}: need one count per core")
         meta.validate(self.device.config.dma_alignment)
         self.registry[meta.id] = meta
 

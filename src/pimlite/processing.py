@@ -1,7 +1,7 @@
 """Iterators over device-resident arrays: map, keyed reduction, and zip.
 
 Execution strategy: inputs stream through per-tasklet scratchpad buffers in
-aligned batches.  One planner, :func:`plan_iterator`, sizes the batches from
+aligned batches.  One planner, :func:`plan_iterator`, computes the batch from
 the element sizes, the DMA command limit and the remaining scratchpad budget,
 throttles the tasklet count and lays out the scratchpad; every iterator runs
 exactly the plan it returns.  Map, a materializing zip and a reduction share
@@ -63,10 +63,11 @@ opaque ``acc_func`` is folded by pair-reducing duplicate keys in log rounds.
 The ring merge and the host fold call ``acc_func`` either way, so both paths
 move the same bytes and give the same results.
 
-A callback that raises propagates out of the iterator; the iterator's own
-bank allocation, and a context that the same call broadcast, are released
-first, so the registry and the allocator are left as they were before the
-call.
+A callback that raises, or a ``map_to_val_func`` that returns the wrong
+number of bytes or keys or a key outside the output (``InvalidArgument``),
+propagates out of the iterator; the iterator's own bank allocation, and a
+context that the same call broadcast, are released first, so the registry
+and the allocator are left as they were before the call.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .errors import (
     DistributionMismatch,
     HandleKindMismatch,
     HostBufferInvalid,
+    InvalidArgument,
     InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
@@ -295,25 +297,9 @@ def compute_batch_elems(type_size: int, dma_max_bytes: int = 2048,
     """Largest element count per DMA command: the batch byte size must stay
     within the command limit and on an alignment boundary."""
     if type_size < 1:
-        raise ValueError("type_size must be >= 1")
+        raise InvalidArgument("type_size must be >= 1")
     batch, _ = _dma_batch_bound([type_size], dma_max_bytes, dma_alignment)
     return batch
-
-
-def _fit_batch(batch: int, group: int, buffer_type_sizes, avail_bytes: int,
-               num_tasklets: int, align: int) -> int:
-    """Shrink ``batch`` (keeping it a multiple of ``group``) until the
-    per-tasklet buffers fit in ``avail_bytes``; 0 when even one group does not."""
-    def claim(b: int) -> int:
-        return num_tasklets * sum(round_up(b * ts, align) for ts in buffer_type_sizes)
-
-    per_elem = num_tasklets * sum(buffer_type_sizes)
-    if per_elem:
-        est = (avail_bytes // per_elem // group) * group
-        batch = min(batch, max(est, 0))
-    while batch > 0 and claim(batch) > avail_bytes:
-        batch -= group
-    return max(batch, 0)
 
 
 def _tasklet_candidates(max_tasklets: int) -> list[int]:
@@ -359,7 +345,7 @@ def _canon_variant(variant: str) -> str:
     try:
         return table[variant]
     except KeyError:
-        raise ValueError(f"variant must be auto/shared/private, got {variant!r}") from None
+        raise InvalidArgument(f"variant must be auto/shared/private, got {variant!r}") from None
 
 
 def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
@@ -377,8 +363,12 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     A count above one is skipped when its accumulators plus one full DMA
     command per tasklet exceed the usable scratchpad (the context is not
     counted in this cap); one tasklet may run any batch that fits.  Otherwise
-    the largest batch whose buffers fit beside the context and the
-    accumulators is taken; the first count with a batch wins.
+    the batch is the largest multiple of the DMA granularity, up to the DMA
+    bound, whose buffers fit beside the context and the accumulators; the
+    first count with a batch wins.  The granularity fills every buffer (the
+    DMA'd element sizes and, for zipped streams, their sum) with whole
+    alignment units, so the buffers claim exactly ``tasklets * batch *
+    sum(buffer sizes)`` bytes.
     """
     align = config.dma_alignment
     usable = config.usable_scratchpad_bytes
@@ -387,7 +377,7 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     buffers = in_sizes + ([sum(in_sizes)] if multi else [])
     if kind == REDUCE:
         if output_len < 1 or out_size < 1:
-            raise ValueError("output_len and output_elem_bytes must be >= 1")
+            raise InvalidArgument("output_len and output_elem_bytes must be >= 1")
         variant = _canon_variant(variant)
         accum_slot = round_up(output_len * out_size, align)
         dma_sizes = in_sizes
@@ -402,8 +392,8 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
         accum = accum_slot * (tasklets if variant == VARIANT_PRIVATE else 1)
         if tasklets > 1 and accum + tasklets * config.dma_max_bytes > usable:
             continue
-        batch = _fit_batch(batch0, group, buffers, usable - ctx_pad - accum,
-                           tasklets, align)
+        avail = max(usable - ctx_pad - accum, 0)
+        batch = min(batch0, avail // (tasklets * sum(buffers)) // group * group)
         if batch:
             break
     else:
@@ -411,8 +401,7 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
             f"{context_bytes} B of context, {accum_slot} B of accumulator and "
             f"streaming buffers do not fit {usable} B of scratchpad with any "
             f"tasklet count (DRAM-resident accumulators are not supported)")
-    rels = list(itertools.accumulate(
-        (round_up(batch * size, align) for size in buffers), initial=0))
+    rels = list(itertools.accumulate((batch * size for size in buffers), initial=0))
     combine_rel = rels[len(in_sizes)] if multi else None
     blocks_base = ctx_pad + accum
     return IteratorPlan(
@@ -547,7 +536,7 @@ def _launch(mgmt: ManagementContext, job: _Job) -> None:
 def _as_entry_rows(arr, m: int, entry_bytes: int) -> np.ndarray:
     flat = np.ascontiguousarray(arr).view(np.uint8).ravel()
     if flat.size != m * entry_bytes:
-        raise ValueError(
+        raise InvalidArgument(
             f"callback returned {flat.size} bytes, expected {m}x{entry_bytes}")
     return flat.reshape(m, entry_bytes)
 
@@ -561,8 +550,6 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
     call stays vectorized; valid because the combiner is commutative and
     associative.
     """
-    if keys.size == 0:
-        return
     order = np.argsort(keys, kind="stable")
     k = keys[order]
     v = vals[order]
@@ -726,7 +713,7 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
     if handle.kind != MAP:
         raise HandleKindMismatch(f"array_map needs a map handle, got {handle.kind}")
     if output_type_size < 1:
-        raise ValueError("output_type_size must be >= 1")
+        raise InvalidArgument("output_type_size must be >= 1")
     in_streams = _physical_streams(mgmt, meta)
     plan = plan_iterator(mgmt.device.config, MAP, [s.type_size for s in in_streams],
                          output_type_size, context_bytes=handle.context_size)
@@ -824,10 +811,10 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
             rows = _as_entry_rows(vals, cores * m, d)
             ks = np.asarray(keys, np.int64).ravel()
             if ks.size != cores * m:
-                raise ValueError(
+                raise InvalidArgument(
                     f"callback returned {ks.size} keys for {cores * m} elements")
             if ks.min() < 0 or ks.max() >= n:
-                raise IndexError(f"reduction key outside [0, {n})")
+                raise InvalidArgument(f"reduction key outside [0, {n})")
             idx = ks + (full_batch_rows if m == plan.batch_elems
                         else np.repeat(core_rows, m))
             if private:

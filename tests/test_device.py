@@ -400,6 +400,82 @@ class TestLockTable:
         with pytest.raises(RuntimeError):
             table.acquire(1, np.array([2]))
 
+    def test_release_by_a_tasklet_that_does_not_hold_the_lock(self):
+        table = LockTable(4)
+        table.acquire(0, np.array([1, 2]))
+        for tasklet, entries in ((1, [1]), (0, [2, 3])):  # another's; one unheld
+            with pytest.raises(RuntimeError, match="not held"):
+                table.release(tasklet, np.array(entries))
+        with pytest.raises(RuntimeError):  # entries 1 and 2 are still held by 0
+            table.acquire(1, np.array([1]))
+        table.release(0, np.array([1, 2]))
+        table.acquire(1, np.array([1, 2, 3]))
+
+
+class TestTaskletApi:
+    """The per-(core, tasklet) kernel API that hand-written kernels use."""
+
+    def test_dma_write_moves_bytes_and_counts_one_command(self):
+        dev = make_device(cores=2, log_transfers=True)
+        dev.scratchpads[:, :64] = np.arange(64, dtype=np.uint8)
+
+        def kernel(ctx, params):
+            # tasklet t writes scratch [16t, 16t+16) to bank 256 + 16t
+            ctx.dma_write(16 * ctx.tasklet_id, 256 + 16 * ctx.tasklet_id, 16)
+
+        dev.launch_kernel(kernel, num_tasklets=4)
+        assert (dev.banks[:, 256:320] == np.arange(64, dtype=np.uint8)).all()
+        assert not dev.banks[:, :256].any() and not dev.banks[:, 320:].any()
+        assert dev.stats.scratch_to_dram_bytes == 2 * 64
+        assert (dev.stats.dma_commands, dev.stats.dram_to_scratch_bytes) == (8, 0)
+        assert [(r.op, r.core, r.scratch_offset, r.bank_offset, r.nbytes)
+                for r in dev.transfer_log] == [
+            ("dma_write", core, 16 * t, 256 + 16 * t, 16)
+            for core in range(2) for t in range(4)]
+
+    def test_scratch_is_the_cores_scratchpad_row(self):
+        dev = make_device(cores=3)
+
+        def kernel(ctx, params):
+            ctx.scratch[ctx.tasklet_id] = 10 * ctx.core_id + ctx.tasklet_id
+
+        dev.launch_kernel(kernel, num_tasklets=2)
+        assert dev.scratchpads[:, :2].tolist() == [[0, 1], [10, 11], [20, 21]]
+        assert not dev.scratchpads[:, 2:].any()
+        assert dev.stats == TrafficStats(kernel_launches=1)
+
+    def test_lock_entries_give_each_core_one_fresh_table(self):
+        dev = make_device(cores=2)
+        seen = []
+
+        def kernel(ctx, params):
+            seen.append((ctx.core_id, ctx.locks))
+            ctx.locks.acquire(ctx.tasklet_id, np.array([ctx.tasklet_id, 4]))
+            ctx.locks.release(ctx.tasklet_id, np.array([ctx.tasklet_id, 4]))
+
+        dev.launch_kernel(kernel, num_tasklets=3, lock_entries=5)
+        tables = [{id(t) for c, t in seen if c == core} for core in range(2)]
+        assert all(len(ids) == 1 for ids in tables)  # shared by the core's tasklets
+        assert tables[0] != tables[1]
+        assert all(isinstance(t, LockTable) and t.acquisitions == 6 for _, t in seen)
+        first = seen[0][1]
+        seen.clear()
+        dev.launch_kernel(kernel, num_tasklets=3, lock_entries=5)
+        assert first not in [t for _, t in seen]  # a new launch, new tables
+        dev.launch_kernel(lambda ctx, p: seen.append((ctx.core_id, ctx.locks)), 1)
+        assert seen[-2:] == [(0, None), (1, None)]  # no entries, no table
+
+    def test_yielding_while_holding_a_lock_is_caught(self):
+        dev = make_device(cores=1)
+
+        def kernel(ctx, params):
+            ctx.locks.acquire(ctx.tasklet_id, np.array([0]))
+            yield  # suspends with entry 0 still held
+            ctx.locks.release(ctx.tasklet_id, np.array([0]))
+
+        with pytest.raises(RuntimeError, match="already held"):
+            dev.launch_kernel(kernel, num_tasklets=2, lock_entries=1)
+
 
 class TestAuditability:
     def test_determinism_bit_identical(self):

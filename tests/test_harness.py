@@ -3,7 +3,8 @@ import io
 
 import pytest
 
-from pimlite import harness
+from pimlite import apps, harness
+from pimlite.device import DeviceConfig, PimDevice, TransferRecord
 from pimlite.errors import NoFeasiblePlan
 from pimlite.harness import (
     CSV_COLUMNS,
@@ -186,3 +187,76 @@ class TestChecks:
     def test_oracle_check_small(self):
         res = harness.check_benchmark_oracles(cases_per_app=3)
         assert res.passed, res.data
+
+
+class TestVerify:
+    """``verify_all`` and ``pimlite verify`` with stub checks, and every way
+    a check reports a problem."""
+
+    @staticmethod
+    def stub(name, passed, data=None):
+        return lambda: harness.CheckResult(name, passed, f"{name} detail", data)
+
+    def test_verify_all_prints_one_line_per_check_and_the_failing_items(
+            self, monkeypatch):
+        items = [f"case {i}" for i in range(7)]
+        monkeypatch.setattr(harness, "ALL_CHECKS", (
+            self.stub("good", True, ["not printed"]), self.stub("bad", False, items)))
+        out = io.StringIO()
+        assert harness.verify_all(out) is False
+        lines = out.getvalue().splitlines()
+        assert lines[0].split() == ["PASS", "good", "good", "detail"]
+        assert lines[1].split() == ["FAIL", "bad", "bad", "detail"]
+        assert [line.strip() for line in lines[2:-1]] == items[:5]
+        assert lines[-1] == "CHECKS FAILED"
+
+    @pytest.mark.parametrize("passed,code,last", [(True, 0, "all checks passed"),
+                                                  (False, 1, "CHECKS FAILED")])
+    def test_verify_command_exit_code(self, monkeypatch, capsys, passed, code, last):
+        monkeypatch.setattr(harness, "ALL_CHECKS", (
+            self.stub("first", True), self.stub("second", passed, 3.5)))
+        assert main(["verify"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[-1] == last
+        assert lines[1].startswith("PASS" if passed else "FAIL")
+
+    def test_lazy_zip_ratio_check(self):
+        res = harness.check_lazy_zip_ratio()
+        assert res.passed and 2.0 <= res.data <= 2.5
+        assert res.detail == f"eager/lazy bank<->scratch ratio {res.data:.4f}"
+
+    @pytest.mark.parametrize("cores,message", [("2,x", "bad core list"),
+                                               (",", "empty core list")])
+    def test_bad_core_list(self, capsys, cores, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--benchmark", "vecadd", "--cores", cores])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_audit_reports_every_bad_record(self):
+        dev = PimDevice(DeviceConfig(num_cores=2, dram_bank_bytes=1 << 20))
+        bad = [
+            TransferRecord("dma_read", "dram_to_scratch", 0, 0, 0, 4096),
+            TransferRecord("dma_write", "scratch_to_dram", 1, 4, 0, 8),
+            TransferRecord("dma_read", "dram_to_scratch", 2, 0, 0, 8),
+            TransferRecord("teleport", "to_pim", 0, 0, None, 8),
+        ]
+        good = [TransferRecord("dma_read", "dram_to_scratch", 1, 8, 16, 2048),
+                TransferRecord("parallel", "to_pim", -1, 0, None, 64)]
+        dev.transfer_log.extend(good + bad)
+        problems = harness.audit_transfer_log(dev)
+        assert problems == [f"{kind}: {rec.as_line()}" for kind, rec in zip(
+            ("size 4096", "alignment", "core", "unknown op"), bad)]
+
+    @pytest.mark.parametrize("oracle,message", [
+        (lambda spec: apps.oracle_reduction(spec) + 1, "1+ mismatching entries: [0] "),
+        (lambda spec: [0, 0], "shape mismatch: () vs (2,)"),
+    ], ids=["value", "shape"])
+    def test_strict_run_names_the_mismatch(self, monkeypatch, oracle, message):
+        monkeypatch.setitem(harness.RUNNERS, "reduction", (apps.run_reduction, oracle))
+        config = ExperimentConfig(benchmark="reduction", core_counts=(2,),
+                                  elems_per_core=100)
+        with pytest.raises(RuntimeError, match="diverged from its oracle") as exc:
+            run_experiment(config, strict=True)
+        assert message in str(exc.value)
+        assert run_experiment(config, strict=False)[0].correct is False

@@ -1,0 +1,260 @@
+"""Every misuse raises a typed ``PimError`` before any state changes.
+
+Each test takes a snapshot of the traffic counters, the bank cursors, the
+registry, the transfer log and the banks, makes one bad call and requires
+the snapshot to be unchanged.  Validators of
+plain values (configs, specs, transfer plans) touch no device at all.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import make_mgmt
+from pimlite import apps, comm, harness, processing
+from pimlite.apps import BenchmarkSpec
+from pimlite.device import TO_PIM, DeviceConfig
+from pimlite.errors import (
+    DuplicateArrayId,
+    HandleKindMismatch,
+    HostBufferInvalid,
+    InvalidArgument,
+    InvalidCombiner,
+    OutOfBounds,
+    PimError,
+    SizeLimitViolation,
+    WrongLayout,
+)
+from pimlite.management import (
+    LAYOUT_LAZY_ZIP,
+    LAYOUT_REPLICATED,
+    LAYOUT_SCATTERED,
+    ArrayMetadata,
+)
+from pimlite.processing import MAP, REDUCE
+
+
+def state(mgmt):
+    dev = mgmt.device
+    return (dev.stats.copy(), list(dev.cursors), dict(mgmt.registry),
+            list(dev.transfer_log), dev.banks.copy())
+
+
+def assert_unchanged(mgmt, before):
+    after = state(mgmt)
+    assert after[:4] == before[:4]
+    assert np.array_equal(after[4], before[4])
+
+
+def loaded_mgmt(cores=2):
+    """``x`` and ``x2``: eight u32 each, scattered; ``c``: replicated; ``y``:
+    an existing output id."""
+    mgmt = make_mgmt(cores=cores, log_transfers=True)
+    for name in ("x", "x2", "y"):
+        comm.scatter(mgmt, name, np.arange(8, dtype=np.uint32), 8, 4)
+    comm.broadcast(mgmt, "c", np.arange(4, dtype=np.uint32), 4, 4)
+    return mgmt
+
+
+def copy_map(mgmt, **kw):
+    def map_func(src, dst, ctx):
+        dst[:] = src
+
+    return processing.create_handle(mgmt, MAP, map_func=map_func, **kw)
+
+
+def sum_handle(mgmt, to_val=None, **kw):
+    def zero_keys(src, ctx):
+        v = src.view(np.uint32).ravel()
+        return v.astype(np.uint64), np.zeros(v.size, np.int64)
+
+    return processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val or zero_keys,
+                                    combine=(np.add, np.uint64), **kw)
+
+
+def test_invalid_argument_is_a_typed_value_error():
+    assert issubclass(InvalidArgument, PimError)
+    assert issubclass(InvalidArgument, ValueError)
+
+
+class TestDuplicateArrayId:
+    CALLS = {
+        "broadcast": lambda m: comm.broadcast(m, "y", np.zeros(4, np.uint32), 4, 4),
+        "array_map": lambda m: processing.array_map(
+            m, "x", "y", 4, copy_map(m, context=np.ones(16, np.uint8))),
+        "array_zip": lambda m: processing.array_zip(m, "x", "x2", "y", materialize=True),
+        "array_red": lambda m: processing.array_red(
+            m, "x", "y", 8, 1, sum_handle(m, context=np.ones(16, np.uint8))),
+        "register": lambda m: m.register(ArrayMetadata(
+            id="y", len=8, type_size=4, bank_offset=0, per_core_elems=(8, 0),
+            padded_chunk_bytes=32)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_before_anything_moves(self, call):
+        mgmt = loaded_mgmt()
+        before = state(mgmt)
+        with pytest.raises(DuplicateArrayId):
+            self.CALLS[call](mgmt)
+        assert_unchanged(mgmt, before)
+
+
+@pytest.mark.parametrize("kind", [MAP, REDUCE])
+def test_replicated_iterator_input_is_the_wrong_layout(kind):
+    mgmt = loaded_mgmt()
+    before = state(mgmt)
+    with pytest.raises(WrongLayout):
+        if kind == MAP:
+            processing.array_map(mgmt, "c", "out", 4, copy_map(mgmt))
+        else:
+            processing.array_red(mgmt, "c", "out", 8, 1, sum_handle(mgmt))
+    assert_unchanged(mgmt, before)
+
+
+def test_allreduce_needs_a_handle_with_an_acc_func():
+    mgmt = loaded_mgmt()
+    before = state(mgmt)
+    with pytest.raises(HandleKindMismatch):
+        comm.allreduce(mgmt, "c", copy_map(mgmt))
+    assert_unchanged(mgmt, before)
+
+
+class TestIteratorArguments:
+    @pytest.mark.parametrize("call", [
+        lambda m: processing.array_map(m, "x", "out", 0, copy_map(m)),
+        lambda m: processing.array_red(m, "x", "out", 8, 0, sum_handle(m)),
+        lambda m: processing.array_red(m, "x", "out", 8, 1, sum_handle(m),
+                                       variant="atomic"),
+    ], ids=["map-output-size", "red-output-len", "variant"])
+    def test_refused_before_anything_moves(self, call):
+        mgmt = loaded_mgmt()
+        before = state(mgmt)
+        with pytest.raises(InvalidArgument):
+            call(mgmt)
+        assert_unchanged(mgmt, before)
+
+    def test_batch_of_a_zero_byte_element(self):
+        with pytest.raises(InvalidArgument):
+            processing.compute_batch_elems(0)
+
+    def test_combiner_without_a_loop_for_its_dtype(self):
+        # gcd has no bool loop: resolve_dtypes raises TypeError, not a mismatch
+        mgmt = loaded_mgmt()
+        before = state(mgmt)
+        with pytest.raises(InvalidCombiner):
+            processing.create_handle(mgmt, REDUCE, map_to_val_func=lambda s, c: None,
+                                     init_func=lambda a: None, combine=(np.gcd, np.bool_))
+        assert_unchanged(mgmt, before)
+
+
+class TestCallbackOutput:
+    """A reduction callback that returns the wrong bytes or keys raises
+    ``InvalidArgument`` inside the kernel.  The kernel has moved bytes by
+    then, so the counters move; the iterator's allocation and the context
+    this call broadcast are released, so cursors and registry do not."""
+
+    N = 4
+
+    def to_val(self, bad):
+        def to_val(src, ctx):
+            m = src.shape[0]
+            vals, keys = np.zeros(m, np.uint64), np.zeros(m, np.int64)
+            if bad == "bytes":
+                return vals[:-1], keys
+            if bad == "keys":
+                return vals, keys[:-1]
+            keys[-1] = self.N  # one past the last entry
+            return vals, keys
+
+        return to_val
+
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    @pytest.mark.parametrize("bad,message", [("bytes", "bytes, expected"),
+                                             ("keys", "keys for"),
+                                             ("key-range", "key outside")])
+    def test_allocation_and_context_are_released(self, bad, message, variant):
+        mgmt = loaded_mgmt()
+        handle = sum_handle(mgmt, self.to_val(bad), context=np.ones(16, np.uint8))
+        cursors, registry = list(mgmt.device.cursors), dict(mgmt.registry)
+        with pytest.raises(InvalidArgument, match=message):
+            processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
+        assert mgmt.device.cursors == cursors and mgmt.registry == registry
+        assert handle.ctx_array_id is None
+
+
+class TestHostSerialTransfer:
+    @pytest.mark.parametrize("core,direction,host,offset,nbytes,error", [
+        (2, TO_PIM, np.zeros(8, np.uint8), 0, 8, OutOfBounds),
+        (-1, TO_PIM, np.zeros(8, np.uint8), 0, 8, OutOfBounds),
+        (0, TO_PIM, np.zeros(8, np.uint8), 0, -8, SizeLimitViolation),
+        (0, TO_PIM, np.zeros(16, np.uint8), (1 << 20) - 8, 16, OutOfBounds),
+        (0, "sideways", np.zeros(8, np.uint8), 0, 8, InvalidArgument),
+        (0, TO_PIM, [0] * 8, 0, 8, HostBufferInvalid),
+    ], ids=["core-high", "core-negative", "negative-size", "past-the-bank",
+            "direction", "python-list"])
+    def test_refused_before_anything_moves(self, core, direction, host, offset,
+                                           nbytes, error):
+        mgmt = loaded_mgmt()
+        mgmt.device.banks[:, -64:] = 7
+        before = state(mgmt)
+        with pytest.raises(error):
+            mgmt.device.host_serial_transfer(core, direction, host, offset, nbytes)
+        assert_unchanged(mgmt, before)
+
+
+def test_negative_allocation():
+    mgmt = loaded_mgmt()
+    before = state(mgmt)
+    with pytest.raises(InvalidArgument):
+        mgmt.device.alloc(-1)
+    assert_unchanged(mgmt, before)
+
+
+class TestArrayMetadata:
+    """Each rule of ``ArrayMetadata.validate``, reached through ``register``."""
+
+    GOOD = dict(id="new", len=8, type_size=4, bank_offset=0, per_core_elems=(8, 0),
+                padded_chunk_bytes=32, layout=LAYOUT_SCATTERED)
+
+    @pytest.mark.parametrize("change", [
+        dict(len=-1),
+        dict(type_size=0),
+        dict(padded_chunk_bytes=36),
+        dict(per_core_elems=(4, 0)),
+        dict(layout=LAYOUT_REPLICATED),  # copies of 8 and 0 elements
+        dict(layout=LAYOUT_LAZY_ZIP, zip_sources=("x", "x2")),  # owns storage
+        dict(layout=LAYOUT_LAZY_ZIP, bank_offset=None),  # names no sources
+        dict(layout=LAYOUT_LAZY_ZIP, bank_offset=None, zip_sources=("x", "x2"),
+             per_core_elems=(4, 0)),
+        dict(layout="striped"),
+        dict(padded_chunk_bytes=24),  # 8 elements of 4 bytes
+        dict(per_core_elems=(8,)),  # one count for two cores
+    ], ids=["len", "type-size", "padding", "scattered-sum", "replicated",
+            "zip-storage", "zip-sources", "zip-sum", "layout", "chunk", "cores"])
+    def test_register_refuses_bad_metadata(self, change):
+        mgmt = loaded_mgmt()
+        mgmt.register(ArrayMetadata(**self.GOOD))  # the unchanged record is valid
+        mgmt.free("new")
+        before = state(mgmt)
+        with pytest.raises(InvalidArgument):
+            mgmt.register(ArrayMetadata(**{**self.GOOD, **change}))
+        assert_unchanged(mgmt, before)
+
+
+def test_kmeans_with_fewer_points_than_clusters():
+    mgmt = loaded_mgmt()
+    before = state(mgmt)
+    with pytest.raises(InvalidArgument):
+        apps.run_kmeans(mgmt, BenchmarkSpec(name="kmeans", total_elems=3, clusters=4))
+    assert_unchanged(mgmt, before)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DeviceConfig(num_cores=1, max_tasklets=0),
+    lambda: DeviceConfig(num_cores=1, scratchpad_reserve_bytes=64 << 10),
+    lambda: comm.plan_scatter(-1, 4, 2),
+    lambda: BenchmarkSpec(dims=0),
+    lambda: harness.ExperimentConfig(benchmark="vecadd", core_counts=()),
+], ids=["max-tasklets", "reserve", "plan-scatter", "spec-dims", "core-counts"])
+def test_value_validators_raise_invalid_argument(make):
+    with pytest.raises(InvalidArgument):
+        make()

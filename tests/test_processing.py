@@ -1,4 +1,7 @@
+import collections
 import hashlib
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_mgmt
 from pimlite import apps, comm, harness, processing
 from pimlite.apps import BenchmarkSpec
-from pimlite.device import DeviceConfig
+from pimlite.device import DeviceConfig, round_up
 from pimlite.errors import (
     DistributionMismatch,
     ElementTooLarge,
@@ -27,6 +30,7 @@ from pimlite.processing import (
     VARIANT_PRIVATE,
     VARIANT_SHARED,
     ZIP,
+    IteratorPlan,
     compute_batch_elems,
     select_reduction_plan,
 )
@@ -1062,3 +1066,85 @@ class TestBatchLoopBitIdentity:
     @pytest.mark.parametrize("scenario", BIT_IDENTITY_SCENARIOS)
     def test_digest_matches_the_previous_loop(self, scenario):
         assert self.digest(scenario) == BIT_IDENTITY_DIGESTS[scenario]
+
+
+def _searched_plan(config, kind, in_sizes, out_size, output_len, variant,
+                   context_bytes):
+    """Reference planner: shrinks the batch in steps of the DMA granularity
+    until the per-tasklet buffers, each rounded up to the alignment, fit, and
+    lays the slots out rounded up too.  None when no tasklet count fits."""
+    align, usable = config.dma_alignment, config.usable_scratchpad_bytes
+    buffers = list(in_sizes) + ([sum(in_sizes)] if len(in_sizes) > 1 else [])
+    if kind == REDUCE:
+        variant = VARIANT_SHARED if variant == "shared" else VARIANT_PRIVATE
+        accum_slot = round_up(output_len * out_size, align)
+        dma_sizes = list(in_sizes)
+    else:
+        variant, accum_slot = None, 0
+        dma_sizes = list(in_sizes) + [out_size]
+        buffers += [out_size] if kind == MAP else []
+    batch0, group = processing._dma_batch_bound(dma_sizes, config.dma_max_bytes, align)
+    ctx_pad = round_up(context_bytes, align)
+    for tasklets in processing._tasklet_candidates(config.max_tasklets):
+        accum = accum_slot * (tasklets if variant == VARIANT_PRIVATE else 1)
+        if tasklets > 1 and accum + tasklets * config.dma_max_bytes > usable:
+            continue
+        avail = usable - ctx_pad - accum
+
+        def claim(b):
+            return tasklets * sum(round_up(b * ts, align) for ts in buffers)
+
+        batch = min(batch0, max(avail // (tasklets * sum(buffers)) // group * group, 0))
+        while batch > 0 and claim(batch) > avail:
+            batch -= group
+        if batch > 0:
+            break
+    else:
+        return None
+    rels = list(itertools.accumulate(
+        (round_up(batch * size, align) for size in buffers), initial=0))
+    combine_rel = rels[len(in_sizes)] if len(in_sizes) > 1 else None
+    return IteratorPlan(
+        variant=variant, num_tasklets=tasklets, batch_elems=batch,
+        stream_rels=tuple(rels[:len(in_sizes)]), combine_rel=combine_rel,
+        out_rel={MAP: rels[-2], ZIP: combine_rel}.get(kind),
+        accum_base=ctx_pad, accum_slot=accum_slot, blocks_base=ctx_pad + accum,
+        block_bytes=rels[-1], occupancy_bytes=ctx_pad + accum + tasklets * rels[-1])
+
+
+def test_closed_form_batch_equals_the_searched_batch():
+    """``plan_iterator`` computes its batch; on 10,000 seeded random
+    geometries it returns exactly the plan the reference search finds."""
+    rng = random.Random(20231021)
+    feasible = collections.Counter()
+    for _ in range(10_000):
+        align = rng.choice((4, 8, 12, 16, 24, 32))
+        dma_max = align * rng.randint(1, 256)
+        scratch = max(dma_max, rng.choice((4 << 10, 16 << 10, 64 << 10, 128 << 10)))
+        config = DeviceConfig(num_cores=1, dram_bank_bytes=1 << 20,
+                              scratchpad_bytes=scratch, dma_max_bytes=dma_max,
+                              dma_alignment=align, max_tasklets=rng.randint(1, 16),
+                              scratchpad_reserve_bytes=rng.randrange(0, scratch, 8))
+        kind = rng.choice((MAP, ZIP, REDUCE))
+        in_sizes = [rng.randint(1, 64) for _ in range(rng.choice((1, 1, 2, 3)))]
+        if kind == ZIP and len(in_sizes) == 1:
+            in_sizes.append(rng.randint(1, 64))
+        out_size = {ZIP: sum(in_sizes), MAP: rng.randint(1, 128)}.get(kind) \
+            or rng.randint(1, 32)
+        output_len = rng.randint(1, 1024) if kind == REDUCE else 0
+        variant = rng.choice(("shared", "private")) if kind == REDUCE else "auto"
+        context = rng.choice((0, rng.randint(1, config.usable_scratchpad_bytes)))
+        args = (config, kind, in_sizes, out_size)
+        try:
+            expected = _searched_plan(*args, output_len, variant, context)
+        except ElementTooLarge:
+            expected = ElementTooLarge
+        try:
+            got = processing.plan_iterator(*args, output_len=output_len,
+                                           variant=variant, context_bytes=context)
+        except (ElementTooLarge, NoFeasiblePlan) as exc:
+            got = type(exc)
+        assert got == (NoFeasiblePlan if expected is None else expected), args
+        if isinstance(got, IteratorPlan):
+            feasible[kind, got.variant] += 1
+    assert len(feasible) == 4 and min(feasible.values()) >= 500, feasible
