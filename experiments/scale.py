@@ -10,16 +10,15 @@ in its own child process::
 
 A run is ``pimlite run --scaling weak --cores N --elems E --out
 experiments/scale/<name>.csv``, started from this checkout's ``src/``.  Next
-to each CSV it writes ``<name>.json`` with the command, the child's peak RSS
-(its own ``ru_maxrss``, from ``os.wait4``) and its elapsed time, then
-rewrites the table in ``experiments/scale/README.md`` from every ``.json``
-present.  The
-CSV columns are those of ``pimlite run``; ``wall_time_ms`` there is the run
+to each CSV it writes ``<name>.json`` with the command, whether the run
+matched its oracle, the child's peak RSS (its own ``ru_maxrss``, from
+``os.wait4``) and its elapsed time, then rewrites the table in
+``experiments/scale/README.md`` from every ``.json`` present.  The CSV
+columns are those of ``pimlite run``; ``wall_time_ms`` there is the run
 alone, without data generation and the oracle.
 
-linreg, logreg and kmeans keep host-side data and an oracle of several
-hundred bytes per element, so at 2,560 x 10,000 they would need about 7 GB
-of host memory; they run at 2,560 x 2,500, the same total as 640 x 10,000.
+linreg, logreg and kmeans also run at 2,560 x 2,500, the same total as
+640 x 10,000, which compares the two machine sizes at one data size.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ APPS = ("reduction", "vecadd", "histogram") + HOST_HEAVY
 # the ``pimlite`` console script, runnable without installing the package
 PIMLITE = "import sys; from pimlite.harness import main; sys.exit(main())"
 RUNS = ([(app, 640, 10_000) for app in APPS]
-        + [(app, 2560, 2_500 if app in HOST_HEAVY else 10_000) for app in APPS])
+        + [(app, 2560, 10_000) for app in APPS]
+        + [(app, 2560, 2_500) for app in HOST_HEAVY])
 
 
 def run_name(app: str, cores: int, elems: int) -> str:
@@ -62,8 +62,10 @@ def run_one(app: str, cores: int, elems: int) -> dict:
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
         raise SystemExit(f"{name}: exited with {child.returncode}")
+    with open(csv_path, newline="") as f:
+        correct = next(csv.DictReader(f))["correct"] == "true"
     record = {"name": name, "command": " ".join(["pimlite"] + cmd[3:]),
-              "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+              "correct": correct, "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
               "elapsed_s": round(elapsed, 2)}
     (OUT / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
     return record

@@ -45,8 +45,10 @@ from .errors import (
     InvalidCombiner,
     InvalidHandleKind,
     LengthMismatch,
+    LockMisuse,
     MissingCallback,
     NoFeasiblePlan,
+    OracleMismatch,
     OutOfBankMemory,
     OutOfBounds,
     PimError,

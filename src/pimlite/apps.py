@@ -5,8 +5,8 @@ Every workload is integer or fixed-point, so device results must match the
 oracle bit for bit.  Both sides share the same arithmetic definitions (exact
 int64 / wrapping uint32/uint64 numpy operations) but compute through
 completely different paths: the runners go through scatter, scratchpad
-streaming and keyed reduction, while the oracles are single straight-line
-passes over the host arrays.
+streaming and keyed reduction, while the oracles are straight-line passes
+over the host arrays, ``ROW_BLOCK`` rows at a time.
 
 Datasets come from a seeded PCG64 generator so any two runs (or two
 implementations) can reproduce them exactly.
@@ -24,6 +24,10 @@ from .management import ManagementContext
 from .processing import MAP, REDUCE
 
 FIXED_POINT_SHIFT = 12
+# The oracles and the regression labels widen and multiply the host data this
+# many rows at a time, so their int64 temporaries stay a few MB at any size.
+# Integer sums wrap the same in any order: blocking changes no result.
+ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,12 @@ class BenchmarkSpec:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _row_blocks(n: int):
+    """Slices of ``ROW_BLOCK`` consecutive rows (the last may be shorter)
+    that cover rows ``0..n``."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
 
 
 # --- shared fixed-point arithmetic ------------------------------------------------
@@ -123,10 +133,11 @@ def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
 
     comm.scatter(mgmt, "va_a", a, spec.total_elems, 4)
     comm.scatter(mgmt, "va_b", b, spec.total_elems, 4)
+    del a, b  # on the device now; one host copy of the data at a time
     processing.array_zip(mgmt, "va_a", "va_b", "va_ab", materialize=eager)
     handle = processing.create_handle(mgmt, MAP, map_func=add_pairs)
     processing.array_map(mgmt, "va_ab", "va_out", 4, handle)
-    out = comm.gather(mgmt, "va_out").view(np.uint32).copy()
+    out = comm.gather(mgmt, "va_out").view(np.uint32)
     for name in ("va_out", "va_ab", "va_b", "va_a"):
         mgmt.free(name)
     return out
@@ -159,11 +170,12 @@ def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
         return np.ones(d.size, np.uint32), histogram_key(d, bins)
 
     comm.scatter(mgmt, "hist_in", data, spec.total_elems, 4)
+    del data
     handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
                                       combine=(np.add, np.uint32))
     processing.array_red(mgmt, "hist_in", "hist_out", 4, bins, handle,
                          variant=variant)
-    counts = comm.gather(mgmt, "hist_out").view(np.uint32).copy()
+    counts = comm.gather(mgmt, "hist_out").view(np.uint32)
     mgmt.free("hist_out")
     mgmt.free("hist_in")
     return counts
@@ -190,7 +202,9 @@ def make_regression_data(spec: BenchmarkSpec,
         y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
     else:
         w_true = rng.integers(0, 1 << spec.scale_shift, spec.dims, dtype=np.int64)
-        y = ((x.astype(np.int64) @ w_true) >> spec.scale_shift).astype(np.int32)
+        y = np.empty(spec.total_elems, np.int32)
+        for rows in _row_blocks(spec.total_elems):
+            y[rows] = (x[rows].astype(np.int64) @ w_true) >> spec.scale_shift
         y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
     return x, y
 
@@ -198,7 +212,8 @@ def make_regression_data(spec: BenchmarkSpec,
 def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
     x, y = make_regression_data(spec, binary_labels=logistic)
     dims, shift = spec.dims, spec.scale_shift
-    packed = np.concatenate([x, y[:, None]], axis=1).astype(np.int32)
+    packed = np.concatenate([x, y[:, None]], axis=1)  # int32, like x and y
+    del x, y
 
     def to_val(src, ctx):
         rows = src.view(np.int32).reshape(-1, dims + 1).astype(np.int64)
@@ -212,6 +227,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
         return xs * err[:, None], np.zeros(len(rows), np.int64)
 
     comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
+    del packed
     w = np.zeros(dims, np.int64)
     handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
                                       combine=(np.add, np.int64), context=w)
@@ -231,18 +247,20 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
 
 def _regression_oracle(spec: BenchmarkSpec, logistic: bool) -> np.ndarray:
     x, y = make_regression_data(spec, binary_labels=logistic)
-    x64 = x.astype(np.int64)
-    y64 = y.astype(np.int64)
     shift = spec.scale_shift
     w = np.zeros(spec.dims, np.int64)
     trajectory = np.zeros((spec.iterations, spec.dims), np.int64)
     for it in range(spec.iterations):
-        z = (x64 @ w) >> shift
-        if logistic:
-            err = approx_sigmoid_fixed(z, shift) - (y64 << shift)
-        else:
-            err = z - y64
-        grad = (x64 * err[:, None]).sum(axis=0)
+        grad = np.zeros(spec.dims, np.int64)
+        for rows in _row_blocks(spec.total_elems):
+            x64 = x[rows].astype(np.int64)
+            y64 = y[rows].astype(np.int64)
+            z = (x64 @ w) >> shift
+            if logistic:
+                err = approx_sigmoid_fixed(z, shift) - (y64 << shift)
+            else:
+                err = z - y64
+            grad += (x64 * err[:, None]).sum(axis=0)
         w = w - (grad >> (2 * shift))
         trajectory[it] = w
     return trajectory
@@ -303,7 +321,8 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
         return vals, keys
 
     comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
-    centroids = points[:k].astype(np.int64).copy()
+    centroids = points[:k].astype(np.int64)
+    del points
     handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
                                       combine=(np.add, np.int64), context=centroids)
     trajectory = np.zeros((spec.iterations, k, dims), np.int64)
@@ -324,15 +343,18 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
 
 
 def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
-    points64 = make_kmeans_points(spec).astype(np.int64)
+    points = make_kmeans_points(spec)
     k = spec.clusters
-    centroids = points64[:k].copy()
+    centroids = points[:k].astype(np.int64)
     trajectory = np.zeros((spec.iterations, k, spec.dims), np.int64)
     for it in range(spec.iterations):
-        labels = nearest_centroid(points64, centroids)
-        counts = np.bincount(labels, minlength=k)
+        counts = np.zeros(k, np.int64)
         sums = np.zeros((k, spec.dims), np.int64)
-        np.add.at(sums, labels, points64)
+        for rows in _row_blocks(spec.total_elems):
+            points64 = points[rows].astype(np.int64)
+            labels = nearest_centroid(points64, centroids)
+            counts += np.bincount(labels, minlength=k)
+            np.add.at(sums, labels, points64)
         centroids = np.where(counts[:, None] > 0,
                              trunc_div(sums, np.maximum(counts, 1)[:, None]),
                              centroids)

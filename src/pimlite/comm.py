@@ -8,7 +8,9 @@ combine there, push back out.
 Parallel transfer commands require the same slice size on every core, so the
 planner pads every chunk up to an alignment multiple and never splits an
 element across cores.  Pad bytes are zero-filled, which keeps roundtrips and
-log assertions exact.
+log assertions exact.  Gather pulls an array that a single core holds, such
+as a reduction's output, with one serial transfer of that core's bytes
+instead, so the empty chunks of the other cores never cross to the host.
 """
 
 from __future__ import annotations
@@ -154,8 +156,15 @@ def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
 def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
     """Reassemble a scattered array, stripping the padding.
 
-    Returns the raw bytes as a uint8 array of ``len * type_size`` entries;
-    callers reinterpret with ``.view(dtype)``.
+    An array that exactly one core holds, on a device of several cores (a
+    reduction's output, on core 0), comes back in one serial transfer of that
+    core's ``round_up(len * type_size, dma_alignment)`` bytes.  Any other
+    array comes back in one parallel transfer of ``padded_chunk_bytes`` per
+    core; on a one-core device the two move the same bytes, and the parallel
+    one is used.
+
+    Returns the raw bytes as a new uint8 array of ``len * type_size``
+    entries; callers reinterpret with ``.view(dtype)``.
     """
     device = mgmt.device
     meta = mgmt.lookup(array_id)
@@ -163,12 +172,20 @@ def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
         raise WrongLayout(f"{array_id} is {meta.layout}, gather needs scattered")
     if meta.len == 0:
         return np.empty(0, np.uint8)
-    buf = np.zeros((device.config.num_cores, meta.padded_chunk_bytes), np.uint8)
-    device.host_parallel_transfer(TO_HOST, buf, meta.bank_offset,
-                                  meta.padded_chunk_bytes)
-    parts = [buf[core, :count * meta.type_size]
-             for core, count in enumerate(meta.per_core_elems) if count]
-    return np.concatenate(parts)
+    nbytes, cores = meta.len * meta.type_size, device.config.num_cores
+    holders = [core for core, count in enumerate(meta.per_core_elems) if count]
+    if len(holders) == 1 and cores > 1:
+        pulled = round_up(nbytes, device.config.dma_alignment)
+        buf = np.zeros(pulled, np.uint8)
+        device.host_serial_transfer(holders[0], TO_HOST, buf, meta.bank_offset, pulled)
+        return buf[:nbytes]
+    padded = meta.padded_chunk_bytes
+    buf = np.zeros((cores, padded), np.uint8)
+    device.host_parallel_transfer(TO_HOST, buf, meta.bank_offset, padded)
+    if nbytes == cores * padded:  # no padding: the chunks are the array
+        return buf.reshape(-1)
+    return np.concatenate([buf[core, :count * meta.type_size]
+                           for core, count in enumerate(meta.per_core_elems) if count])
 
 
 def allreduce(mgmt: ManagementContext, array_id: str, handle) -> None:

@@ -29,6 +29,7 @@ from .errors import (
     AlignmentViolation,
     HostBufferInvalid,
     InvalidArgument,
+    LockMisuse,
     OutOfBankMemory,
     OutOfBounds,
     ScratchpadOverflow,
@@ -148,13 +149,13 @@ class LockTable:
 
     def acquire(self, tasklet_id: int, indices: np.ndarray) -> None:
         if (self._owner[indices] != -1).any():
-            raise RuntimeError("entry lock already held; tasklet yielded while locked?")
+            raise LockMisuse("entry lock already held; tasklet yielded while locked?")
         self._owner[indices] = tasklet_id
         self.acquisitions += int(len(indices))
 
     def release(self, tasklet_id: int, indices: np.ndarray) -> None:
         if (self._owner[indices] != tasklet_id).any():
-            raise RuntimeError("releasing a lock that is not held by this tasklet")
+            raise LockMisuse("releasing a lock that is not held by this tasklet")
         self._owner[indices] = -1
 
 

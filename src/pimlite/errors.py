@@ -1,7 +1,9 @@
 """Exception types raised by the device model and the framework layers.
 
 Every framework error is a :class:`PimError`.  :class:`InvalidArgument` is
-also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+also a ``ValueError``, and :class:`LockMisuse` and :class:`OracleMismatch`
+are also ``RuntimeError`` subclasses, so callers that catch the built-in type
+keep working.
 """
 
 
@@ -49,6 +51,11 @@ class ScratchpadOverflow(PimError):
 
 class TaskletCountInvalid(PimError):
     """Requested tasklet count outside 1..max_tasklets."""
+
+
+class LockMisuse(PimError, RuntimeError):
+    """A tasklet acquired an entry lock that is already held, or released
+    one it does not hold."""
 
 
 # --- registry ----------------------------------------------------------------
@@ -103,3 +110,10 @@ class NoFeasiblePlan(PimError):
 
 class ElementTooLarge(PimError):
     """No aligned batch of at least one element fits in a DMA command."""
+
+
+# --- experiments ----------------------------------------------------------------
+
+
+class OracleMismatch(PimError, RuntimeError):
+    """A strict experiment run's result differs from its sequential oracle."""

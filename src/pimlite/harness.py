@@ -26,7 +26,7 @@ import numpy as np
 from . import apps, comm, processing
 from .apps import BenchmarkSpec
 from .device import DeviceConfig, PimDevice, round_up
-from .errors import InvalidArgument
+from .errors import InvalidArgument, OracleMismatch
 from .management import ManagementContext
 
 RUNNERS = {
@@ -122,9 +122,9 @@ def _mismatch_diff(result, expected) -> str:
     e = np.asarray(expected).ravel()
     if r.shape != e.shape:
         return f"shape mismatch: {np.asarray(result).shape} vs {np.asarray(expected).shape}"
-    bad = np.flatnonzero(r != e)[:5]
-    pairs = ", ".join(f"[{i}] {r[i]} != {e[i]}" for i in bad)
-    return f"{bad.size}+ mismatching entries: {pairs}"
+    bad = np.flatnonzero(r != e)
+    pairs = ", ".join(f"[{i}] {r[i]} != {e[i]}" for i in bad[:5])
+    return f"{bad.size} mismatching entries: {pairs}" + (", ..." if bad.size > 5 else "")
 
 
 def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[ResultRow]:
@@ -145,7 +145,7 @@ def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[Result
             config.benchmark, spec, cores, variant=config.variant,
             log_transfers=config.transfer_log_path is not None)
         if strict and not correct:
-            raise RuntimeError(
+            raise OracleMismatch(
                 f"{config.benchmark} on {cores} cores diverged from its oracle: "
                 + _mismatch_diff(result, expected))
         plan = mgmt.last_plan

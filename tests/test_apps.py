@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -382,3 +383,78 @@ def test_apps_leave_no_bank_space_or_arrays():
             getattr(apps, f"run_{name}")(mgmt, spec)
             assert mgmt.device.cursors == [0] * cores, name
             assert mgmt.registry == {}, name
+
+
+# --- the single-pass oracles and label product, kept as the reference of the
+# row-blocked ones in apps --------------------------------------------------------
+
+
+def single_pass_regression_data(spec, binary_labels):
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    x = rng.integers(0, 64, (spec.total_elems, spec.dims), dtype=np.int32)
+    if binary_labels:
+        y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
+    else:
+        w_true = rng.integers(0, 1 << spec.scale_shift, spec.dims, dtype=np.int64)
+        y = ((x.astype(np.int64) @ w_true) >> spec.scale_shift).astype(np.int32)
+        y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
+    return x, y
+
+
+def single_pass_regression_oracle(spec, logistic):
+    x, y = single_pass_regression_data(spec, logistic)
+    x64 = x.astype(np.int64)
+    y64 = y.astype(np.int64)
+    shift = spec.scale_shift
+    w = np.zeros(spec.dims, np.int64)
+    trajectory = np.zeros((spec.iterations, spec.dims), np.int64)
+    for it in range(spec.iterations):
+        z = (x64 @ w) >> shift
+        if logistic:
+            err = approx_sigmoid_fixed(z, shift) - (y64 << shift)
+        else:
+            err = z - y64
+        grad = (x64 * err[:, None]).sum(axis=0)
+        w = w - (grad >> (2 * shift))
+        trajectory[it] = w
+    return trajectory
+
+
+def single_pass_kmeans_oracle(spec):
+    points64 = apps.make_kmeans_points(spec).astype(np.int64)
+    k = spec.clusters
+    centroids = points64[:k].copy()
+    trajectory = np.zeros((spec.iterations, k, spec.dims), np.int64)
+    for it in range(spec.iterations):
+        labels = apps.nearest_centroid(points64, centroids)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros((k, spec.dims), np.int64)
+        np.add.at(sums, labels, points64)
+        centroids = np.where(counts[:, None] > 0,
+                             trunc_div(sums, np.maximum(counts, 1)[:, None]),
+                             centroids)
+        trajectory[it] = centroids
+    return trajectory
+
+
+@pytest.mark.parametrize("total", [2 * apps.ROW_BLOCK, apps.ROW_BLOCK + 12_345],
+                         ids=["whole-blocks", "partial-block"])
+class TestRowBlockedOracles:
+    def spec(self, total):
+        return BenchmarkSpec(total_elems=total, dims=3, clusters=4, iterations=2, seed=11)
+
+    def test_regression_data_is_unchanged(self, total):
+        for binary in (False, True):
+            got = apps.make_regression_data(self.spec(total), binary_labels=binary)
+            want = single_pass_regression_data(self.spec(total), binary)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype
+                       for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("logistic", [False, True], ids=["linreg", "logreg"])
+    def test_regression_oracle_equals_the_single_pass(self, total, logistic):
+        assert np.array_equal(apps._regression_oracle(self.spec(total), logistic),
+                              single_pass_regression_oracle(self.spec(total), logistic))
+
+    def test_kmeans_oracle_equals_the_single_pass(self, total):
+        assert np.array_equal(apps.oracle_kmeans(self.spec(total)),
+                              single_pass_kmeans_oracle(self.spec(total)))

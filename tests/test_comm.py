@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_mgmt
 from pimlite import comm, processing
 from pimlite.comm import plan_scatter
+from pimlite.device import TransferRecord, round_up
 from pimlite.errors import (
     DuplicateArrayId,
     HostBufferInvalid,
@@ -13,6 +14,7 @@ from pimlite.errors import (
     UnknownArrayId,
     WrongLayout,
 )
+from pimlite.management import ArrayMetadata
 
 
 def check_plan(plan, length, type_size, cores, align=8):
@@ -151,6 +153,109 @@ class TestScatterGather:
         comm.scatter(mgmt, "x", np.zeros(4, np.uint32), 4, 4)
         with pytest.raises(DuplicateArrayId):
             comm.scatter(mgmt, "x", np.zeros(4, np.uint32), 4, 4)
+
+
+def register_raw(mgmt, per_core_elems, type_size, padded, seed=0):
+    """Register a scattered array with the given distribution directly, its
+    chunks (padding included) filled with random bytes; returns its id."""
+    dev = mgmt.device
+    offset = dev.alloc(padded)
+    rng = np.random.default_rng(seed)
+    dev.banks[:, offset:offset + padded] = rng.integers(
+        0, 256, (dev.config.num_cores, padded), dtype=np.uint8)
+    mgmt.register(ArrayMetadata(
+        id="x", len=sum(per_core_elems), type_size=type_size, bank_offset=offset,
+        per_core_elems=tuple(per_core_elems), padded_chunk_bytes=padded))
+    return "x"
+
+
+def parallel_gather(mgmt, array_id):
+    """The reference gather: every core's padded chunk in one parallel
+    transfer, the element bytes of each concatenated."""
+    dev, meta = mgmt.device, mgmt.lookup(array_id)
+    if meta.len == 0:
+        return np.empty(0, np.uint8)
+    buf = np.zeros((dev.config.num_cores, meta.padded_chunk_bytes), np.uint8)
+    dev.host_parallel_transfer(comm.TO_HOST, buf, meta.bank_offset,
+                               meta.padded_chunk_bytes)
+    return np.concatenate([buf[core, :count * meta.type_size]
+                           for core, count in enumerate(meta.per_core_elems) if count])
+
+
+class TestGatherFromOneCore:
+    """An array that one core holds comes back in one serial transfer of that
+    core's aligned bytes, not one padded chunk per core."""
+
+    def expect_one_serial_pull(self, mgmt, array_id, core, nbytes):
+        dev, meta = mgmt.device, mgmt.lookup(array_id)
+        before, log_start = dev.stats.copy(), len(dev.transfer_log)
+        out = comm.gather(mgmt, array_id)
+        pulled = round_up(nbytes, dev.config.dma_alignment)
+        assert dev.stats.pim_to_host_bytes - before.pim_to_host_bytes == pulled
+        assert (dev.stats.serial_transfers - before.serial_transfers,
+                dev.stats.parallel_transfers - before.parallel_transfers) == (1, 0)
+        assert dev.transfer_log[log_start:] == [
+            TransferRecord("serial", comm.TO_HOST, core, meta.bank_offset, None, pulled)]
+        assert out.size == nbytes and out.flags.writeable
+        assert not np.shares_memory(out, dev.banks)
+        return out
+
+    def test_reduction_output_on_core_zero(self):
+        mgmt = make_mgmt(cores=4, log_transfers=True)
+        comm.scatter(mgmt, "v", np.arange(100, dtype=np.uint32), 100, 4)
+        processing.array_red(mgmt, "v", "sum", 4, 3, _acc_handle(mgmt))
+        assert mgmt.lookup("sum").per_core_elems == (3, 0, 0, 0)
+        out = self.expect_one_serial_pull(mgmt, "sum", 0, 12)
+        assert out.view(np.uint32).tolist() == [4950, 0, 0]  # every value on key 0
+
+    @pytest.mark.parametrize("core", [1, 4])
+    def test_array_on_a_later_core(self, core):
+        mgmt = make_mgmt(cores=5, log_transfers=True)
+        counts = [0] * 5
+        counts[core] = 3
+        array_id = register_raw(mgmt, counts, 5, 24, seed=core)  # 15 B -> 16 B pulled
+        meta = mgmt.lookup(array_id)
+        want = mgmt.device.banks[core, meta.bank_offset:meta.bank_offset + 15].copy()
+        out = self.expect_one_serial_pull(mgmt, array_id, core, 15)
+        assert np.array_equal(out, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cores=st.integers(1, 9),
+           type_size=st.sampled_from([1, 2, 3, 4, 5, 8, 12, 40]),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_bytes_equal_the_parallel_reference(self, cores, type_size, data, seed):
+        counts = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(1, 30)), min_size=cores, max_size=cores))
+        padded = round_up(max(counts) * type_size, 8) + data.draw(st.sampled_from([0, 8, 32]))
+        fast, slow = (make_mgmt(cores=cores, bank_bytes=1 << 16) for _ in range(2))
+        for m in (fast, slow):
+            register_raw(m, counts, type_size, padded, seed)
+        want = parallel_gather(slow, "x")
+        before = fast.device.stats.copy()
+        out = comm.gather(fast, "x")
+        assert np.array_equal(out, want) and out.dtype == np.uint8
+        moved = fast.device.stats.pim_to_host_bytes - before.pim_to_host_bytes
+        holders = sum(1 for c in counts if c)
+        if holders == 0:
+            assert fast.device.stats == before
+        elif holders == 1 and cores > 1:
+            assert moved == round_up(sum(counts) * type_size, 8)
+            assert (fast.device.stats.serial_transfers - before.serial_transfers,
+                    fast.device.stats.parallel_transfers - before.parallel_transfers) == (1, 0)
+        else:  # one-core devices and arrays several cores hold: as the reference
+            assert fast.device.stats == slow.device.stats
+
+    def test_allgather_copies_it_to_every_core(self):
+        mgmt = make_mgmt(cores=3)
+        register_raw(mgmt, [0, 0, 7], 4, 32, seed=9)
+        meta = mgmt.lookup("x")
+        want = mgmt.device.banks[2, meta.bank_offset:meta.bank_offset + 28].copy()
+        comm.allgather(mgmt, "x", "xa")
+        full = mgmt.lookup("xa")
+        assert (full.layout, full.per_core_elems) == ("replicated", (7, 7, 7))
+        for core in range(3):
+            assert np.array_equal(
+                mgmt.device.banks[core, full.bank_offset:full.bank_offset + 28], want)
 
 
 @pytest.mark.parametrize("collective", [comm.scatter, comm.broadcast])

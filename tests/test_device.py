@@ -11,8 +11,10 @@ from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, PimDevice, 
 from pimlite.errors import (
     AlignmentViolation,
     HostBufferInvalid,
+    LockMisuse,
     OutOfBankMemory,
     OutOfBounds,
+    PimError,
     ScratchpadOverflow,
     SizeLimitViolation,
     TaskletCountInvalid,
@@ -410,6 +412,25 @@ class TestLockTable:
             table.acquire(1, np.array([1]))
         table.release(0, np.array([1, 2]))
         table.acquire(1, np.array([1, 2, 3]))
+
+    def test_double_acquire_is_a_typed_error(self):
+        table = LockTable(4)
+        table.acquire(0, np.array([2]))
+        with pytest.raises(LockMisuse, match="already held") as exc:
+            table.acquire(1, np.array([2, 3]))
+        assert isinstance(exc.value, PimError) and isinstance(exc.value, RuntimeError)
+        assert table.acquisitions == 1
+        table.release(0, np.array([2]))
+        table.acquire(1, np.array([3]))  # entry 3 was not taken by the refused call
+
+    def test_release_of_an_unheld_lock_is_a_typed_error(self):
+        table = LockTable(4)
+        table.acquire(0, np.array([1]))
+        with pytest.raises(LockMisuse, match="not held") as exc:
+            table.release(1, np.array([1]))
+        assert isinstance(exc.value, PimError) and isinstance(exc.value, RuntimeError)
+        with pytest.raises(LockMisuse):  # entry 1 is still held by tasklet 0
+            table.acquire(2, np.array([1]))
 
 
 class TestTaskletApi:

@@ -1,11 +1,12 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from pimlite import apps, harness
 from pimlite.device import DeviceConfig, PimDevice, TransferRecord
-from pimlite.errors import NoFeasiblePlan
+from pimlite.errors import NoFeasiblePlan, OracleMismatch, PimError
 from pimlite.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -248,15 +249,34 @@ class TestVerify:
         assert problems == [f"{kind}: {rec.as_line()}" for kind, rec in zip(
             ("size 4096", "alignment", "core", "unknown op"), bad)]
 
-    @pytest.mark.parametrize("oracle,message", [
-        (lambda spec: apps.oracle_reduction(spec) + 1, "1+ mismatching entries: [0] "),
-        (lambda spec: [0, 0], "shape mismatch: () vs (2,)"),
-    ], ids=["value", "shape"])
-    def test_strict_run_names_the_mismatch(self, monkeypatch, oracle, message):
-        monkeypatch.setitem(harness.RUNNERS, "reduction", (apps.run_reduction, oracle))
-        config = ExperimentConfig(benchmark="reduction", core_counts=(2,),
+    @pytest.mark.parametrize("app,oracle,message", [
+        ("reduction", lambda spec: apps.oracle_reduction(spec) + 1,
+         "1 mismatching entries: [0] "),
+        ("histogram", lambda spec: apps.oracle_histogram(spec) + 1,
+         "256 mismatching entries: [0] "),
+        ("reduction", lambda spec: [0, 0], "shape mismatch: () vs (2,)"),
+    ], ids=["value", "many-values", "shape"])
+    def test_strict_run_names_the_mismatch(self, monkeypatch, app, oracle, message):
+        monkeypatch.setitem(harness.RUNNERS, app, (harness.RUNNERS[app][0], oracle))
+        config = ExperimentConfig(benchmark=app, core_counts=(2,),
                                   elems_per_core=100)
         with pytest.raises(RuntimeError, match="diverged from its oracle") as exc:
             run_experiment(config, strict=True)
         assert message in str(exc.value)
         assert run_experiment(config, strict=False)[0].correct is False
+
+    def test_strict_mismatch_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setitem(harness.RUNNERS, "reduction", (
+            apps.run_reduction, lambda spec: apps.oracle_reduction(spec) + 1))
+        config = ExperimentConfig(benchmark="reduction", core_counts=(2,),
+                                  elems_per_core=100)
+        with pytest.raises(OracleMismatch) as exc:
+            run_experiment(config, strict=True)
+        assert isinstance(exc.value, PimError) and isinstance(exc.value, RuntimeError)
+
+    def test_mismatch_diff_counts_every_entry_and_shows_five(self):
+        expected = np.arange(8)
+        result = expected + np.array([0, 1, 1, 1, 1, 1, 1, 1])
+        assert harness._mismatch_diff(result, expected) == (
+            "7 mismatching entries: [1] 2 != 1, [2] 3 != 2, [3] 4 != 3, "
+            "[4] 5 != 4, [5] 6 != 5, ...")
