@@ -6,7 +6,11 @@ oracle bit for bit.  Both sides share the same arithmetic definitions (exact
 int64 / wrapping uint32/uint64 numpy operations) but compute through
 completely different paths: the runners go through scatter, scratchpad
 streaming and keyed reduction, while the oracles are straight-line passes
-over the host arrays, ``ROW_BLOCK`` rows at a time.
+over the host arrays, ``ROW_BLOCK`` rows at a time.  One shared definition
+leaves int64: both sides label k-means points with
+:func:`nearest_centroid`, which computes its distances in float64 (BLAS)
+only where a bound on the coordinates proves every term an exact integer,
+and in int64 otherwise, so its labels are those of the int64 expression.
 
 Datasets come from a seeded PCG64 generator so any two runs (or two
 implementations) can reproduce them exactly.
@@ -297,13 +301,46 @@ def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
                                     dtype=np.int32)
 
 
-def nearest_centroid(points64: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each int64 point row's nearest centroid by squared distance,
-    ties to the lowest index.  ``|p - c|² = |p|² - 2p·c + |c|²`` and ``|p|²``
-    is the same for every centroid of a row, so ``|c|² - 2p·c`` has the same
-    argmin; in int64 it is exact."""
+def _top(a: np.ndarray) -> int:
+    """The largest absolute value in integer array ``a`` (0 if it is empty)."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def _float64_exact(w: int, dims: int, ptop: int, ctop: int) -> bool:
+    """Whether every term of ``nearest_centroid``'s float64 path is an exact
+    integer, for key multiplier ``w`` and coordinates at most ``ptop`` (points)
+    and ``ctop`` (centroids) in absolute value.  Python ints: no overflow."""
+    return w * (2 * dims * ptop * ctop + dims * ctop * ctop) + w < 2 ** 53
+
+
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each integer point row's nearest centroid by squared
+    distance, ties to the lowest index.
+
+    ``|p - c|² = |p|² - 2p·c + |c|²`` and ``|p|²`` is the same for every
+    centroid of a row, so ``|c_j|² - 2p·c_j`` has the same argmin.  The
+    reference computes it in int64 and takes ``argmin``.  The fast path packs
+    the index into the value, ``w·(|c_j|² - 2p·c_j) + j`` with ``w`` the
+    smallest power of two >= k, computes it in float64 through BLAS as a
+    (k, m) array, and takes the column minimum: the smallest distance, and
+    among equal distances the lowest index, which its low bits hold (a mask,
+    where ``mod k`` would divide).  Every product, partial sum and packed key
+    there is an integer of magnitude at most
+    ``w·(2·dims·ptop·ctop + dims·ctop²) + w``, where ``ptop`` and ``ctop``
+    bound the points' (by their dtype, else their values) and the centroids'
+    coordinates.  Below 2^53 float64 holds each of them exactly, in any
+    summation order and with FMA, so the labels equal the reference's; at or
+    above it the int64 reference runs."""
     cents = np.asarray(centroids, np.int64)
-    return ((cents * cents).sum(axis=1) - 2 * (points64 @ cents.T)).argmin(axis=1)
+    k, dims = cents.shape
+    w, ctop = 1 << (k - 1).bit_length(), _top(cents)
+    if not (_float64_exact(w, dims, np.iinfo(points.dtype).max + 1, ctop)
+            or _float64_exact(w, dims, _top(points), ctop)):
+        points64 = np.asarray(points, np.int64)
+        return ((cents * cents).sum(axis=1) - 2 * (points64 @ cents.T)).argmin(axis=1)
+    keys = (cents * (-2.0 * w)) @ points.T
+    keys += ((cents * cents).sum(axis=1) * w + np.arange(k))[:, None]
+    return np.minimum.reduce(keys, axis=0).astype(np.int64) & (w - 1)
 
 
 def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
@@ -314,11 +351,11 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
         raise InvalidArgument("need at least one point per cluster seed")
 
     def to_val(src, ctx):
-        pts = src.view(np.int32).reshape(-1, dims).astype(np.int64)
-        cents = ctx.view(np.int64).reshape(k, dims)
-        keys = nearest_centroid(pts, cents)
-        vals = np.concatenate([pts, np.ones((len(pts), 1), np.int64)], axis=1)
-        return vals, keys
+        pts = src.view(np.int32).reshape(-1, dims)
+        vals = np.empty((len(pts), dims + 1), np.int64)  # coordinates, then a 1
+        vals[:, :dims] = pts
+        vals[:, dims] = 1
+        return vals, nearest_centroid(pts, ctx.view(np.int64).reshape(k, dims))
 
     comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
     centroids = points[:k].astype(np.int64)
@@ -351,10 +388,9 @@ def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
         counts = np.zeros(k, np.int64)
         sums = np.zeros((k, spec.dims), np.int64)
         for rows in _row_blocks(spec.total_elems):
-            points64 = points[rows].astype(np.int64)
-            labels = nearest_centroid(points64, centroids)
+            labels = nearest_centroid(points[rows], centroids)
             counts += np.bincount(labels, minlength=k)
-            np.add.at(sums, labels, points64)
+            np.add.at(sums, labels, points[rows].astype(np.int64))
         centroids = np.where(counts[:, None] > 0,
                              trunc_div(sums, np.maximum(counts, 1)[:, None]),
                              centroids)

@@ -67,7 +67,11 @@ A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys or a key outside the output (``InvalidArgument``),
 propagates out of the iterator; the iterator's own bank allocation, and a
 context that the same call broadcast, are released first, so the registry
-and the allocator are left as they were before the call.
+and the allocator are left as they were before the call.  When the error is
+a ``PimError``, the traffic counters and the transfer log are also put back
+as they were, the broadcast included, although the kernel may have moved
+bytes before the error: a refused call counts no traffic.  The contents of
+the scratchpads after a failed launch are undefined.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from .errors import (
     LengthMismatch,
     MissingCallback,
     NoFeasiblePlan,
+    PimError,
     WrongLayout,
 )
 from .management import (
@@ -467,23 +472,30 @@ def _output_array(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
     ``out_per_core`` elements of ``out_size`` bytes per core and yield the
     job that fills it; register ``dest_id`` when the block returns.  If
     anything raises, the allocation and a context that this call broadcast
-    are released first, so allocator and registry are as they were."""
+    are released first, so allocator and registry are as they were; a
+    ``PimError`` also puts the traffic counters and the transfer log back."""
     device = mgmt.device
     out_len = sum(out_per_core)
     padded = round_up(max(out_per_core, default=0) * out_size,
                       device.config.dma_alignment)
-    with _resident_context(mgmt, handle) as ctx:
-        offset = device.alloc(padded)
-        try:
-            yield _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
-                       offset, out_len, out_size)
-            mgmt.register(ArrayMetadata(
-                id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
-                per_core_elems=out_per_core, padded_chunk_bytes=padded,
-                layout=LAYOUT_SCATTERED))
-        except BaseException:
-            device.dealloc(offset, padded)
-            raise
+    stats, log_len = device.stats.copy(), len(device.transfer_log)
+    try:
+        with _resident_context(mgmt, handle) as ctx:
+            offset = device.alloc(padded)
+            try:
+                yield _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
+                           offset, out_len, out_size)
+                mgmt.register(ArrayMetadata(
+                    id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
+                    per_core_elems=out_per_core, padded_chunk_bytes=padded,
+                    layout=LAYOUT_SCATTERED))
+            except BaseException:
+                device.dealloc(offset, padded)
+                raise
+    except PimError:
+        vars(device.stats).update(vars(stats))  # in place: callers may hold it
+        del device.transfer_log[log_len:]
+        raise
 
 
 def dma_schedule(config, job: _Job) -> dict[int, tuple]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_mgmt
 from pimlite import apps, comm, processing
@@ -14,6 +15,12 @@ def run_pair(name, spec, cores, **kw):
     oracle = getattr(apps, f"oracle_{name}")
     mgmt = make_mgmt(cores=cores, bank_bytes=4 << 20)
     return runner(mgmt, spec, **kw), oracle(spec)
+
+
+def direct_nearest(points, cents):
+    """Nearest centroid by the squared distance itself, in int64."""
+    diff = np.asarray(points, np.int64)[:, None, :] - cents[None, :, :]
+    return (diff * diff).sum(axis=2).argmin(axis=1)
 
 
 class TestReduction:
@@ -350,23 +357,61 @@ class TestKmeans:
                        trunc_div(sums, np.maximum(counts, 1)[:, None]), cents)
         assert np.array_equal(new, [[7, 7], [9999, 9999], [5000, 5000]])
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_nearest_centroid_equals_the_direct_squared_distance(self, data):
+    @staticmethod
+    def draw_centroid_case(data, coord, forced=None):
+        """Points (int32 like the run's rows, or int64) and int64 centroids
+        with coordinates from ``coord``; ``forced``, if given, draws the
+        first coordinate of centroid 0."""
         dims = data.draw(st.integers(1, 12))
         k = data.draw(st.integers(1, 10))
-        coord = st.one_of(st.sampled_from([0, 4095]), st.integers(0, 4095))
-        cents = np.array(data.draw(st.lists(st.lists(coord, min_size=dims, max_size=dims),
-                                            min_size=k, max_size=k)), np.int64)
+        rows = data.draw(st.integers(1, 60))
+        cents = data.draw(hnp.arrays(np.int64, (k, dims), elements=coord))
         dups = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
         for src, dst in dups:  # duplicated centroids force ties
             cents[dst] = cents[src]
-        rows = data.draw(st.integers(1, 60))
-        points = np.array(data.draw(st.lists(st.lists(coord, min_size=dims, max_size=dims),
-                                             min_size=rows, max_size=rows)), np.int64)
+        if forced is not None:
+            cents[0, 0] = data.draw(forced)
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        points = data.draw(hnp.arrays(dtype, (rows, dims), elements=coord))
         points[:k] = cents[:rows]  # points on a centroid: ties at distance 0
-        direct = ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        assert np.array_equal(apps.nearest_centroid(points, cents), direct)
+        return points, cents
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nearest_centroid_equals_the_direct_squared_distance(self, data):
+        coord = st.one_of(st.sampled_from([0, 4095]), st.integers(0, 4095))
+        points, cents = self.draw_centroid_case(data, coord)
+        assert np.array_equal(apps.nearest_centroid(points, cents),
+                              direct_nearest(points, cents))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nearest_centroid_beyond_the_float64_bound(self, data):
+        # a centroid coordinate of magnitude >= 2^27 puts w * dims * ctop²
+        # alone at >= 2^54, past the bound for every k and dims, so the int64
+        # reference runs; magnitudes below 2^28 keep int64 from overflowing
+        top, big = (1 << 28) - 1, 1 << 27
+        coord = st.one_of(st.sampled_from([-top, 0, top]), st.integers(-top, top))
+        points, cents = self.draw_centroid_case(
+            data, coord, forced=st.integers(big, top) | st.integers(-top, -big))
+        assert np.array_equal(apps.nearest_centroid(points, cents),
+                              direct_nearest(points, cents))
+
+    def test_the_bound_not_luck_keeps_the_labels_exact(self, monkeypatch):
+        # point p = 2^27 on a line, centroids p + 1 and p: |c|² - 2p·c is
+        # -2^54 + 1 and -2^54, so centroid 1 is nearest.  float64 rounds
+        # (p + 1)² = 2^54 + 2^28 + 1 to 2^54 + 2^28 and ties the two.
+        p = 1 << 27
+        points = np.array([[p]], np.int64)
+        cents = np.array([[p + 1], [p]], np.int64)
+        f = cents.astype(np.float64)
+        rounded = ((f * f).sum(axis=1) - 2 * (points.astype(np.float64) @ f.T))
+        assert rounded.argmin(axis=1).tolist() == [0]
+        assert direct_nearest(points, cents).tolist() == [1]
+        assert apps.nearest_centroid(points, cents).tolist() == [1]
+        # without the guard the float64 path takes the same wrong centroid
+        monkeypatch.setattr(apps, "_float64_exact", lambda *bound: True)
+        assert apps.nearest_centroid(points, cents).tolist() == [0]
 
     def test_trunc_div_rounds_toward_zero(self):
         a = np.array([7, -7, 1, -1], np.int64)

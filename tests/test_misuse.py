@@ -148,9 +148,11 @@ class TestIteratorArguments:
 
 class TestCallbackOutput:
     """A reduction callback that returns the wrong bytes or keys raises
-    ``InvalidArgument`` inside the kernel.  The kernel has moved bytes by
-    then, so the counters move; the iterator's allocation and the context
-    this call broadcast are released, so cursors and registry do not."""
+    ``InvalidArgument`` inside the kernel, after that batch's DMA reads and
+    the broadcast of the handle's context.  The iterator's allocation and
+    that context are released, and the traffic counters and the transfer log
+    are put back, so nothing but the scratchpads (undefined after a failed
+    launch) and free bank space differs from before the call."""
 
     N = 4
 
@@ -174,10 +176,10 @@ class TestCallbackOutput:
     def test_allocation_and_context_are_released(self, bad, message, variant):
         mgmt = loaded_mgmt()
         handle = sum_handle(mgmt, self.to_val(bad), context=np.ones(16, np.uint8))
-        cursors, registry = list(mgmt.device.cursors), dict(mgmt.registry)
+        before = state(mgmt)
         with pytest.raises(InvalidArgument, match=message):
             processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
-        assert mgmt.device.cursors == cursors and mgmt.registry == registry
+        assert state(mgmt)[:4] == before[:4]  # stats, cursors, registry, log
         assert handle.ctx_array_id is None
 
 
