@@ -13,8 +13,8 @@ from pimlite import (
     array_zip,
     create_handle,
     gather,
+    plan_iterator,
     scatter,
-    select_reduction_plan,
 )
 
 
@@ -68,8 +68,8 @@ print(f"reduce: {BINS}-bin histogram via {plan.variant} with "
 # variant keeps one lock-guarded array and so keeps more tasklets.
 cfg = DeviceConfig(num_cores=1)
 for bins in (256, 1024, 4096):
-    p = select_reduction_plan(bins, 4, cfg)
-    s = select_reduction_plan(bins, 4, cfg, variant="shared")
+    p = plan_iterator(cfg, "reduce", (4,), 4, output_len=bins)
+    s = plan_iterator(cfg, "reduce", (4,), 4, output_len=bins, variant="shared")
     print(f"  {bins:5d} bins: private -> {p.num_tasklets:2d} tasklets "
           f"({p.occupancy_bytes} B), shared -> {s.num_tasklets:2d} tasklets")
 

@@ -9,7 +9,9 @@ The layers, bottom to top:
 * :mod:`pimlite.comm` -- broadcast / scatter / gather plus the host-mediated
   allreduce / allgather collectives.
 * :mod:`pimlite.processing` -- map, keyed reduction (shared or thread-private
-  accumulators), lazy zip, and automatic batch/tasklet planning.
+  accumulators) and lazy zip, sized by one planner, :func:`plan_iterator`,
+  and run through one iterator path; an iterator call that raises leaves no
+  trace.
 * :mod:`pimlite.apps` -- six benchmark workloads with sequential oracles.
 * :mod:`pimlite.harness` -- scaling experiments, CSV output, verification.
 """
@@ -88,7 +90,7 @@ from .processing import (
     compute_batch_elems,
     create_handle,
     free_handle,
-    select_reduction_plan,
+    plan_iterator,
     update_context,
 )
 

@@ -50,6 +50,8 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         if self.dims < 1 or self.bins < 2 or self.clusters < 1 or self.iterations < 1:
             raise InvalidArgument("dims >= 1, bins >= 2, clusters >= 1, iterations >= 1")
+        if self.total_elems < 0 or self.seed < 0:
+            raise InvalidArgument("total_elems and seed must be >= 0")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -297,6 +299,8 @@ def oracle_logreg(spec: BenchmarkSpec) -> np.ndarray:
 
 
 def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
+    if spec.total_elems < spec.clusters:
+        raise InvalidArgument("need at least one point per cluster seed")
     return _rng(spec.seed).integers(0, 4096, (spec.total_elems, spec.dims),
                                     dtype=np.int32)
 
@@ -347,8 +351,6 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
                variant: str = "auto") -> np.ndarray:
     points = make_kmeans_points(spec)
     k, dims = spec.clusters, spec.dims
-    if spec.total_elems < k:
-        raise InvalidArgument("need at least one point per cluster seed")
 
     def to_val(src, ctx):
         pts = src.view(np.int32).reshape(-1, dims)

@@ -78,10 +78,12 @@ class DeviceConfig:
     log_transfers: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise InvalidArgument("num_cores must be >= 1")
-        if self.max_tasklets < 1:
-            raise InvalidArgument("max_tasklets must be >= 1")
+        for name in ("num_cores", "max_tasklets", "dma_max_bytes", "dma_alignment"):
+            if getattr(self, name) < 1:
+                raise InvalidArgument(f"{name} must be >= 1")
+        for name in ("dram_bank_bytes", "scratchpad_reserve_bytes"):
+            if getattr(self, name) < 0:
+                raise InvalidArgument(f"{name} must be >= 0")
         if self.dma_max_bytes % self.dma_alignment != 0:
             raise InvalidArgument("dma_alignment must divide dma_max_bytes")
         if self.dma_max_bytes > self.scratchpad_bytes:

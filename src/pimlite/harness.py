@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise InvalidArgument("scaling must be weak or strong")
         if not self.core_counts or any(c < 1 for c in self.core_counts):
             raise InvalidArgument("core_counts must be positive")
+        # every run's spec differs from this one in total_elems alone
+        _make_spec(self, self.elems_per_core * min(self.core_counts))
 
 
 @dataclass
@@ -100,19 +102,21 @@ def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
                   variant: str = "auto", log_transfers: bool = False):
     """Run one benchmark on a fresh device; returns
     (result, expected, correct, mgmt, wall_seconds).  ``mgmt.device`` holds
-    the counters and ``mgmt.last_plan`` the plan of the last kernel run."""
+    the counters and ``mgmt.last_plan`` the plan of the last kernel run.
+    The oracle runs before the device exists, so its working data is freed
+    before the first bank page is touched."""
+    runner, oracle = RUNNERS[name]
+    expected = oracle(spec)
     device = PimDevice(DeviceConfig(
         num_cores=cores, dram_bank_bytes=_bank_bytes_for(spec.total_elems, cores),
         log_transfers=log_transfers))
     mgmt = ManagementContext(device)
-    runner, oracle = RUNNERS[name]
     start = time.perf_counter()
     if name == "vecadd":
         result = runner(mgmt, spec)
     else:
         result = runner(mgmt, spec, variant=variant)
     wall = time.perf_counter() - start
-    expected = oracle(spec)
     correct = bool(np.array_equal(np.asarray(result), np.asarray(expected)))
     return result, expected, correct, mgmt, wall
 
@@ -341,7 +345,8 @@ def check_variant_agreement(total_elems: int = 30_000, cores: int = 4,
 def check_thread_throttling(bins_sweep=(256, 512, 1024, 2048, 4096)) -> CheckResult:
     """Auto-selected tasklet counts for 4-byte-bin histograms."""
     config = DeviceConfig(num_cores=1)
-    counts = [processing.select_reduction_plan(bins, 4, config).num_tasklets
+    counts = [processing.plan_iterator(config, processing.REDUCE, (4,), 4,
+                                       output_len=bins).num_tasklets
               for bins in bins_sweep]
     expected = [12, 12, 8, 4, 2]
     return CheckResult("thread-throttling", counts == expected,

@@ -4,11 +4,13 @@ Execution strategy: inputs stream through per-tasklet scratchpad buffers in
 aligned batches.  One planner, :func:`plan_iterator`, computes the batch from
 the element sizes, the DMA command limit and the remaining scratchpad budget,
 throttles the tasklet count and lays out the scratchpad; every iterator runs
-exactly the plan it returns.  Map, a materializing zip and a reduction share
-one skeleton: plan, make the handle's context resident, allocate the output
-array, launch the kernel with one job record, register the output.  The
-kernel computes no DMA command: it issues, in order, the commands that
-:func:`dma_schedule` derives from the job once per launch.  The cores run in
+exactly the plan it returns.  Map, a materializing zip and a reduction plan
+first, before anything moves, and then run through one function,
+``_iterate``: it broadcasts the handle's context on first use, allocates the
+output array, launches the kernel with one job record, folds a reduction's
+partials on the host and registers the output.  The kernel computes no DMA
+command: it issues, in order, the commands that :func:`dma_schedule`
+derives from the job once per launch.  The cores run in
 lockstep: consecutive cores with the same element count and the same context
 bytes form a run, and each batch step runs once per run (each core's
 scheduled reads, one callback over the rows of all the run's cores, each
@@ -65,20 +67,19 @@ move the same bytes and give the same results.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys or a key outside the output (``InvalidArgument``),
-propagates out of the iterator; the iterator's own bank allocation, and a
-context that the same call broadcast, are released first, so the registry
-and the allocator are left as they were before the call.  When the error is
-a ``PimError``, the traffic counters and the transfer log are also put back
-as they were, the broadcast included, although the kernel may have moved
-bytes before the error: a refused call counts no traffic.  The contents of
-the scratchpads after a failed launch are undefined.
+propagates out of the iterator.  A call that raises leaves no trace: for any
+exception, the iterator's own bank allocation and then a context that the
+same call broadcast are released, and the registry, the allocator, the
+traffic counters, the transfer log and ``last_plan`` are as they were before
+the call, although the kernel may have moved bytes before the error.  The
+contents of the scratchpads, and of the bank bytes that were released,
+are undefined after a failed call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,6 @@ from .errors import (
     LengthMismatch,
     MissingCallback,
     NoFeasiblePlan,
-    PimError,
     WrongLayout,
 )
 from .management import (
@@ -257,28 +257,6 @@ def free_handle(mgmt: ManagementContext, handle: Handle) -> None:
         handle.ctx_array_id = None
 
 
-@contextmanager
-def _resident_context(mgmt: ManagementContext, handle: Handle):
-    """Broadcast the handle context on first use and yield (bank_offset,
-    true_bytes, padded_bytes), or None without a context.  A context that
-    this call broadcast is freed again when the body raises."""
-    if not handle.context_size:
-        yield None
-        return
-    fresh = handle.ctx_array_id is None
-    if fresh:
-        cid = f"__ctx_{handle.id}"
-        comm.broadcast(mgmt, cid, handle.context, handle.context_size, 1)
-        handle.ctx_array_id = cid
-    meta = mgmt.lookup(handle.ctx_array_id)
-    try:
-        yield (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
-    except BaseException:
-        if fresh:
-            free_handle(mgmt, handle)
-        raise
-
-
 # --- batch sizing --------------------------------------------------------------
 
 
@@ -343,16 +321,6 @@ class IteratorPlan:
     occupancy_bytes: int
 
 
-def _canon_variant(variant: str) -> str:
-    table = {"auto": VARIANT_PRIVATE,
-             "private": VARIANT_PRIVATE, VARIANT_PRIVATE: VARIANT_PRIVATE,
-             "shared": VARIANT_SHARED, VARIANT_SHARED: VARIANT_SHARED}
-    try:
-        return table[variant]
-    except KeyError:
-        raise InvalidArgument(f"variant must be auto/shared/private, got {variant!r}") from None
-
-
 def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
                   output_len: int = 0, variant: str = "auto",
                   context_bytes: int = 0) -> IteratorPlan:
@@ -362,7 +330,8 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     ``in_sizes`` are the element sizes of the streamed inputs (two or more
     when a zip is streamed).  ``out_size`` is the element size that a map or
     a zip materialization writes back, or the entry size of a reduction with
-    ``output_len`` entries.  ``auto`` means thread-private accumulators.
+    ``output_len`` entries.  A reduction's ``variant`` is ``private``
+    (thread-private accumulators, also what ``auto`` means) or ``shared``.
 
     Tasklet counts are tried from ``max_tasklets`` down the candidate list.
     A count above one is skipped when its accumulators plus one full DMA
@@ -383,7 +352,9 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
     if kind == REDUCE:
         if output_len < 1 or out_size < 1:
             raise InvalidArgument("output_len and output_elem_bytes must be >= 1")
-        variant = _canon_variant(variant)
+        if variant not in ("auto", "private", "shared"):
+            raise InvalidArgument(f"variant must be auto/shared/private, got {variant!r}")
+        variant = VARIANT_SHARED if variant == "shared" else VARIANT_PRIVATE
         accum_slot = round_up(output_len * out_size, align)
         dma_sizes = in_sizes
     else:
@@ -415,17 +386,6 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
         out_rel={MAP: rels[-2], ZIP: combine_rel}.get(kind),
         accum_base=ctx_pad, accum_slot=accum_slot, blocks_base=blocks_base,
         block_bytes=rels[-1], occupancy_bytes=blocks_base + tasklets * rels[-1])
-
-
-def select_reduction_plan(output_len: int, output_elem_bytes: int, config,
-                          variant: str = "auto", *, input_sizes=(4,),
-                          context_bytes: int = 0) -> IteratorPlan:
-    """The plan ``array_red`` runs for ``output_len`` accumulator entries of
-    ``output_elem_bytes`` over inputs of ``input_sizes`` bytes with a
-    ``context_bytes`` context; raises ``NoFeasiblePlan`` when nothing fits."""
-    return plan_iterator(config, REDUCE, input_sizes, output_elem_bytes,
-                         output_len=output_len, variant=variant,
-                         context_bytes=context_bytes)
 
 
 # --- shared kernel machinery -----------------------------------------------------
@@ -462,40 +422,6 @@ class _Job:
     out_offset: int
     out_len: int
     out_size: int
-
-
-@contextmanager
-def _output_array(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
-                  src: ArrayMetadata, in_streams, dest_id: str,
-                  out_per_core: tuple[int, ...], out_size: int):
-    """Make the handle's context resident, allocate ``dest_id`` with
-    ``out_per_core`` elements of ``out_size`` bytes per core and yield the
-    job that fills it; register ``dest_id`` when the block returns.  If
-    anything raises, the allocation and a context that this call broadcast
-    are released first, so allocator and registry are as they were; a
-    ``PimError`` also puts the traffic counters and the transfer log back."""
-    device = mgmt.device
-    out_len = sum(out_per_core)
-    padded = round_up(max(out_per_core, default=0) * out_size,
-                      device.config.dma_alignment)
-    stats, log_len = device.stats.copy(), len(device.transfer_log)
-    try:
-        with _resident_context(mgmt, handle) as ctx:
-            offset = device.alloc(padded)
-            try:
-                yield _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
-                           offset, out_len, out_size)
-                mgmt.register(ArrayMetadata(
-                    id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
-                    per_core_elems=out_per_core, padded_chunk_bytes=padded,
-                    layout=LAYOUT_SCATTERED))
-            except BaseException:
-                device.dealloc(offset, padded)
-                raise
-    except PimError:
-        vars(device.stats).update(vars(stats))  # in place: callers may hold it
-        del device.transfer_log[log_len:]
-        raise
 
 
 def dma_schedule(config, job: _Job) -> dict[int, tuple]:
@@ -536,12 +462,59 @@ def dma_schedule(config, job: _Job) -> dict[int, tuple]:
     return schedule
 
 
-def _launch(mgmt: ManagementContext, job: _Job) -> None:
-    """Run ``job`` with its plan and DMA schedule; record the plan as executed."""
-    plan, device = job.plan, mgmt.device
-    device.launch_kernel(_iterator_kernel, plan.num_tasklets,
-                         (job, dma_schedule(device.config, job)),
-                         scratch_bytes=plan.occupancy_bytes)
+def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
+             src: ArrayMetadata, in_streams, dest_id: str,
+             out_per_core: tuple[int, ...], out_size: int) -> None:
+    """Run an iterator that ``plan`` was made for over ``src`` and register
+    its output ``dest_id``, ``out_per_core`` elements of ``out_size`` bytes
+    per core.
+
+    In order: broadcast the handle's context on its first use, allocate the
+    output, launch the kernel with the job and its DMA schedule, fold a
+    reduction's per-core partials on the host and push them to core 0,
+    register the output and record the plan as executed.  A call that
+    raises leaves no trace: whatever the exception, the output and then a
+    context that this call broadcast are released, and the traffic counters,
+    the transfer log and ``last_plan`` are as they were.
+    """
+    device = mgmt.device
+    out_len = sum(out_per_core)
+    padded = round_up(max(out_per_core, default=0) * out_size,
+                      device.config.dma_alignment)
+    stats, log_len = device.stats.copy(), len(device.transfer_log)
+    fresh = handle.context_size > 0 and handle.ctx_array_id is None
+    offset = ctx = None
+    try:
+        if fresh:
+            comm.broadcast(mgmt, f"__ctx_{handle.id}", handle.context,
+                           handle.context_size, 1)
+            handle.ctx_array_id = f"__ctx_{handle.id}"
+        if handle.context_size:
+            meta = mgmt.lookup(handle.ctx_array_id)
+            ctx = (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
+        offset = device.alloc(padded)
+        job = _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
+                   offset, out_len, out_size)
+        device.launch_kernel(_iterator_kernel, plan.num_tasklets,
+                             (job, dma_schedule(device.config, job)),
+                             scratch_bytes=plan.occupancy_bytes)
+        if plan.variant is not None:
+            combined = comm._fold_copies(device, handle.acc_func, offset,
+                                         plan.accum_slot, out_len, out_size)
+            device.host_serial_transfer(0, comm.TO_PIM, combined, offset,
+                                        plan.accum_slot)
+        mgmt.register(ArrayMetadata(
+            id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
+            per_core_elems=out_per_core, padded_chunk_bytes=padded,
+            layout=LAYOUT_SCATTERED))
+    except BaseException:
+        if offset is not None:
+            device.dealloc(offset, padded)
+        if fresh:
+            free_handle(mgmt, handle)
+        vars(device.stats).update(vars(stats))  # in place: callers may hold it
+        del device.transfer_log[log_len:]
+        raise
     mgmt.last_plan = plan
 
 
@@ -729,9 +702,8 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
     in_streams = _physical_streams(mgmt, meta)
     plan = plan_iterator(mgmt.device.config, MAP, [s.type_size for s in in_streams],
                          output_type_size, context_bytes=handle.context_size)
-    with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
-                       meta.per_core_elems, output_type_size) as job:
-        _launch(mgmt, job)
+    _iterate(mgmt, handle, plan, meta, in_streams, dest_id, meta.per_core_elems,
+             output_type_size)
     return plan
 
 
@@ -765,9 +737,8 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
     plan = plan_iterator(mgmt.device.config, ZIP,
                          [s.type_size for s in in_streams], out_type_size)
     # a zip handle has no callbacks: the kernel writes the combined batches
-    with _output_array(mgmt, Handle(ZIP), plan, a, in_streams, dest_id,
-                       a.per_core_elems, out_type_size) as job:
-        _launch(mgmt, job)
+    _iterate(mgmt, Handle(ZIP), plan, a, in_streams, dest_id, a.per_core_elems,
+             out_type_size)
     return plan
 
 
@@ -877,18 +848,12 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
         raise DuplicateArrayId(dest_id)
     if handle.kind != REDUCE:
         raise HandleKindMismatch(f"array_red needs a reduce handle, got {handle.kind}")
-    n, d = output_len, output_type_size
-    comm._check_combiner_fits(handle, d)
+    comm._check_combiner_fits(handle, output_type_size)
     in_streams = _physical_streams(mgmt, meta)
-    device = mgmt.device
-    plan = select_reduction_plan(n, d, device.config, variant,
-                                 input_sizes=[s.type_size for s in in_streams],
-                                 context_bytes=handle.context_size)
-    with _output_array(mgmt, handle, plan, meta, in_streams, dest_id,
-                       (n,) + (0,) * (device.config.num_cores - 1), d) as job:
-        _launch(mgmt, job)
-        combined = comm._fold_copies(device, handle.acc_func, job.out_offset,
-                                     plan.accum_slot, n, d)
-        device.host_serial_transfer(0, comm.TO_PIM, combined, job.out_offset,
-                                    plan.accum_slot)
+    config = mgmt.device.config
+    plan = plan_iterator(config, REDUCE, [s.type_size for s in in_streams],
+                         output_type_size, output_len=output_len, variant=variant,
+                         context_bytes=handle.context_size)
+    _iterate(mgmt, handle, plan, meta, in_streams, dest_id,
+             (output_len,) + (0,) * (config.num_cores - 1), output_type_size)
     return plan

@@ -124,7 +124,9 @@ class TestIteratorArguments:
         lambda m: processing.array_red(m, "x", "out", 8, 0, sum_handle(m)),
         lambda m: processing.array_red(m, "x", "out", 8, 1, sum_handle(m),
                                        variant="atomic"),
-    ], ids=["map-output-size", "red-output-len", "variant"])
+        lambda m: processing.array_red(m, "x", "out", 8, 1, sum_handle(m),
+                                       variant="thread_private"),
+    ], ids=["map-output-size", "red-output-len", "variant", "variant-plan-name"])
     def test_refused_before_anything_moves(self, call):
         mgmt = loaded_mgmt()
         before = state(mgmt)
@@ -253,10 +255,24 @@ def test_kmeans_with_fewer_points_than_clusters():
 @pytest.mark.parametrize("make", [
     lambda: DeviceConfig(num_cores=1, max_tasklets=0),
     lambda: DeviceConfig(num_cores=1, scratchpad_reserve_bytes=64 << 10),
+    lambda: DeviceConfig(num_cores=1, dma_alignment=0),
+    lambda: DeviceConfig(num_cores=1, scratchpad_reserve_bytes=-8192),
+    lambda: DeviceConfig(num_cores=1, dma_max_bytes=-8),
+    lambda: DeviceConfig(num_cores=1, dram_bank_bytes=-1),
     lambda: comm.plan_scatter(-1, 4, 2),
     lambda: BenchmarkSpec(dims=0),
+    lambda: BenchmarkSpec(total_elems=-5),
+    lambda: BenchmarkSpec(seed=-1),
     lambda: harness.ExperimentConfig(benchmark="vecadd", core_counts=()),
-], ids=["max-tasklets", "reserve", "plan-scatter", "spec-dims", "core-counts"])
+    lambda: harness.ExperimentConfig(benchmark="vecadd", elems_per_core=-5),
+    lambda: harness.ExperimentConfig(benchmark="vecadd", seed=-1),
+    lambda: harness.main(["run", "--benchmark", "vecadd", "--elems", "-5"]),
+    # the oracle runs first, so it must refuse what run_kmeans refuses
+    lambda: harness.run_benchmark(
+        "kmeans", BenchmarkSpec(name="kmeans", total_elems=3, clusters=4), 2),
+], ids=["max-tasklets", "reserve", "dma-alignment", "negative-reserve", "dma-max-bytes",
+        "bank-bytes", "plan-scatter", "spec-dims", "spec-total", "spec-seed",
+        "core-counts", "elems-per-core", "seed", "cli-elems", "kmeans-oracle"])
 def test_value_validators_raise_invalid_argument(make):
     with pytest.raises(InvalidArgument):
         make()

@@ -32,7 +32,7 @@ from pimlite.processing import (
     ZIP,
     IteratorPlan,
     compute_batch_elems,
-    select_reduction_plan,
+    plan_iterator,
 )
 
 
@@ -126,32 +126,34 @@ class TestReductionPlan:
     @pytest.mark.parametrize("bins,tasklets", [
         (256, 12), (512, 12), (1024, 8), (2048, 4), (4096, 2)])
     def test_histogram_throttling(self, bins, tasklets):
-        plan = select_reduction_plan(bins, 4, DeviceConfig(num_cores=1))
+        plan = plan_iterator(DeviceConfig(num_cores=1), REDUCE, (4,), 4, output_len=bins)
         assert plan.variant == VARIANT_PRIVATE
         assert plan.num_tasklets == tasklets
 
     def test_tiny_accumulator_uses_all_tasklets(self):
-        plan = select_reduction_plan(1, 8, DeviceConfig(num_cores=1))
+        plan = plan_iterator(DeviceConfig(num_cores=1), REDUCE, (4,), 8, output_len=1)
         assert plan.variant == VARIANT_PRIVATE
         assert plan.num_tasklets == 12
 
     def test_occupancy_formulas(self):
         cfg = DeviceConfig(num_cores=1)
-        private = select_reduction_plan(1024, 4, cfg, variant="private")
+        private = plan_iterator(cfg, REDUCE, (4,), 4, output_len=1024, variant="private")
         assert private.occupancy_bytes == 8 * (1024 * 4 + 2048)
-        shared = select_reduction_plan(1024, 4, cfg, variant="shared")
+        shared = plan_iterator(cfg, REDUCE, (4,), 4, output_len=1024, variant="shared")
         assert shared.occupancy_bytes == 1024 * 4 + 12 * 2048
         assert shared.num_tasklets == 12
 
     def test_shared_keeps_more_tasklets_for_large_outputs(self):
         cfg = DeviceConfig(num_cores=1)
-        assert select_reduction_plan(4096, 4, cfg, variant="private").num_tasklets == 2
-        assert select_reduction_plan(4096, 4, cfg, variant="shared").num_tasklets == 12
+        assert plan_iterator(cfg, REDUCE, (4,), 4, output_len=4096,
+                             variant="private").num_tasklets == 2
+        assert plan_iterator(cfg, REDUCE, (4,), 4, output_len=4096,
+                             variant="shared").num_tasklets == 12
 
     def test_no_feasible_plan(self):
         cfg = DeviceConfig(num_cores=1)
         with pytest.raises(NoFeasiblePlan):
-            select_reduction_plan(20_000, 4, cfg)
+            plan_iterator(cfg, REDUCE, (4,), 4, output_len=20_000)
 
     @settings(max_examples=150, deadline=None)
     @given(n1=st.integers(1, 8192), n2=st.integers(1, 8192),
@@ -161,7 +163,7 @@ class TestReductionPlan:
 
         def tasklets(n):
             try:
-                return select_reduction_plan(n, d, cfg).num_tasklets
+                return plan_iterator(cfg, REDUCE, (4,), d, output_len=n).num_tasklets
             except NoFeasiblePlan:
                 return 0
 
@@ -226,8 +228,8 @@ class TestPlanner:
             for ctx in self.CONTEXTS:
                 cfg = DeviceConfig(num_cores=1)
                 try:
-                    expected = select_reduction_plan(
-                        n, d, cfg, variant, input_sizes=in_sizes, context_bytes=ctx)
+                    expected = plan_iterator(cfg, REDUCE, in_sizes, d, output_len=n,
+                                             variant=variant, context_bytes=ctx)
                 except NoFeasiblePlan:
                     expected = None
                 length = 2 * expected.batch_elems + 1 if expected else 8
@@ -303,7 +305,8 @@ class TestPlanner:
         # tasklets need room for full commands each.
         geometry = dict(scratchpad_bytes=16384, scratchpad_reserve_bytes=5021,
                         dma_max_bytes=3180, dma_alignment=12)
-        plan = select_reduction_plan(2166, 4, DeviceConfig(num_cores=1, **geometry))
+        plan = plan_iterator(DeviceConfig(num_cores=1, **geometry), REDUCE, (4,), 4,
+                             output_len=2166)
         assert (plan.num_tasklets, plan.batch_elems) == (1, 672)
         assert plan.occupancy_bytes == 11_352
         mgmt = make_mgmt(cores=3, log_transfers=True, **geometry)
@@ -328,39 +331,56 @@ class TestPlanner:
         assert handle.ctx_array_id is None
 
 
+def iterator_state(mgmt, handle):
+    """Everything a failed iterator call must leave as it found it."""
+    return device_state(mgmt) + (list(mgmt.device.transfer_log), handle.ctx_array_id,
+                                 mgmt.last_plan)
+
+
 class TestFailingCallbacks:
-    """A callback that raises leaves the allocator and the registry as they
-    were before the iterator was called."""
+    """A call that raises leaves no trace, whatever the exception: the
+    counters, the transfer log, the allocator, the registry, the handle's
+    context and ``last_plan`` are as they were before the iterator was
+    called, although the kernel read a batch before the callback raised."""
 
-    def boom(self, *args):
-        raise RuntimeError("callback failed")
+    def boom(self, mgmt, read):
+        def callback(*args):
+            read.append(mgmt.device.stats.dram_to_scratch_bytes)
+            raise ZeroDivisionError("callback failed")
+        return callback
 
-    def test_failing_map_func(self):
-        mgmt = make_mgmt(cores=2)
+    @pytest.mark.parametrize("context", [None, np.ones(100, np.uint8)])
+    def test_failing_map_func(self, context):
+        mgmt = make_mgmt(cores=2, log_transfers=True)
         scatter_u32(mgmt, "x", range(100))
-        handle = processing.create_handle(mgmt, MAP, map_func=self.boom)
-        cursor, ids = mgmt.device.cursors[0], set(mgmt.registry)
-        with pytest.raises(RuntimeError):
+        read = []
+        handle = processing.create_handle(mgmt, MAP, map_func=self.boom(mgmt, read),
+                                          context=context)
+        before = iterator_state(mgmt, handle)
+        with pytest.raises(ZeroDivisionError):
             processing.array_map(mgmt, "x", "y", 16, handle)
-        assert (mgmt.device.cursors[0], set(mgmt.registry)) == (cursor, ids)
+        assert read and read[0] > before[0].dram_to_scratch_bytes
+        assert iterator_state(mgmt, handle) == before
 
+    @pytest.mark.parametrize("context", [None, np.ones(100, np.uint8)])
     @pytest.mark.parametrize("variant", ["shared", "private"])
-    def test_failing_map_to_val_func(self, variant):
-        mgmt = make_mgmt(cores=2)
+    def test_failing_map_to_val_func(self, variant, context):
+        mgmt = make_mgmt(cores=2, log_transfers=True)
         scatter_u32(mgmt, "x", range(100))
+        read = []
         handle = processing.create_handle(mgmt, REDUCE, init_func=lambda a: None,
-                                          map_to_val_func=self.boom,
-                                          acc_func=lambda a, b: None)
-        cursor, ids = mgmt.device.cursors[0], set(mgmt.registry)
-        with pytest.raises(RuntimeError):
+                                          map_to_val_func=self.boom(mgmt, read),
+                                          acc_func=lambda a, b: None, context=context)
+        before = iterator_state(mgmt, handle)
+        with pytest.raises(ZeroDivisionError):
             processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
-        assert (mgmt.device.cursors[0], set(mgmt.registry)) == (cursor, ids)
+        assert read and read[0] > before[0].dram_to_scratch_bytes
+        assert iterator_state(mgmt, handle) == before
 
     @pytest.mark.parametrize("variant", ["shared", "private"])
     def test_acc_func_failing_in_the_host_fold(self, variant):
-        # the fold runs while the output array is allocated; the allocation
-        # and the context this call broadcast are released
-        mgmt = make_mgmt(cores=2)
+        # the fold runs after the launch, while the output array is allocated
+        mgmt = make_mgmt(cores=2, log_transfers=True)
         scatter_u32(mgmt, "x", range(100))
         launches = mgmt.device.stats.kernel_launches
         host_calls = []
@@ -368,7 +388,7 @@ class TestFailingCallbacks:
         def acc(dst, src):
             if mgmt.device.stats.kernel_launches > launches:  # the kernel has run
                 host_calls.append(1)
-                self.boom()
+                raise ZeroDivisionError("callback failed")
             a = dst.view(np.uint32)
             np.add(a, src.view(np.uint32), out=a)
 
@@ -377,12 +397,11 @@ class TestFailingCallbacks:
             map_to_val_func=lambda s, c: (s.view(np.uint32).ravel(),
                                           np.zeros(s.shape[0], np.int64)),
             context=np.zeros(100, np.uint8))
-        cursor, ids = list(mgmt.device.cursors), set(mgmt.registry)
-        with pytest.raises(RuntimeError):
+        before = iterator_state(mgmt, handle)
+        with pytest.raises(ZeroDivisionError):
             processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
         assert host_calls == [1]
-        assert (mgmt.device.cursors, set(mgmt.registry)) == (cursor, ids)
-        assert handle.ctx_array_id is None
+        assert iterator_state(mgmt, handle) == before
 
 
 class TestMap:
@@ -900,15 +919,17 @@ class TestContextLifetime:
         assert set(mgmt.registry) == {"x"} and handle.ctx_array_id is None
 
     def test_context_of_an_earlier_call_stays_resident(self):
-        mgmt = make_mgmt(cores=2)
+        mgmt = make_mgmt(cores=2, log_transfers=True)
         scatter_u32(mgmt, "x", range(8))
         handle = self.make_handle(mgmt, MAP, fail=False)
         self.call(mgmt, MAP, handle, None)
         cid = handle.ctx_array_id
         mgmt.free("y")
         handle.map_func = self.boom
+        before = iterator_state(mgmt, handle)
         with pytest.raises(RuntimeError):
             self.call(mgmt, MAP, handle, None)
+        assert iterator_state(mgmt, handle) == before
         assert handle.ctx_array_id == cid and cid in mgmt.registry
 
     @pytest.mark.parametrize("kind", [MAP, REDUCE])
