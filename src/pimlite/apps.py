@@ -32,6 +32,9 @@ FIXED_POINT_SHIFT = 12
 # many rows at a time, so their int64 temporaries stay a few MB at any size.
 # Integer sums wrap the same in any order: blocking changes no result.
 ROW_BLOCK = 1 << 16
+# The k-means oracle labels a block this many rows at a time: the (k, rows)
+# distance keys of a slice stay in cache, which a whole block's do not.
+LABEL_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -390,9 +393,12 @@ def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
         counts = np.zeros(k, np.int64)
         sums = np.zeros((k, spec.dims), np.int64)
         for rows in _row_blocks(spec.total_elems):
-            labels = nearest_centroid(points[rows], centroids)
+            block = points[rows]
+            labels = np.concatenate([
+                nearest_centroid(block[start:start + LABEL_ROWS], centroids)
+                for start in range(0, len(block), LABEL_ROWS)])
             counts += np.bincount(labels, minlength=k)
-            np.add.at(sums, labels, points[rows].astype(np.int64))
+            np.add.at(sums, labels, block.astype(np.int64))
         centroids = np.where(counts[:, None] > 0,
                              trunc_div(sums, np.maximum(counts, 1)[:, None]),
                              centroids)

@@ -3,6 +3,9 @@
 The machine is a set of identical cores, each owning a private DRAM bank and
 a small scratchpad.  A core only ever touches its own bank, and only through
 explicit DMA commands that must be 8-byte aligned and at most 2048 bytes.
+Cores that issue the same command at once may issue it as one call over a
+``range`` of consecutive cores: one command per core, checked once and moved
+as one copy.
 The host reaches the banks through serial (one core) or parallel (all cores,
 equal-sized slices) transfer commands.  There is no core-to-core channel:
 anything collective has to go through the host.
@@ -229,10 +232,6 @@ class PimDevice:
         self.banks = _zeroed_rows(config.num_cores, config.dram_bank_bytes, "banks")
         self.scratchpads = _zeroed_rows(config.num_cores, config.scratchpad_bytes,
                                         "scratchpads")
-        # a 1-D byte view of each core's row: a DMA command copies between two
-        # memoryview slices, about half the cost of indexing the 2-D arrays
-        self._bank_rows = [memoryview(row) for row in self.banks]
-        self._scratch_rows = [memoryview(row) for row in self.scratchpads]
         self.cursors = [0] * config.num_cores
         self.stats = TrafficStats()
         self.transfer_log: list[TransferRecord] = []
@@ -269,10 +268,10 @@ class PimDevice:
 
     # -- DMA between a core's bank and its scratchpad --------------------------
 
-    def _check_dma(self, core: int, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
+    def _check_dma(self, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
         cfg = self.config
         align = cfg.dma_alignment
-        if (0 <= core < cfg.num_cores and 0 < nbytes <= cfg.dma_max_bytes
+        if (0 < nbytes <= cfg.dma_max_bytes
                 and nbytes % align == 0 and dram_offset % align == 0
                 and scratch_offset % align == 0
                 and 0 <= dram_offset and dram_offset + nbytes <= cfg.dram_bank_bytes
@@ -280,8 +279,6 @@ class PimDevice:
                 and scratch_offset + nbytes <= cfg.scratchpad_bytes):
             return
         # a rejected command: report the first rule it breaks
-        if not 0 <= core < cfg.num_cores:
-            raise OutOfBounds(f"core {core} out of range")
         if nbytes <= 0 or nbytes > cfg.dma_max_bytes:
             raise SizeLimitViolation(
                 f"DMA size {nbytes} outside (0, {cfg.dma_max_bytes}]"
@@ -297,27 +294,46 @@ class PimDevice:
         if scratch_offset < 0 or scratch_offset + nbytes > cfg.scratchpad_bytes:
             raise OutOfBounds(f"scratch range [{scratch_offset}, +{nbytes}) out of bounds")
 
-    def dma_read(self, core: int, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
-        """Copy bank -> scratchpad, one hardware command."""
-        self._check_dma(core, dram_offset, scratch_offset, nbytes)
-        self._scratch_rows[core][scratch_offset:scratch_offset + nbytes] = \
-            self._bank_rows[core][dram_offset:dram_offset + nbytes]
-        self.stats.dram_to_scratch_bytes += nbytes
-        self.stats.dma_commands += 1
-        if self.config.log_transfers:
-            self.transfer_log.append(TransferRecord(
-                "dma_read", "dram_to_scratch", core, dram_offset, scratch_offset, nbytes))
+    def _dma(self, op: str, core, dram_offset: int, scratch_offset: int,
+             nbytes: int) -> None:
+        """The one DMA path: check the command, then copy, count and log it.
+        ``core`` is a core or a ``range(first, end)`` of cores with step 1; a
+        core is the range of that core alone.  The range must be a non-empty
+        range of the device's cores; the command is then checked once, as
+        every core has the same geometry.  A rejected command moves nothing."""
+        cfg = self.config
+        cores = core if isinstance(core, range) else range(core, core + 1)
+        if not (cores.step == 1 and 0 <= cores.start < cores.stop <= cfg.num_cores):
+            raise OutOfBounds(f"{core!r} is not a core or a non-empty step-1 "
+                              f"range of the {cfg.num_cores} cores")
+        self._check_dma(dram_offset, scratch_offset, nbytes)
+        rows = slice(cores.start, cores.stop)
+        bank = self.banks[rows, dram_offset:dram_offset + nbytes]
+        scratch = self.scratchpads[rows, scratch_offset:scratch_offset + nbytes]
+        moved = nbytes * len(cores)
+        if op == "dma_read":
+            scratch[...] = bank
+            self.stats.dram_to_scratch_bytes += moved
+            direction = "dram_to_scratch"
+        else:
+            bank[...] = scratch
+            self.stats.scratch_to_dram_bytes += moved
+            direction = "scratch_to_dram"
+        self.stats.dma_commands += len(cores)
+        if cfg.log_transfers:
+            self.transfer_log.extend(
+                TransferRecord(op, direction, c, dram_offset, scratch_offset, nbytes)
+                for c in cores)
 
-    def dma_write(self, core: int, scratch_offset: int, dram_offset: int, nbytes: int) -> None:
-        """Copy scratchpad -> bank, one hardware command."""
-        self._check_dma(core, dram_offset, scratch_offset, nbytes)
-        self._bank_rows[core][dram_offset:dram_offset + nbytes] = \
-            self._scratch_rows[core][scratch_offset:scratch_offset + nbytes]
-        self.stats.scratch_to_dram_bytes += nbytes
-        self.stats.dma_commands += 1
-        if self.config.log_transfers:
-            self.transfer_log.append(TransferRecord(
-                "dma_write", "scratch_to_dram", core, dram_offset, scratch_offset, nbytes))
+    def dma_read(self, core, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
+        """Copy bank -> scratchpad: one hardware command on ``core``, or one
+        on each core of a ``range`` of cores, moved as one 2-D copy."""
+        self._dma("dma_read", core, dram_offset, scratch_offset, nbytes)
+
+    def dma_write(self, core, scratch_offset: int, dram_offset: int, nbytes: int) -> None:
+        """Copy scratchpad -> bank: one hardware command on ``core``, or one
+        on each core of a ``range`` of cores, moved as one 2-D copy."""
+        self._dma("dma_write", core, dram_offset, scratch_offset, nbytes)
 
     # -- host <-> bank transfers ------------------------------------------------
 

@@ -166,6 +166,8 @@ def run_experiment(config: ExperimentConfig, strict: bool = True) -> list[Result
             kernel_launches=stats.kernel_launches,
             wall_time_ms=wall * 1e3))
         log_lines.extend(rec.as_line() for rec in mgmt.device.transfer_log)
+        # free this point's device and data before the next point's oracle runs
+        del result, expected, mgmt
     if config.transfer_log_path is not None:
         with open(config.transfer_log_path, "w") as f:
             f.write("\n".join(log_lines) + ("\n" if log_lines else ""))
@@ -500,11 +502,14 @@ def main(argv=None) -> int:
     log_path = None
     if args.log_transfers:
         log_path = (args.out + ".transfers.txt") if args.out else "transfers.txt"
-    config = ExperimentConfig(
-        benchmark=args.benchmark, core_counts=args.cores, scaling=args.scaling,
-        elems_per_core=args.elems, bins=args.bins, dims=args.dims,
-        clusters=args.clusters, iterations=args.iters, seed=args.seed,
-        variant=args.variant, transfer_log_path=log_path)
+    try:
+        config = ExperimentConfig(
+            benchmark=args.benchmark, core_counts=args.cores, scaling=args.scaling,
+            elems_per_core=args.elems, bins=args.bins, dims=args.dims,
+            clusters=args.clusters, iterations=args.iters, seed=args.seed,
+            variant=args.variant, transfer_log_path=log_path)
+    except InvalidArgument as exc:
+        run.error(str(exc))  # a usage error: exits with status 2
     rows = run_experiment(config)
     if args.out:
         emit_csv(rows, args.out)

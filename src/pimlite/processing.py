@@ -12,12 +12,14 @@ partials on the host and registers the output.  The kernel computes no DMA
 command: it issues, in order, the commands that :func:`dma_schedule`
 derives from the job once per launch.  The cores run in
 lockstep: consecutive cores with the same element count and the same context
-bytes form a run, and each batch step runs once per run (each core's
-scheduled reads, one callback over the rows of all the run's cores, each
-core's write).  Cores are independent, so the bytes, counters and commands
-are those of running the cores one after another, and a launch's transfer
-log records are in core order.  Reductions keep their accumulators in the
-scratchpad in one of two variants (one shared array behind per-entry locks,
+bytes form a run, and each batch step runs once per run (the scheduled reads,
+one callback over the rows of all the run's cores, the write).  Every core of
+a run issues the same commands, so each one is issued for the run at once, as
+a ``range`` of cores: one command per core, moved as one copy.  Cores are
+independent, so the bytes, counters and commands are those of running the
+cores one after another, and a launch's transfer log records are in core
+order.  Reductions keep their accumulators in the scratchpad in one of two
+variants (one shared array behind per-entry locks,
 or one private array per tasklet merged ring-style); each core then writes
 its partial result into its copy of the output array, and the host folds the
 copies with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the
@@ -631,21 +633,22 @@ class _Slots:
             dst[:, :m] = src[:, :m]
 
 
-def _load_batch_views(dma_read, core: int, reads) -> None:
-    """Issue one core's scheduled ``reads`` of one batch, one command each.
-    Called once per core and batch."""
+def _load_batch_views(dma_read, cores: range, reads) -> None:
+    """Issue the scheduled ``reads`` of one batch on a run of ``cores``, one
+    command per core for each read.  Called once per run and batch."""
     for bank, slot, nbytes in reads:
-        dma_read(core, bank, slot, nbytes)
+        dma_read(cores, bank, slot, nbytes)
 
 
 def _iterator_kernel(tctx: TaskletContext, params) -> None:
     """The kernel of every iterator, in lockstep over cores.
 
     The launch's first (core, tasklet) runs the whole launch and every other
-    one returns at once.  It issues each core's context reads, splits the
-    cores into runs with :func:`_core_groups` and runs each batch step once
-    per run: each core's scheduled reads, one callback over the rows of all
-    the run's cores, then each core's write.  Cores are independent, so this
+    one returns at once.  It issues the context reads on all cores at once (every core reads the
+    same offsets), splits the cores into runs with :func:`_core_groups` and
+    runs each batch step once per run: the scheduled reads, one callback
+    over the rows of all the run's cores, then the write, each command
+    issued for the run's range of cores.  Cores are independent, so this
     moves the same bytes and commands as running them one after another;
     ``launch_kernel`` puts the log records back in core order.
     """
@@ -653,10 +656,9 @@ def _iterator_kernel(tctx: TaskletContext, params) -> None:
         return
     job, schedule = params
     device = tctx.device
-    dma_read = device.dma_read
-    for core, local in enumerate(job.per_core_elems):
-        for bank, slot, nbytes in schedule[local][0]:  # tasklet 0's context reads
-            dma_read(core, bank, slot, nbytes)
+    everyone = range(len(job.per_core_elems))
+    for bank, slot, nbytes in schedule[job.per_core_elems[0]][0]:  # context reads
+        device.dma_read(everyone, bank, slot, nbytes)
     contexts = None if job.ctx is None else device.scratchpads[:, :job.ctx[1]]
     run = _stream_run if job.plan.variant is None else _red_run
     for first, end in _core_groups(job.per_core_elems, contexts):
@@ -670,21 +672,19 @@ def _iterator_kernel(tctx: TaskletContext, params) -> None:
 def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     """Map or materializing zip on cores ``first..end-1``, which share
     ``schedule`` and the context ``ctx``."""
-    scratch = device.scratchpads[first:end]
+    scratch, cores = device.scratchpads[first:end], range(first, end)
     dma_read, dma_write = device.dma_read, device.dma_write
     map_func = job.handle.map_func
     for t, batches in enumerate(schedule[1]):
         slots = _Slots(scratch, job, t)
         for m, reads, (slot, bank, nbytes) in batches:
-            for core in range(first, end):
-                _load_batch_views(dma_read, core, reads)
+            _load_batch_views(dma_read, cores, reads)
             slots.combine(m)
             if map_func is not None:
                 dst = _rows(slots.out, m)
                 map_func(_rows(slots.batch, m), dst, ctx)
                 slots.out[:, :m] = dst.reshape(end - first, m, -1)
-            for core in range(first, end):
-                dma_write(core, slot, bank, nbytes)
+            dma_write(cores, slot, bank, nbytes)
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -787,8 +787,7 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     for t, batches in enumerate(tasklets):
         slots = _Slots(scratch, job, t)
         for m, reads, _ in batches:
-            for core in range(first, end):
-                _load_batch_views(dma_read, core, reads)
+            _load_batch_views(dma_read, range(first, end), reads)
             slots.combine(m)
             vals, keys = map_to_val(_rows(slots.batch, m), ctx)
             rows = _as_entry_rows(vals, cores * m, d)
@@ -826,10 +825,8 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
             lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
             copy[:, 0, lo_e:hi_e] = copy[:, t, lo_e:hi_e]
     accum_slots[...] = accum.reshape(accum_slots.shape)
-    dma_write = device.dma_write
-    for core in range(first, end):  # each core's partial goes to its output copy
-        for scratch_off, bank, nbytes in partial:
-            dma_write(core, scratch_off, bank, nbytes)
+    for scratch_off, bank, nbytes in partial:  # each core's to its output copy
+        device.dma_write(range(first, end), scratch_off, bank, nbytes)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

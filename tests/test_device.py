@@ -176,6 +176,14 @@ class TestDma:
         # alignment 12 is not a power of two: 4 | 8 | 12 is a multiple of 12
         "alignment_12": ({"dma_max_bytes": 1536, "dma_alignment": 12}, 0, 4, 8, 12,
                          AlignmentViolation),
+        # a range of cores must be non-empty, of step 1 and inside the device
+        "range_empty": ({}, range(1, 1), 0, 0, 64, OutOfBounds),
+        "range_step_2": ({}, range(0, 2, 2), 0, 0, 64, OutOfBounds),
+        "range_past_last": ({}, range(1, 3), 0, 0, 64, OutOfBounds),
+        "range_negative_start": ({}, range(-1, 1), 0, 0, 64, OutOfBounds),
+        # a valid range with a bad command
+        "range_size_misaligned": ({}, range(0, 2), 0, 0, 12, AlignmentViolation),
+        "range_dram_past_end": ({}, range(0, 2), 4096 - 8, 0, 16, OutOfBounds),
     }
 
     @pytest.mark.parametrize("op", ["dma_read", "dma_write"])
@@ -197,6 +205,32 @@ class TestDma:
         assert np.array_equal(dev.banks, banks)
         assert np.array_equal(dev.scratchpads, scratchpads)
         assert dev.stats == stats and dev.transfer_log == log
+
+    @pytest.mark.parametrize("op", ["dma_read", "dma_write"])
+    @pytest.mark.parametrize("cores", [range(1, 3), range(2, 3)], ids=["two", "one"])
+    def test_a_range_of_cores_is_one_command_per_core(self, op, cores):
+        # (bank offset, scratch offset, size) of two commands
+        commands = [(64, 128, 256), (2048, 8, 2048)]
+        devices = []
+        for grouped in (True, False):
+            dev = make_device(cores=4, bank_bytes=4096, log_transfers=True)
+            rng = np.random.default_rng(11)
+            dev.banks[:] = rng.integers(0, 256, dev.banks.shape, dtype=np.uint8)
+            dev.scratchpads[:] = rng.integers(0, 256, dev.scratchpads.shape,
+                                              dtype=np.uint8)
+            for bank, scratch, nbytes in commands:
+                for core in [cores] if grouped else cores:
+                    if op == "dma_read":
+                        dev.dma_read(core, bank, scratch, nbytes)
+                    else:
+                        dev.dma_write(core, scratch, bank, nbytes)
+            devices.append(dev)
+        grouped, per_core = devices
+        assert np.array_equal(grouped.banks, per_core.banks)
+        assert np.array_equal(grouped.scratchpads, per_core.scratchpads)
+        assert grouped.stats == per_core.stats
+        assert grouped.stats.dma_commands == 2 * len(cores)
+        assert grouped.transfer_log == per_core.transfer_log
 
 
 class TestHostTransfers:

@@ -266,13 +266,21 @@ def test_kmeans_with_fewer_points_than_clusters():
     lambda: harness.ExperimentConfig(benchmark="vecadd", core_counts=()),
     lambda: harness.ExperimentConfig(benchmark="vecadd", elems_per_core=-5),
     lambda: harness.ExperimentConfig(benchmark="vecadd", seed=-1),
-    lambda: harness.main(["run", "--benchmark", "vecadd", "--elems", "-5"]),
     # the oracle runs first, so it must refuse what run_kmeans refuses
     lambda: harness.run_benchmark(
         "kmeans", BenchmarkSpec(name="kmeans", total_elems=3, clusters=4), 2),
 ], ids=["max-tasklets", "reserve", "dma-alignment", "negative-reserve", "dma-max-bytes",
         "bank-bytes", "plan-scatter", "spec-dims", "spec-total", "spec-seed",
-        "core-counts", "elems-per-core", "seed", "cli-elems", "kmeans-oracle"])
+        "core-counts", "elems-per-core", "seed", "kmeans-oracle"])
 def test_value_validators_raise_invalid_argument(make):
     with pytest.raises(InvalidArgument):
         make()
+
+
+@pytest.mark.parametrize("argv", [["--elems", "-5"], ["--cores", "0"]],
+                         ids=["cli-elems", "cli-cores"])
+def test_cli_refuses_a_bad_value_with_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        harness.main(["run", "--benchmark", "vecadd", *argv])
+    assert exc.value.code == 2
+    assert "pimlite run: error:" in capsys.readouterr().err
