@@ -48,7 +48,6 @@ class BenchmarkSpec:
     clusters: int = 10
     iterations: int = 3
     seed: int = 0
-    scale_shift: int = FIXED_POINT_SHIFT
 
     def __post_init__(self) -> None:
         if self.dims < 1 or self.bins < 2 or self.clusters < 1 or self.iterations < 1:
@@ -210,17 +209,17 @@ def make_regression_data(spec: BenchmarkSpec,
     if binary_labels:
         y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
     else:
-        w_true = rng.integers(0, 1 << spec.scale_shift, spec.dims, dtype=np.int64)
+        w_true = rng.integers(0, 1 << FIXED_POINT_SHIFT, spec.dims, dtype=np.int64)
         y = np.empty(spec.total_elems, np.int32)
         for rows in _row_blocks(spec.total_elems):
-            y[rows] = (x[rows].astype(np.int64) @ w_true) >> spec.scale_shift
+            y[rows] = (x[rows].astype(np.int64) @ w_true) >> FIXED_POINT_SHIFT
         y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
     return x, y
 
 
 def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
     x, y = make_regression_data(spec, binary_labels=logistic)
-    dims, shift = spec.dims, spec.scale_shift
+    dims, shift = spec.dims, FIXED_POINT_SHIFT
     packed = np.concatenate([x, y[:, None]], axis=1)  # int32, like x and y
     del x, y
 
@@ -256,7 +255,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
 
 def _regression_oracle(spec: BenchmarkSpec, logistic: bool) -> np.ndarray:
     x, y = make_regression_data(spec, binary_labels=logistic)
-    shift = spec.scale_shift
+    shift = FIXED_POINT_SHIFT
     w = np.zeros(spec.dims, np.int64)
     trajectory = np.zeros((spec.iterations, spec.dims), np.int64)
     for it in range(spec.iterations):

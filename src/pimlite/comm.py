@@ -22,7 +22,6 @@ import numpy as np
 
 from .device import TO_HOST, TO_PIM, byte_array, round_up
 from .errors import (
-    DuplicateArrayId,
     HandleKindMismatch,
     HostBufferInvalid,
     InvalidArgument,
@@ -32,8 +31,8 @@ from .errors import (
 from .management import (
     LAYOUT_REPLICATED,
     LAYOUT_SCATTERED,
-    ArrayMetadata,
     ManagementContext,
+    chunk_footprint,
 )
 
 
@@ -66,8 +65,7 @@ def plan_scatter(length: int, type_size: int, num_cores: int,
         take = min(base, remaining)
         counts.append(take)
         remaining -= take
-    padded = round_up(max(counts, default=0) * type_size, dma_alignment)
-    return TransferPlan(tuple(counts), padded)
+    return TransferPlan(tuple(counts), chunk_footprint(counts, type_size, dma_alignment))
 
 
 def _as_flat_bytes(host, length: int, type_size: int) -> np.ndarray:
@@ -114,30 +112,22 @@ def broadcast(mgmt: ManagementContext, array_id: str, host, length: int,
               type_size: int) -> None:
     """Copy one host array to every core and register it as replicated."""
     device = mgmt.device
-    if array_id in mgmt.registry:
-        raise DuplicateArrayId(array_id)
     flat = _as_flat_bytes(host, length, type_size)
-    padded = round_up(flat.size, device.config.dma_alignment)
-    offset = device.alloc(padded)
-    if padded:
-        _push_replicated(device, flat, offset, padded)
-    mgmt.register(ArrayMetadata(
-        id=array_id, len=length, type_size=type_size, bank_offset=offset,
-        per_core_elems=(length,) * device.config.num_cores,
-        padded_chunk_bytes=padded, layout=LAYOUT_REPLICATED))
+    meta = mgmt.create(array_id, type_size, (length,) * device.config.num_cores,
+                       LAYOUT_REPLICATED)
+    if meta.padded_chunk_bytes:
+        _push_replicated(device, flat, meta.bank_offset, meta.padded_chunk_bytes)
 
 
 def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
             type_size: int) -> None:
     """Split a host array into per-core chunks with one parallel transfer."""
     device = mgmt.device
-    if array_id in mgmt.registry:
-        raise DuplicateArrayId(array_id)
     flat = _as_flat_bytes(host, length, type_size)
     plan = plan_scatter(length, type_size, device.config.num_cores,
                         device.config.dma_alignment)
-    padded, cores = plan.padded_chunk_bytes, device.config.num_cores
-    offset = device.alloc(padded)
+    meta = mgmt.create(array_id, type_size, plan.per_core_elems)
+    padded, cores = meta.padded_chunk_bytes, device.config.num_cores
     if padded:
         # every core before the last non-empty one takes exactly ``padded``
         # bytes, so the chunks are consecutive slices of ``flat``
@@ -146,11 +136,7 @@ def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
         else:
             buf = np.zeros((cores, padded), np.uint8)
             buf.reshape(-1)[:flat.size] = flat
-        device.host_parallel_transfer(TO_PIM, buf, offset, padded)
-    mgmt.register(ArrayMetadata(
-        id=array_id, len=length, type_size=type_size, bank_offset=offset,
-        per_core_elems=plan.per_core_elems,
-        padded_chunk_bytes=padded, layout=LAYOUT_SCATTERED))
+        device.host_parallel_transfer(TO_PIM, buf, meta.bank_offset, padded)
 
 
 def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
@@ -175,7 +161,7 @@ def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
     nbytes, cores = meta.len * meta.type_size, device.config.num_cores
     holders = [core for core, count in enumerate(meta.per_core_elems) if count]
     if len(holders) == 1 and cores > 1:
-        pulled = round_up(nbytes, device.config.dma_alignment)
+        pulled = chunk_footprint((meta.len,), meta.type_size, device.config.dma_alignment)
         buf = np.zeros(pulled, np.uint8)
         device.host_serial_transfer(holders[0], TO_HOST, buf, meta.bank_offset, pulled)
         return buf[:nbytes]
@@ -213,5 +199,5 @@ def allgather(mgmt: ManagementContext, array_id: str, new_id: str) -> None:
     """Give every core the full concatenation of a scattered array, registered
     as a new replicated array."""
     meta = mgmt.lookup(array_id)
-    full = gather(mgmt, array_id)
-    broadcast(mgmt, new_id, full, meta.len, meta.type_size)
+    mgmt.check_new_id(new_id)  # before anything is pulled
+    broadcast(mgmt, new_id, gather(mgmt, array_id), meta.len, meta.type_size)

@@ -269,16 +269,8 @@ class PimDevice:
     # -- DMA between a core's bank and its scratchpad --------------------------
 
     def _check_dma(self, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
+        """Raise for the first rule that the command breaks, if any."""
         cfg = self.config
-        align = cfg.dma_alignment
-        if (0 < nbytes <= cfg.dma_max_bytes
-                and nbytes % align == 0 and dram_offset % align == 0
-                and scratch_offset % align == 0
-                and 0 <= dram_offset and dram_offset + nbytes <= cfg.dram_bank_bytes
-                and 0 <= scratch_offset
-                and scratch_offset + nbytes <= cfg.scratchpad_bytes):
-            return
-        # a rejected command: report the first rule it breaks
         if nbytes <= 0 or nbytes > cfg.dma_max_bytes:
             raise SizeLimitViolation(
                 f"DMA size {nbytes} outside (0, {cfg.dma_max_bytes}]"

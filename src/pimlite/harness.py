@@ -366,7 +366,8 @@ def measure_lazy_zip_ratio(elems_per_core: int = 10_000, cores: int = 8,
             num_cores=cores, dram_bank_bytes=_bank_bytes_for(spec.total_elems, cores)))
         mgmt = ManagementContext(device)
         result = apps.run_vecadd(mgmt, spec, eager=(mode == "eager"))
-        assert np.array_equal(result, apps.oracle_vecadd(spec))
+        if not np.array_equal(result, apps.oracle_vecadd(spec)):
+            raise OracleMismatch(f"{mode} vecadd diverged from its oracle")
         traffic[mode] = device.stats.bank_scratch_bytes
     return traffic["eager"] / traffic["lazy"]
 

@@ -3,19 +3,26 @@
 Arrays live at the same bank offset on every core (symmetric allocation).
 A metadata record tracks how the elements are split across cores and how much
 padded space each per-core chunk occupies.  Lazily zipped arrays own no
-storage of their own; they only name their two constituents.
+storage of their own; they only name their two constituents.  The framework
+makes every array with :meth:`ManagementContext.create`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import PimDevice
+from .device import PimDevice, round_up
 from .errors import ArrayInUse, DuplicateArrayId, InvalidArgument, UnknownArrayId
 
 LAYOUT_SCATTERED = "scattered"
 LAYOUT_REPLICATED = "replicated"
 LAYOUT_LAZY_ZIP = "lazy_zip"
+
+
+def chunk_footprint(per_core_elems, type_size: int, dma_alignment: int) -> int:
+    """The padded per-core chunk of an array: its largest per-core chunk,
+    rounded up to the DMA alignment."""
+    return round_up(max(per_core_elems, default=0) * type_size, dma_alignment)
 
 
 @dataclass
@@ -82,9 +89,37 @@ class ManagementContext:
         except KeyError:
             raise UnknownArrayId(array_id) from None
 
+    def check_new_id(self, array_id: str) -> None:
+        if array_id in self.registry:
+            raise DuplicateArrayId(array_id)
+
+    def create(self, array_id: str, type_size: int, per_core_elems,
+               layout: str = LAYOUT_SCATTERED,
+               zip_sources: tuple[str, str] | None = None) -> ArrayMetadata:
+        """Register an array of ``per_core_elems[c]`` elements of ``type_size``
+        bytes on core ``c`` (a replicated one holds its ``len`` on every core)
+        and reserve its padded chunk.  A taken id or a bad record reserves
+        nothing; a lazy zip reserves no bank space at all."""
+        lazy = layout == LAYOUT_LAZY_ZIP
+        length = (max(per_core_elems, default=0) if layout == LAYOUT_REPLICATED
+                  else sum(per_core_elems))
+        padded = 0 if lazy else chunk_footprint(per_core_elems, type_size,
+                                                self.device.config.dma_alignment)
+        meta = ArrayMetadata(id=array_id, len=length, type_size=type_size,
+                             bank_offset=None, per_core_elems=tuple(per_core_elems),
+                             padded_chunk_bytes=padded, layout=layout,
+                             zip_sources=zip_sources)
+        self.register(meta)
+        if not lazy:
+            try:
+                meta.bank_offset = self.device.alloc(padded)
+            except BaseException:
+                del self.registry[array_id]
+                raise
+        return meta
+
     def register(self, meta: ArrayMetadata) -> None:
-        if meta.id in self.registry:
-            raise DuplicateArrayId(meta.id)
+        self.check_new_id(meta.id)
         if len(meta.per_core_elems) != self.device.config.num_cores:
             raise InvalidArgument(f"{meta.id}: need one count per core")
         meta.validate(self.device.config.dma_alignment)
@@ -100,7 +135,7 @@ class ManagementContext:
         if users:
             raise ArrayInUse(f"{array_id} is a source of lazy zip {', '.join(users)}")
         del self.registry[array_id]
-        if meta.layout != LAYOUT_LAZY_ZIP and meta.bank_offset is not None:
+        if meta.bank_offset is not None:  # a lazy zip owns no storage
             self.device.dealloc(meta.bank_offset, meta.padded_chunk_bytes)
 
     def new_handle_id(self) -> str:

@@ -6,9 +6,9 @@ the element sizes, the DMA command limit and the remaining scratchpad budget,
 throttles the tasklet count and lays out the scratchpad; every iterator runs
 exactly the plan it returns.  Map, a materializing zip and a reduction plan
 first, before anything moves, and then run through one function,
-``_iterate``: it broadcasts the handle's context on first use, allocates the
-output array, launches the kernel with one job record, folds a reduction's
-partials on the host and registers the output.  The kernel computes no DMA
+``_iterate``: it broadcasts the handle's context on first use, creates the
+output array, launches the kernel with one job record and folds a
+reduction's partials on the host.  The kernel computes no DMA
 command: it issues, in order, the commands that :func:`dma_schedule`
 derives from the job once per launch.  The cores run in
 lockstep: consecutive cores with the same element count and the same context
@@ -89,7 +89,6 @@ import numpy as np
 from . import comm
 from .device import LockTable, TaskletContext, byte_array, round_up, split_dma
 from .errors import (
-    DuplicateArrayId,
     ElementTooLarge,
     DistributionMismatch,
     HandleKindMismatch,
@@ -105,7 +104,6 @@ from .errors import (
 from .management import (
     LAYOUT_LAZY_ZIP,
     LAYOUT_REPLICATED,
-    LAYOUT_SCATTERED,
     ArrayMetadata,
     ManagementContext,
 )
@@ -467,25 +465,22 @@ def dma_schedule(config, job: _Job) -> dict[int, tuple]:
 def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
              src: ArrayMetadata, in_streams, dest_id: str,
              out_per_core: tuple[int, ...], out_size: int) -> None:
-    """Run an iterator that ``plan`` was made for over ``src`` and register
-    its output ``dest_id``, ``out_per_core`` elements of ``out_size`` bytes
-    per core.
+    """Run an iterator that ``plan`` was made for over ``src`` into a new
+    array ``dest_id`` of ``out_per_core`` elements of ``out_size`` bytes per
+    core.
 
-    In order: broadcast the handle's context on its first use, allocate the
+    In order: broadcast the handle's context on its first use, create the
     output, launch the kernel with the job and its DMA schedule, fold a
-    reduction's per-core partials on the host and push them to core 0,
-    register the output and record the plan as executed.  A call that
-    raises leaves no trace: whatever the exception, the output and then a
-    context that this call broadcast are released, and the traffic counters,
-    the transfer log and ``last_plan`` are as they were.
+    reduction's per-core partials on the host and push them to core 0, and
+    record the plan as executed.  A call that raises leaves no trace:
+    whatever the exception, the output and then a context that this call
+    broadcast are freed, and the traffic counters, the transfer log and
+    ``last_plan`` are as they were.
     """
     device = mgmt.device
-    out_len = sum(out_per_core)
-    padded = round_up(max(out_per_core, default=0) * out_size,
-                      device.config.dma_alignment)
     stats, log_len = device.stats.copy(), len(device.transfer_log)
     fresh = handle.context_size > 0 and handle.ctx_array_id is None
-    offset = ctx = None
+    out = ctx = None
     try:
         if fresh:
             comm.broadcast(mgmt, f"__ctx_{handle.id}", handle.context,
@@ -494,24 +489,20 @@ def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
         if handle.context_size:
             meta = mgmt.lookup(handle.ctx_array_id)
             ctx = (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
-        offset = device.alloc(padded)
+        out = mgmt.create(dest_id, out_size, out_per_core)
         job = _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
-                   offset, out_len, out_size)
+                   out.bank_offset, out.len, out_size)
         device.launch_kernel(_iterator_kernel, plan.num_tasklets,
                              (job, dma_schedule(device.config, job)),
                              scratch_bytes=plan.occupancy_bytes)
         if plan.variant is not None:
-            combined = comm._fold_copies(device, handle.acc_func, offset,
-                                         plan.accum_slot, out_len, out_size)
-            device.host_serial_transfer(0, comm.TO_PIM, combined, offset,
-                                        plan.accum_slot)
-        mgmt.register(ArrayMetadata(
-            id=dest_id, len=out_len, type_size=out_size, bank_offset=offset,
-            per_core_elems=out_per_core, padded_chunk_bytes=padded,
-            layout=LAYOUT_SCATTERED))
+            combined = comm._fold_copies(device, handle.acc_func, out.bank_offset,
+                                         out.padded_chunk_bytes, out.len, out_size)
+            device.host_serial_transfer(0, comm.TO_PIM, combined, out.bank_offset,
+                                        out.padded_chunk_bytes)
     except BaseException:
-        if offset is not None:
-            device.dealloc(offset, padded)
+        if out is not None:
+            mgmt.free(dest_id)
         if fresh:
             free_handle(mgmt, handle)
         vars(device.stats).update(vars(stats))  # in place: callers may hold it
@@ -693,8 +684,7 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
     register the result under ``dest_id`` with the same distribution.
     Returns the plan that was executed."""
     meta = mgmt.lookup(src_id)
-    if dest_id in mgmt.registry:
-        raise DuplicateArrayId(dest_id)
+    mgmt.check_new_id(dest_id)
     if handle.kind != MAP:
         raise HandleKindMismatch(f"array_map needs a map handle, got {handle.kind}")
     if output_type_size < 1:
@@ -719,8 +709,7 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
     """
     a = mgmt.lookup(src1_id)
     b = mgmt.lookup(src2_id)
-    if dest_id in mgmt.registry:
-        raise DuplicateArrayId(dest_id)
+    mgmt.check_new_id(dest_id)
     if a.len != b.len:
         raise LengthMismatch(f"{src1_id} has {a.len} elements, {src2_id} {b.len}")
     if a.per_core_elems != b.per_core_elems:
@@ -728,10 +717,8 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
             f"{src1_id} and {src2_id} are split differently across cores")
     out_type_size = a.type_size + b.type_size
     if not materialize and LAYOUT_LAZY_ZIP not in (a.layout, b.layout):
-        mgmt.register(ArrayMetadata(
-            id=dest_id, len=a.len, type_size=out_type_size, bank_offset=None,
-            per_core_elems=a.per_core_elems, padded_chunk_bytes=0,
-            layout=LAYOUT_LAZY_ZIP, zip_sources=(src1_id, src2_id)))
+        mgmt.create(dest_id, out_type_size, a.per_core_elems, LAYOUT_LAZY_ZIP,
+                    (src1_id, src2_id))
         return None
     in_streams = _physical_streams(mgmt, a) + _physical_streams(mgmt, b)
     plan = plan_iterator(mgmt.device.config, ZIP,
@@ -841,8 +828,7 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     ``dest_id``.  Returns the plan that was executed.
     """
     meta = mgmt.lookup(src_id)
-    if dest_id in mgmt.registry:
-        raise DuplicateArrayId(dest_id)
+    mgmt.check_new_id(dest_id)
     if handle.kind != REDUCE:
         raise HandleKindMismatch(f"array_red needs a reduce handle, got {handle.kind}")
     comm._check_combiner_fits(handle, output_type_size)

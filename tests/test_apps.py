@@ -440,8 +440,8 @@ def single_pass_regression_data(spec, binary_labels):
     if binary_labels:
         y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
     else:
-        w_true = rng.integers(0, 1 << spec.scale_shift, spec.dims, dtype=np.int64)
-        y = ((x.astype(np.int64) @ w_true) >> spec.scale_shift).astype(np.int32)
+        w_true = rng.integers(0, 1 << apps.FIXED_POINT_SHIFT, spec.dims, dtype=np.int64)
+        y = ((x.astype(np.int64) @ w_true) >> apps.FIXED_POINT_SHIFT).astype(np.int32)
         y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
     return x, y
 
@@ -450,7 +450,7 @@ def single_pass_regression_oracle(spec, logistic):
     x, y = single_pass_regression_data(spec, logistic)
     x64 = x.astype(np.int64)
     y64 = y.astype(np.int64)
-    shift = spec.scale_shift
+    shift = apps.FIXED_POINT_SHIFT
     w = np.zeros(spec.dims, np.int64)
     trajectory = np.zeros((spec.iterations, spec.dims), np.int64)
     for it in range(spec.iterations):

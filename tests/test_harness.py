@@ -226,6 +226,16 @@ class TestVerify:
         assert res.passed and 2.0 <= res.data <= 2.5
         assert res.detail == f"eager/lazy bank<->scratch ratio {res.data:.4f}"
 
+    def test_lazy_zip_ratio_refuses_a_wrong_result(self, monkeypatch):
+        run_vecadd = apps.run_vecadd
+
+        def off_by_one_when_eager(mgmt, spec, eager=False):
+            return run_vecadd(mgmt, spec, eager=eager) + eager
+
+        monkeypatch.setattr(apps, "run_vecadd", off_by_one_when_eager)
+        with pytest.raises(OracleMismatch, match="eager vecadd diverged"):
+            harness.measure_lazy_zip_ratio(elems_per_core=64, cores=2)
+
     @pytest.mark.parametrize("cores,message", [("2,x", "bad core list"),
                                                (",", "empty core list")])
     def test_bad_core_list(self, capsys, cores, message):

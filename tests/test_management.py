@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import TEST_BANK_BYTES
 from pimlite import comm, processing
-from pimlite.errors import ArrayInUse, DuplicateArrayId, UnknownArrayId
+from pimlite.errors import (
+    ArrayInUse,
+    DuplicateArrayId,
+    InvalidArgument,
+    OutOfBankMemory,
+    UnknownArrayId,
+)
 from pimlite.management import (
     LAYOUT_LAZY_ZIP,
     LAYOUT_REPLICATED,
@@ -148,3 +155,33 @@ def test_replicated_metadata_shape(mgmt):
     meta = mgmt.lookup("c")
     assert meta.layout == LAYOUT_REPLICATED
     assert meta.per_core_elems == (5, 5)
+
+
+class TestCreate:
+    def test_reserves_the_padded_footprint_of_the_largest_chunk(self, mgmt):
+        meta = mgmt.create("s", 12, (3, 2))
+        assert (meta.len, meta.bank_offset, meta.padded_chunk_bytes) == (5, 0, 40)
+        assert mgmt.lookup("s") is meta
+        assert mgmt.device.cursors == [40, 40]
+        rep = mgmt.create("r", 4, (5, 5), LAYOUT_REPLICATED)
+        assert (rep.len, rep.bank_offset, rep.padded_chunk_bytes) == (5, 40, 24)
+
+    def test_a_lazy_zip_reserves_nothing(self, mgmt):
+        mgmt.create("a", 4, (4, 4))
+        mgmt.create("b", 4, (4, 4))
+        zipped = mgmt.create("ab", 8, (4, 4), LAYOUT_LAZY_ZIP, ("a", "b"))
+        assert (zipped.bank_offset, zipped.padded_chunk_bytes) == (None, 0)
+        assert mgmt.device.cursors == [32, 32]
+
+    @pytest.mark.parametrize("args,error", [
+        (("t1", 4, (4, 4)), DuplicateArrayId),
+        (("z", 0, (4, 4)), InvalidArgument),
+        (("z", 4, (4,)), InvalidArgument),
+        (("z", 4, (TEST_BANK_BYTES, 0)), OutOfBankMemory),
+    ], ids=["taken-id", "type-size", "one-count", "bank-full"])
+    def test_a_refused_array_reserves_nothing(self, mgmt, args, error):
+        scatter_u32(mgmt, "t1", range(4))
+        registry, cursors = dict(mgmt.registry), list(mgmt.device.cursors)
+        with pytest.raises(error):
+            mgmt.create(*args)
+        assert mgmt.registry == registry and mgmt.device.cursors == cursors

@@ -9,7 +9,7 @@ plain values (configs, specs, transfer plans) touch no device at all.
 import numpy as np
 import pytest
 
-from conftest import make_mgmt
+from conftest import TEST_BANK_BYTES, make_mgmt
 from pimlite import apps, comm, harness, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import TO_PIM, DeviceConfig
@@ -19,6 +19,7 @@ from pimlite.errors import (
     HostBufferInvalid,
     InvalidArgument,
     InvalidCombiner,
+    OutOfBankMemory,
     OutOfBounds,
     PimError,
     SizeLimitViolation,
@@ -79,9 +80,12 @@ def test_invalid_argument_is_a_typed_value_error():
 class TestDuplicateArrayId:
     CALLS = {
         "broadcast": lambda m: comm.broadcast(m, "y", np.zeros(4, np.uint32), 4, 4),
+        "scatter": lambda m: comm.scatter(m, "y", np.zeros(4, np.uint32), 4, 4),
+        "allgather": lambda m: comm.allgather(m, "x", "y"),
         "array_map": lambda m: processing.array_map(
             m, "x", "y", 4, copy_map(m, context=np.ones(16, np.uint8))),
         "array_zip": lambda m: processing.array_zip(m, "x", "x2", "y", materialize=True),
+        "array_zip-lazy": lambda m: processing.array_zip(m, "x", "x2", "y"),
         "array_red": lambda m: processing.array_red(
             m, "x", "y", 8, 1, sum_handle(m, context=np.ones(16, np.uint8))),
         "register": lambda m: m.register(ArrayMetadata(
@@ -96,6 +100,15 @@ class TestDuplicateArrayId:
         with pytest.raises(DuplicateArrayId):
             self.CALLS[call](mgmt)
         assert_unchanged(mgmt, before)
+
+
+@pytest.mark.parametrize("call", [comm.scatter, comm.broadcast])
+def test_an_array_the_banks_cannot_hold_moves_nothing(call):
+    mgmt = loaded_mgmt()
+    before = state(mgmt)
+    with pytest.raises(OutOfBankMemory):
+        call(mgmt, "big", np.zeros(2 * TEST_BANK_BYTES, np.uint8), 2 * TEST_BANK_BYTES, 1)
+    assert_unchanged(mgmt, before)
 
 
 @pytest.mark.parametrize("kind", [MAP, REDUCE])
