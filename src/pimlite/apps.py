@@ -13,7 +13,16 @@ only where a bound on the coordinates proves every term an exact integer,
 and in int64 otherwise, so its labels are those of the int64 expression.
 
 Datasets come from a seeded PCG64 generator so any two runs (or two
-implementations) can reproduce them exactly.
+implementations) can reproduce them exactly.  Each dataset is cut from one
+stream of 32-bit words, :func:`pcg64_words`: the low half and then the high
+half of each 64-bit PCG64 output, the words that
+``Generator(PCG64(seed)).integers`` consumes one per value.  A value drawn as
+``integers(0, 2**b)`` with ``b <= 32`` is ``word >> (32 - b)``: Lemire's
+bounded method rejects no word for a power-of-two range (its threshold,
+``(2**32 - 2**b) mod 2**b``, is 0) and keeps the product's high bits.  A
+generator takes its draws from consecutive slices of the stream, in the order
+it used to draw them, so the datasets equal those of ``integers``, value for
+value.
 """
 
 from __future__ import annotations
@@ -28,10 +37,23 @@ from .management import ManagementContext
 from .processing import MAP, REDUCE
 
 FIXED_POINT_SHIFT = 12
+
+
+def _float64_exact_rows(rows: int) -> int:
+    """``rows``, if float64 holds every partial sum of that many int32 values
+    exactly (``rows * 2**31 <= 2**52``); else raise ``InvalidArgument``."""
+    if rows > 1 << 21:
+        raise InvalidArgument(f"{rows} rows: float64 sums of int32 values lose bits")
+    return rows
+
+
 # The oracles and the regression labels widen and multiply the host data this
 # many rows at a time, so their int64 temporaries stay a few MB at any size.
-# Integer sums wrap the same in any order: blocking changes no result.
-ROW_BLOCK = 1 << 16
+# Integer sums wrap the same in any order: blocking changes no result.  The
+# k-means oracle sums a block's int32 coordinates per cluster in float64
+# (``np.bincount`` weights): every partial sum is an integer of magnitude at
+# most 2**16 * 2**31 = 2**47 < 2**53, so exact, which the import checks.
+ROW_BLOCK = _float64_exact_rows(1 << 16)
 # The k-means oracle labels a block this many rows at a time: the (k, rows)
 # distance keys of a slice stay in cache, which a whole block's do not.
 LABEL_ROWS = 1 << 12
@@ -56,8 +78,18 @@ class BenchmarkSpec:
             raise InvalidArgument("total_elems and seed must be >= 0")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def pcg64_words(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` 32-bit words that ``Generator(PCG64(seed))``'s
+    bounded integer draws consume, as a uint32 array: the low, then the high
+    half of each 64-bit output (on either byte order)."""
+    raw = np.random.PCG64(seed).random_raw(-(-count // 2))
+    words = raw.astype("<u8", copy=False).view("<u4")[:count]
+    return words.astype(np.uint32, copy=False)  # native order; no copy on little-endian
+
+
+def _top_bits(words: np.ndarray, bits: int) -> np.ndarray:
+    """``integers(0, 2**bits)`` of the uint32 ``words``, shifted in place."""
+    return np.right_shift(words, 32 - bits, out=words)
 
 
 def _row_blocks(n: int):
@@ -91,7 +123,7 @@ def trunc_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def make_reduction_input(spec: BenchmarkSpec) -> np.ndarray:
-    return _rng(spec.seed).integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
+    return pcg64_words(spec.seed, spec.total_elems)
 
 
 def run_reduction(mgmt: ManagementContext, spec: BenchmarkSpec,
@@ -122,10 +154,9 @@ def oracle_reduction(spec: BenchmarkSpec) -> int:
 
 
 def make_vecadd_inputs(spec: BenchmarkSpec) -> tuple[np.ndarray, np.ndarray]:
-    rng = _rng(spec.seed)
-    a = rng.integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
-    b = rng.integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
-    return a, b
+    n = spec.total_elems
+    words = pcg64_words(spec.seed, 2 * n)
+    return words[:n], words[n:]
 
 
 def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
@@ -160,7 +191,7 @@ def oracle_vecadd(spec: BenchmarkSpec) -> np.ndarray:
 
 
 def make_histogram_input(spec: BenchmarkSpec) -> np.ndarray:
-    return _rng(spec.seed).integers(0, 4096, spec.total_elems, dtype=np.uint32)
+    return _top_bits(pcg64_words(spec.seed, spec.total_elems), 12)
 
 
 def histogram_key(values: np.ndarray, bins: int) -> np.ndarray:
@@ -204,16 +235,19 @@ def oracle_histogram(spec: BenchmarkSpec) -> np.ndarray:
 
 def make_regression_data(spec: BenchmarkSpec,
                          binary_labels: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    rng = _rng(spec.seed)
-    x = rng.integers(0, 64, (spec.total_elems, spec.dims), dtype=np.int32)
+    n, dims = spec.total_elems, spec.dims
+    # draw order: x row by row, then the labels (binary), or w_true and the
+    # label noise (linear)
+    words = pcg64_words(spec.seed, n * dims + (n if binary_labels else dims + n))
+    x = _top_bits(words[:n * dims], 6).view(np.int32).reshape(n, dims)
+    rest = words[n * dims:]
     if binary_labels:
-        y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
+        y = _top_bits(rest, 1).view(np.int32)
     else:
-        w_true = rng.integers(0, 1 << FIXED_POINT_SHIFT, spec.dims, dtype=np.int64)
-        y = np.empty(spec.total_elems, np.int32)
-        for rows in _row_blocks(spec.total_elems):
-            y[rows] = (x[rows].astype(np.int64) @ w_true) >> FIXED_POINT_SHIFT
-        y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
+        w_true = _top_bits(rest[:dims], FIXED_POINT_SHIFT).astype(np.int64)
+        y = _top_bits(rest[dims:], 4).view(np.int32)
+        for rows in _row_blocks(n):
+            y[rows] += (x[rows].astype(np.int64) @ w_true) >> FIXED_POINT_SHIFT
     return x, y
 
 
@@ -303,8 +337,8 @@ def oracle_logreg(spec: BenchmarkSpec) -> np.ndarray:
 def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
     if spec.total_elems < spec.clusters:
         raise InvalidArgument("need at least one point per cluster seed")
-    return _rng(spec.seed).integers(0, 4096, (spec.total_elems, spec.dims),
-                                    dtype=np.int32)
+    words = pcg64_words(spec.seed, spec.total_elems * spec.dims)
+    return _top_bits(words, 12).view(np.int32).reshape(spec.total_elems, spec.dims)
 
 
 def _top(a: np.ndarray) -> int:
@@ -383,6 +417,14 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
     return trajectory
 
 
+def _cluster_sums(block: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster coordinate sums of an int32 block of at most ``ROW_BLOCK``
+    rows, as (k, dims) int64: one float64 ``bincount`` per dimension, exact
+    by the bound stated at ``ROW_BLOCK``."""
+    return np.stack([np.bincount(labels, weights=block[:, j], minlength=k)
+                     for j in range(block.shape[1])], axis=1).astype(np.int64)
+
+
 def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
     points = make_kmeans_points(spec)
     k = spec.clusters
@@ -397,7 +439,7 @@ def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
                 nearest_centroid(block[start:start + LABEL_ROWS], centroids)
                 for start in range(0, len(block), LABEL_ROWS)])
             counts += np.bincount(labels, minlength=k)
-            np.add.at(sums, labels, block.astype(np.int64))
+            sums += _cluster_sums(block, labels, k)
         centroids = np.where(counts[:, None] > 0,
                              trunc_div(sums, np.maximum(counts, 1)[:, None]),
                              centroids)

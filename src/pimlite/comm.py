@@ -8,9 +8,11 @@ combine there, push back out.
 Parallel transfer commands require the same slice size on every core, so the
 planner pads every chunk up to an alignment multiple and never splits an
 element across cores.  Pad bytes are zero-filled, which keeps roundtrips and
-log assertions exact.  Gather pulls an array that a single core holds, such
-as a reduction's output, with one serial transfer of that core's bytes
-instead, so the empty chunks of the other cores never cross to the host.
+log assertions exact.  Buffers that the host pulls into are not filled
+first: a to-host transfer writes every byte of its exact-shape buffer.
+Gather pulls an array that a single core holds, such as a reduction's
+output, with one serial transfer of that core's bytes instead, so the empty
+chunks of the other cores never cross to the host.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _fold_copies(device, acc_func, bank_offset: int, padded: int, length: int,
     """Pull every core's ``padded``-byte copy at ``bank_offset`` in one
     parallel transfer and fold the first ``length`` elements of each into
     core 0's with ``acc_func``; return the folded copy, zero-padded."""
-    buf = np.zeros((device.config.num_cores, padded), np.uint8)
+    buf = np.empty((device.config.num_cores, padded), np.uint8)
     device.host_parallel_transfer(TO_HOST, buf, bank_offset, padded)
     nbytes = length * type_size
     out = np.zeros(padded, np.uint8)
@@ -162,11 +164,11 @@ def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
     holders = [core for core, count in enumerate(meta.per_core_elems) if count]
     if len(holders) == 1 and cores > 1:
         pulled = chunk_footprint((meta.len,), meta.type_size, device.config.dma_alignment)
-        buf = np.zeros(pulled, np.uint8)
+        buf = np.empty(pulled, np.uint8)
         device.host_serial_transfer(holders[0], TO_HOST, buf, meta.bank_offset, pulled)
         return buf[:nbytes]
     padded = meta.padded_chunk_bytes
-    buf = np.zeros((cores, padded), np.uint8)
+    buf = np.empty((cores, padded), np.uint8)
     device.host_parallel_transfer(TO_HOST, buf, meta.bank_offset, padded)
     if nbytes == cores * padded:  # no padding: the chunks are the array
         return buf.reshape(-1)

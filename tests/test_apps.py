@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_mgmt
 from pimlite import apps, comm, processing
 from pimlite.apps import BenchmarkSpec, approx_sigmoid_fixed, trunc_div
+from pimlite.errors import InvalidArgument
 from pimlite.processing import REDUCE
 
 
@@ -503,3 +506,120 @@ class TestRowBlockedOracles:
     def test_kmeans_oracle_equals_the_single_pass(self, total):
         assert np.array_equal(apps.oracle_kmeans(self.spec(total)),
                               single_pass_kmeans_oracle(self.spec(total)))
+
+
+# --- the Generator.integers dataset generators, verbatim: the reference that
+# the word-stream generators in apps equal in values, dtype and shape --------------
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def integers_reduction_input(spec):
+    return _rng(spec.seed).integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
+
+
+def integers_vecadd_inputs(spec):
+    rng = _rng(spec.seed)
+    a = rng.integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
+    b = rng.integers(0, 1 << 32, spec.total_elems, dtype=np.uint32)
+    return a, b
+
+
+def integers_histogram_input(spec):
+    return _rng(spec.seed).integers(0, 4096, spec.total_elems, dtype=np.uint32)
+
+
+def integers_regression_data(spec, binary_labels=False):
+    rng = _rng(spec.seed)
+    x = rng.integers(0, 64, (spec.total_elems, spec.dims), dtype=np.int32)
+    if binary_labels:
+        y = rng.integers(0, 2, spec.total_elems, dtype=np.int32)
+    else:
+        w_true = rng.integers(0, 1 << apps.FIXED_POINT_SHIFT, spec.dims, dtype=np.int64)
+        y = np.empty(spec.total_elems, np.int32)
+        for rows in apps._row_blocks(spec.total_elems):
+            y[rows] = (x[rows].astype(np.int64) @ w_true) >> apps.FIXED_POINT_SHIFT
+        y += rng.integers(0, 16, spec.total_elems, dtype=np.int32)
+    return x, y
+
+
+def integers_kmeans_points(spec):
+    if spec.total_elems < spec.clusters:
+        raise InvalidArgument("need at least one point per cluster seed")
+    return _rng(spec.seed).integers(0, 4096, (spec.total_elems, spec.dims),
+                                    dtype=np.int32)
+
+
+GENERATORS = {
+    "reduction": (apps.make_reduction_input, integers_reduction_input),
+    "vecadd": (apps.make_vecadd_inputs, integers_vecadd_inputs),
+    "histogram": (apps.make_histogram_input, integers_histogram_input),
+    "linreg": (apps.make_regression_data, integers_regression_data),
+    "logreg": (partial(apps.make_regression_data, binary_labels=True),
+               partial(integers_regression_data, binary_labels=True)),
+    "kmeans": (apps.make_kmeans_points, integers_kmeans_points),
+}
+
+
+@pytest.mark.parametrize("total", [0, 1, 7, 1_001, 2 * apps.ROW_BLOCK + 1])
+@pytest.mark.parametrize("name", GENERATORS)
+def test_generators_equal_the_integers_reference(name, total):
+    make, reference = GENERATORS[name]
+    for seed in range(5):
+        for dims in (1, 3, 10):
+            spec = BenchmarkSpec(total_elems=total, dims=dims, clusters=1, seed=seed)
+            if name == "kmeans" and total == 0:
+                for generator in (make, reference):
+                    with pytest.raises(InvalidArgument):
+                        generator(spec)
+                continue
+            got, want = make(spec), reference(spec)
+            if not isinstance(want, tuple):
+                got, want = (got,), (want,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape), (seed, dims)
+                assert np.array_equal(g, w), (seed, dims)
+
+
+def test_pcg64_words_are_the_words_integers_draws_from():
+    # (bits, count, dtype) in one mixed sequence; the odd first count leaves a
+    # half-word that the second draw starts from
+    draws = [(12, 7, np.uint32), (32, 5, np.uint32), (1, 9, np.int32),
+             (20, 4, np.uint32), (6, 3, np.int32), (12, 2, np.int64),
+             (31, 11, np.int32), (2, 6, np.uint32), (4, 1, np.int32)]
+    rng = _rng(9)
+    words = apps.pcg64_words(9, sum(count for _, count, _ in draws))
+    assert words.dtype == np.uint32
+    start = 0
+    for bits, count, dtype in draws:
+        want = rng.integers(0, 1 << bits, count, dtype=dtype)
+        got = words[start:start + count] >> (32 - bits)
+        assert np.array_equal(got, want), (bits, count)
+        start += count
+
+
+class TestClusterSums:
+    K = 10
+
+    @pytest.mark.parametrize("case", ["random", "all-max", "all-min"])
+    def test_equal_np_add_at(self, case):
+        rng = np.random.default_rng(17)
+        rows = apps.ROW_BLOCK
+        if case == "random":
+            block = rng.integers(-2**31, 2**31, (rows, 10), dtype=np.int32)
+            labels = rng.integers(0, self.K, rows)
+        else:
+            block = np.full((rows, 3), 2**31 - 1 if case == "all-max" else -2**31, np.int32)
+            labels = np.full(rows, 4)
+        want = np.zeros((self.K, block.shape[1]), np.int64)
+        np.add.at(want, labels, block.astype(np.int64))
+        got = apps._cluster_sums(block, labels, self.K)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_rows_past_the_float64_bound_are_refused(self):
+        assert apps._float64_exact_rows(1 << 21) == 1 << 21
+        with pytest.raises(InvalidArgument):
+            apps._float64_exact_rows((1 << 21) + 1)
