@@ -10,8 +10,8 @@ The layers, bottom to top:
   allreduce / allgather collectives.
 * :mod:`pimlite.processing` -- map, keyed reduction (shared or thread-private
   accumulators) and lazy zip, sized by one planner, :func:`plan_iterator`,
-  and run through one iterator path; an iterator call that raises leaves no
-  trace.
+  and run through one iterator path.  Every public operation that raises
+  follows one rollback rule, stated in :mod:`pimlite.processing`.
 * :mod:`pimlite.apps` -- six benchmark workloads with sequential oracles.
 * :mod:`pimlite.harness` -- scaling experiments, CSV output, verification.
 """

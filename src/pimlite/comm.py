@@ -115,10 +115,11 @@ def broadcast(mgmt: ManagementContext, array_id: str, host, length: int,
     """Copy one host array to every core and register it as replicated."""
     device = mgmt.device
     flat = _as_flat_bytes(host, length, type_size)
-    meta = mgmt.create(array_id, type_size, (length,) * device.config.num_cores,
-                       LAYOUT_REPLICATED)
-    if meta.padded_chunk_bytes:
-        _push_replicated(device, flat, meta.bank_offset, meta.padded_chunk_bytes)
+    with mgmt.rollback():
+        meta = mgmt.create(array_id, type_size, (length,) * device.config.num_cores,
+                           LAYOUT_REPLICATED)
+        if meta.padded_chunk_bytes:
+            _push_replicated(device, flat, meta.bank_offset, meta.padded_chunk_bytes)
 
 
 def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
@@ -128,17 +129,18 @@ def scatter(mgmt: ManagementContext, array_id: str, host, length: int,
     flat = _as_flat_bytes(host, length, type_size)
     plan = plan_scatter(length, type_size, device.config.num_cores,
                         device.config.dma_alignment)
-    meta = mgmt.create(array_id, type_size, plan.per_core_elems)
-    padded, cores = meta.padded_chunk_bytes, device.config.num_cores
-    if padded:
-        # every core before the last non-empty one takes exactly ``padded``
-        # bytes, so the chunks are consecutive slices of ``flat``
-        if flat.size == cores * padded:
-            buf = flat.reshape(cores, padded)
-        else:
-            buf = np.zeros((cores, padded), np.uint8)
-            buf.reshape(-1)[:flat.size] = flat
-        device.host_parallel_transfer(TO_PIM, buf, meta.bank_offset, padded)
+    with mgmt.rollback():
+        meta = mgmt.create(array_id, type_size, plan.per_core_elems)
+        padded, cores = meta.padded_chunk_bytes, device.config.num_cores
+        if padded:
+            # every core before the last non-empty one takes exactly
+            # ``padded`` bytes, so the chunks are consecutive slices of ``flat``
+            if flat.size == cores * padded:
+                buf = flat.reshape(cores, padded)
+            else:
+                buf = np.zeros((cores, padded), np.uint8)
+                buf.reshape(-1)[:flat.size] = flat
+            device.host_parallel_transfer(TO_PIM, buf, meta.bank_offset, padded)
 
 
 def gather(mgmt: ManagementContext, array_id: str) -> np.ndarray:
@@ -192,9 +194,10 @@ def allreduce(mgmt: ManagementContext, array_id: str, handle) -> None:
     _check_combiner_fits(handle, meta.type_size)
     if meta.len == 0:
         return
-    combined = _fold_copies(device, handle.acc_func, meta.bank_offset,
-                            meta.padded_chunk_bytes, meta.len, meta.type_size)
-    _push_replicated(device, combined, meta.bank_offset, meta.padded_chunk_bytes)
+    with mgmt.rollback():
+        combined = _fold_copies(device, handle.acc_func, meta.bank_offset,
+                                meta.padded_chunk_bytes, meta.len, meta.type_size)
+        _push_replicated(device, combined, meta.bank_offset, meta.padded_chunk_bytes)
 
 
 def allgather(mgmt: ManagementContext, array_id: str, new_id: str) -> None:
@@ -202,4 +205,5 @@ def allgather(mgmt: ManagementContext, array_id: str, new_id: str) -> None:
     as a new replicated array."""
     meta = mgmt.lookup(array_id)
     mgmt.check_new_id(new_id)  # before anything is pulled
-    broadcast(mgmt, new_id, gather(mgmt, array_id), meta.len, meta.type_size)
+    with mgmt.rollback():
+        broadcast(mgmt, new_id, gather(mgmt, array_id), meta.len, meta.type_size)

@@ -351,11 +351,6 @@ class PimDevice:
         if direction == TO_HOST and not (isinstance(host, np.ndarray)
                                          and host.flags.writeable):
             raise HostBufferInvalid("to_host needs a writable array to fill in place")
-        if core is None and isinstance(host, (list, tuple)):
-            rows = [byte_array(r) for r in host]
-            if len({getattr(r, "shape", None) for r in rows}) > 1:
-                raise UnequalSliceSizes("slices differ in size")
-            host = np.stack(rows) if rows else np.zeros((0, 0), np.uint8)
         host = byte_array(host)
         if not isinstance(host, np.ndarray):
             raise HostBufferInvalid(f"host buffer must be a uint8 array, got {type(host)}")
@@ -386,10 +381,10 @@ class PimDevice:
         """Move equal-sized slices between the host and every core's bank in
         one parallel command.
 
-        ``host`` is a (num_cores, nbytes_per_core) uint8 array (or a list of
-        equal-sized byte buffers for the to-pim direction).  For ``to_host``
-        the array is filled in place; anything else, an array of another
-        dtype or shape included, raises before a byte moves.
+        ``host`` is a (num_cores, nbytes_per_core) uint8 array.  For
+        ``to_host`` it must be writable and is filled in place; anything
+        else, a list of rows or an array of another dtype or shape included,
+        raises before a byte moves.
         """
         self._host_transfer(direction, None, host, bank_offset, nbytes_per_core)
 

@@ -9,6 +9,7 @@ makes every array with :meth:`ManagementContext.create`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .device import PimDevice, round_up
@@ -98,8 +99,8 @@ class ManagementContext:
                zip_sources: tuple[str, str] | None = None) -> ArrayMetadata:
         """Register an array of ``per_core_elems[c]`` elements of ``type_size``
         bytes on core ``c`` (a replicated one holds its ``len`` on every core)
-        and reserve its padded chunk.  A taken id or a bad record reserves
-        nothing; a lazy zip reserves no bank space at all."""
+        and reserve its padded chunk.  A taken id, a bad record or a full bank
+        leaves nothing behind; a lazy zip reserves no bank space at all."""
         lazy = layout == LAYOUT_LAZY_ZIP
         length = (max(per_core_elems, default=0) if layout == LAYOUT_REPLICATED
                   else sum(per_core_elems))
@@ -109,13 +110,10 @@ class ManagementContext:
                              bank_offset=None, per_core_elems=tuple(per_core_elems),
                              padded_chunk_bytes=padded, layout=layout,
                              zip_sources=zip_sources)
-        self.register(meta)
-        if not lazy:
-            try:
+        with self.rollback():
+            self.register(meta)
+            if not lazy:
                 meta.bank_offset = self.device.alloc(padded)
-            except BaseException:
-                del self.registry[array_id]
-                raise
         return meta
 
     def register(self, meta: ArrayMetadata) -> None:
@@ -137,6 +135,25 @@ class ManagementContext:
         del self.registry[array_id]
         if meta.bank_offset is not None:  # a lazy zip owns no storage
             self.device.dealloc(meta.bank_offset, meta.padded_chunk_bytes)
+
+    @contextmanager
+    def rollback(self):
+        """Undo the block's effects on the host side if it raises, whatever
+        the exception: free the ids registered inside it, newest first, which
+        also returns their bank space to the bump cursor, then restore the
+        traffic counters in place (callers may hold the object) and cut the
+        transfer log back.  Bank and scratchpad bytes are not restored."""
+        device = self.device
+        ids, log_len = set(self.registry), len(device.transfer_log)
+        counters = vars(device.stats).copy()
+        try:
+            yield
+        except BaseException:
+            for array_id in reversed([a for a in self.registry if a not in ids]):
+                self.free(array_id)
+            vars(device.stats).update(counters)
+            del device.transfer_log[log_len:]
+            raise
 
     def new_handle_id(self) -> str:
         self._handle_counter += 1

@@ -69,13 +69,17 @@ move the same bytes and give the same results.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys or a key outside the output (``InvalidArgument``),
-propagates out of the iterator.  A call that raises leaves no trace: for any
-exception, the iterator's own bank allocation and then a context that the
-same call broadcast are released, and the registry, the allocator, the
-traffic counters, the transfer log and ``last_plan`` are as they were before
-the call, although the kernel may have moved bytes before the error.  The
-contents of the scratchpads, and of the bank bytes that were released,
-are undefined after a failed call.
+propagates out of the iterator.
+
+Rollback rule.  Every public operation that raises (a registry call, a
+collective, a handle call or an iterator), whatever the exception,
+leaves the registry, the bank cursor, the traffic counters, the transfer
+log, ``last_plan`` and the handle's resident context as they were before
+the call, although the call may have moved bytes before the error.  Bank
+and scratchpad bytes are undefined after a failed call.  One context
+manager, :meth:`ManagementContext.rollback`, does the undoing for all of
+them: it frees the ids registered inside it, newest first, and puts the
+counters and the log back.
 """
 
 from __future__ import annotations
@@ -472,22 +476,17 @@ def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
     In order: broadcast the handle's context on its first use, create the
     output, launch the kernel with the job and its DMA schedule, fold a
     reduction's per-core partials on the host and push them to core 0, and
-    record the plan as executed.  A call that raises leaves no trace:
-    whatever the exception, the output and then a context that this call
-    broadcast are freed, and the traffic counters, the transfer log and
-    ``last_plan`` are as they were.
+    record the context and the plan as executed.  A call that raises
+    follows the rollback rule of the module docstring.
     """
     device = mgmt.device
-    stats, log_len = device.stats.copy(), len(device.transfer_log)
-    fresh = handle.context_size > 0 and handle.ctx_array_id is None
-    out = ctx = None
-    try:
-        if fresh:
-            comm.broadcast(mgmt, f"__ctx_{handle.id}", handle.context,
-                           handle.context_size, 1)
-            handle.ctx_array_id = f"__ctx_{handle.id}"
+    ctx_id, ctx = handle.ctx_array_id, None
+    with mgmt.rollback():
         if handle.context_size:
-            meta = mgmt.lookup(handle.ctx_array_id)
+            if ctx_id is None:
+                ctx_id = f"__ctx_{handle.id}"
+                comm.broadcast(mgmt, ctx_id, handle.context, handle.context_size, 1)
+            meta = mgmt.lookup(ctx_id)
             ctx = (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
         out = mgmt.create(dest_id, out_size, out_per_core)
         job = _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
@@ -500,15 +499,7 @@ def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
                                          out.padded_chunk_bytes, out.len, out_size)
             device.host_serial_transfer(0, comm.TO_PIM, combined, out.bank_offset,
                                         out.padded_chunk_bytes)
-    except BaseException:
-        if out is not None:
-            mgmt.free(dest_id)
-        if fresh:
-            free_handle(mgmt, handle)
-        vars(device.stats).update(vars(stats))  # in place: callers may hold it
-        del device.transfer_log[log_len:]
-        raise
-    mgmt.last_plan = plan
+    handle.ctx_array_id, mgmt.last_plan = ctx_id, plan
 
 
 def _as_entry_rows(arr, m: int, entry_bytes: int) -> np.ndarray:

@@ -335,9 +335,16 @@ class TestHostTransfers:
         assert dev.stats == TrafficStats() and dev.transfer_log == []
 
     def test_unequal_slices_rejected(self):
-        dev = make_device(cores=2)
-        with pytest.raises(UnequalSliceSizes):
-            dev.host_parallel_transfer(TO_PIM, [bytes(16), bytes(24)], 0, 16)
+        # a parallel transfer takes one (cores, nbytes) array; a list or tuple
+        # of rows is refused whether or not the rows are equal
+        dev = make_device(cores=2, log_transfers=True)
+        dev.banks[:, :16] = 7
+        for rows in ([bytes(16), bytes(24)], [bytes(16), bytes(16)],
+                     (bytes(16), bytes(16))):
+            with pytest.raises(HostBufferInvalid):
+                dev.host_parallel_transfer(TO_PIM, rows, 0, 16)
+        assert (dev.banks[:, :16] == 7).all() and not dev.banks[:, 16:].any()
+        assert dev.stats == TrafficStats() and dev.transfer_log == []
 
     def test_unaligned_parallel_rejected(self):
         dev = make_device(cores=2)

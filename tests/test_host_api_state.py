@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import make_mgmt
+from conftest import host_state, make_mgmt
 from pimlite import comm, processing
 from pimlite.errors import ArrayInUse, DistributionMismatch, LengthMismatch, WrongLayout
 from pimlite.management import LAYOUT_LAZY_ZIP, LAYOUT_REPLICATED, LAYOUT_SCATTERED
@@ -127,11 +127,12 @@ class HostApiMachine(RuleBasedStateMachine):
 
     @contextmanager
     def unchanged(self, error):
-        """The body raises ``error`` and leaves cursors and registry as they were."""
-        before = (list(self.mgmt.device.cursors), dict(self.mgmt.registry))
+        """The body raises ``error`` and leaves the host state as it was."""
+        handles = self.map_handle, self.red_handle
+        before = host_state(self.mgmt, *handles)
         with pytest.raises(error):
             yield
-        assert (list(self.mgmt.device.cursors), dict(self.mgmt.registry)) == before
+        assert host_state(self.mgmt, *handles) == before
 
     def context_ids(self, handle):
         """The ids a call with ``handle`` registers before its output."""

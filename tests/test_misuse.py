@@ -1,15 +1,15 @@
 """Every misuse raises a typed ``PimError`` before any state changes.
 
-Each test takes a snapshot of the traffic counters, the bank cursors, the
-registry, the transfer log and the banks, makes one bad call and requires
-the snapshot to be unchanged.  Validators of
+Each test takes a ``host_state`` snapshot (the traffic counters, the bank
+cursors, the registry, the transfer log, ``last_plan`` and the banks), makes
+one bad call and requires the snapshot to be unchanged.  Validators of
 plain values (configs, specs, transfer plans) touch no device at all.
 """
 
 import numpy as np
 import pytest
 
-from conftest import TEST_BANK_BYTES, make_mgmt
+from conftest import TEST_BANK_BYTES, host_state, make_mgmt
 from pimlite import apps, comm, harness, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import TO_PIM, DeviceConfig
@@ -32,18 +32,6 @@ from pimlite.management import (
     ArrayMetadata,
 )
 from pimlite.processing import MAP, REDUCE
-
-
-def state(mgmt):
-    dev = mgmt.device
-    return (dev.stats.copy(), list(dev.cursors), dict(mgmt.registry),
-            list(dev.transfer_log), dev.banks.copy())
-
-
-def assert_unchanged(mgmt, before):
-    after = state(mgmt)
-    assert after[:4] == before[:4]
-    assert np.array_equal(after[4], before[4])
 
 
 def loaded_mgmt(cores=2):
@@ -96,39 +84,39 @@ class TestDuplicateArrayId:
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_refused_before_anything_moves(self, call):
         mgmt = loaded_mgmt()
-        before = state(mgmt)
+        before = host_state(mgmt, banks=True)
         with pytest.raises(DuplicateArrayId):
             self.CALLS[call](mgmt)
-        assert_unchanged(mgmt, before)
+        assert host_state(mgmt, banks=True) == before
 
 
 @pytest.mark.parametrize("call", [comm.scatter, comm.broadcast])
 def test_an_array_the_banks_cannot_hold_moves_nothing(call):
     mgmt = loaded_mgmt()
-    before = state(mgmt)
+    before = host_state(mgmt, banks=True)
     with pytest.raises(OutOfBankMemory):
         call(mgmt, "big", np.zeros(2 * TEST_BANK_BYTES, np.uint8), 2 * TEST_BANK_BYTES, 1)
-    assert_unchanged(mgmt, before)
+    assert host_state(mgmt, banks=True) == before
 
 
 @pytest.mark.parametrize("kind", [MAP, REDUCE])
 def test_replicated_iterator_input_is_the_wrong_layout(kind):
     mgmt = loaded_mgmt()
-    before = state(mgmt)
+    before = host_state(mgmt, banks=True)
     with pytest.raises(WrongLayout):
         if kind == MAP:
             processing.array_map(mgmt, "c", "out", 4, copy_map(mgmt))
         else:
             processing.array_red(mgmt, "c", "out", 8, 1, sum_handle(mgmt))
-    assert_unchanged(mgmt, before)
+    assert host_state(mgmt, banks=True) == before
 
 
 def test_allreduce_needs_a_handle_with_an_acc_func():
     mgmt = loaded_mgmt()
-    before = state(mgmt)
+    before = host_state(mgmt, banks=True)
     with pytest.raises(HandleKindMismatch):
         comm.allreduce(mgmt, "c", copy_map(mgmt))
-    assert_unchanged(mgmt, before)
+    assert host_state(mgmt, banks=True) == before
 
 
 class TestIteratorArguments:
@@ -142,10 +130,10 @@ class TestIteratorArguments:
     ], ids=["map-output-size", "red-output-len", "variant", "variant-plan-name"])
     def test_refused_before_anything_moves(self, call):
         mgmt = loaded_mgmt()
-        before = state(mgmt)
+        before = host_state(mgmt, banks=True)
         with pytest.raises(InvalidArgument):
             call(mgmt)
-        assert_unchanged(mgmt, before)
+        assert host_state(mgmt, banks=True) == before
 
     def test_batch_of_a_zero_byte_element(self):
         with pytest.raises(InvalidArgument):
@@ -154,11 +142,11 @@ class TestIteratorArguments:
     def test_combiner_without_a_loop_for_its_dtype(self):
         # gcd has no bool loop: resolve_dtypes raises TypeError, not a mismatch
         mgmt = loaded_mgmt()
-        before = state(mgmt)
+        before = host_state(mgmt, banks=True)
         with pytest.raises(InvalidCombiner):
             processing.create_handle(mgmt, REDUCE, map_to_val_func=lambda s, c: None,
                                      init_func=lambda a: None, combine=(np.gcd, np.bool_))
-        assert_unchanged(mgmt, before)
+        assert host_state(mgmt, banks=True) == before
 
 
 class TestCallbackOutput:
@@ -191,10 +179,10 @@ class TestCallbackOutput:
     def test_allocation_and_context_are_released(self, bad, message, variant):
         mgmt = loaded_mgmt()
         handle = sum_handle(mgmt, self.to_val(bad), context=np.ones(16, np.uint8))
-        before = state(mgmt)
+        before = host_state(mgmt)
         with pytest.raises(InvalidArgument, match=message):
             processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
-        assert state(mgmt)[:4] == before[:4]  # stats, cursors, registry, log
+        assert host_state(mgmt) == before
         assert handle.ctx_array_id is None
 
 
@@ -212,18 +200,18 @@ class TestHostSerialTransfer:
                                            nbytes, error):
         mgmt = loaded_mgmt()
         mgmt.device.banks[:, -64:] = 7
-        before = state(mgmt)
+        before = host_state(mgmt, banks=True)
         with pytest.raises(error):
             mgmt.device.host_serial_transfer(core, direction, host, offset, nbytes)
-        assert_unchanged(mgmt, before)
+        assert host_state(mgmt, banks=True) == before
 
 
 def test_negative_allocation():
     mgmt = loaded_mgmt()
-    before = state(mgmt)
+    before = host_state(mgmt, banks=True)
     with pytest.raises(InvalidArgument):
         mgmt.device.alloc(-1)
-    assert_unchanged(mgmt, before)
+    assert host_state(mgmt, banks=True) == before
 
 
 class TestArrayMetadata:
@@ -251,18 +239,18 @@ class TestArrayMetadata:
         mgmt = loaded_mgmt()
         mgmt.register(ArrayMetadata(**self.GOOD))  # the unchanged record is valid
         mgmt.free("new")
-        before = state(mgmt)
+        before = host_state(mgmt, banks=True)
         with pytest.raises(InvalidArgument):
             mgmt.register(ArrayMetadata(**{**self.GOOD, **change}))
-        assert_unchanged(mgmt, before)
+        assert host_state(mgmt, banks=True) == before
 
 
 def test_kmeans_with_fewer_points_than_clusters():
     mgmt = loaded_mgmt()
-    before = state(mgmt)
+    before = host_state(mgmt, banks=True)
     with pytest.raises(InvalidArgument):
         apps.run_kmeans(mgmt, BenchmarkSpec(name="kmeans", total_elems=3, clusters=4))
-    assert_unchanged(mgmt, before)
+    assert host_state(mgmt, banks=True) == before
 
 
 @pytest.mark.parametrize("make", [

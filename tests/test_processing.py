@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mgmt
+from conftest import host_state, make_mgmt
 from pimlite import apps, comm, harness, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import DeviceConfig, round_up
@@ -209,10 +209,6 @@ def assert_streamed_in_batches(mgmt, in_sizes, offsets, length, batch):
         assert max(mine) == -(-min(length, batch) * ts // 8) * 8
 
 
-def device_state(mgmt):
-    return (mgmt.device.stats.copy(), list(mgmt.device.cursors), dict(mgmt.registry))
-
-
 class TestPlanner:
     """One planner: an iterator returns the plan launch_kernel ran, the public
     planner returns that same plan, and a plan it calls feasible fits."""
@@ -243,10 +239,10 @@ class TestPlanner:
                     context=np.zeros(ctx, np.uint8) if ctx else None)
                 launches = record_launches(mgmt)
                 if expected is None:
-                    before = device_state(mgmt)
+                    before = host_state(mgmt)
                     with pytest.raises(NoFeasiblePlan):
                         processing.array_red(mgmt, src, "o", d, n, handle, variant)
-                    assert device_state(mgmt) == before and handle.ctx_array_id is None
+                    assert host_state(mgmt) == before and handle.ctx_array_id is None
                     continue
                 plan = processing.array_red(mgmt, src, "o", d, n, handle, variant)
                 assert plan == expected == mgmt.last_plan
@@ -273,10 +269,10 @@ class TestPlanner:
                     context=np.zeros(ctx, np.uint8) if ctx else None)
                 launches = record_launches(mgmt)
                 if expected is None:
-                    before = device_state(mgmt)
+                    before = host_state(mgmt)
                     with pytest.raises(NoFeasiblePlan):
                         processing.array_map(mgmt, src, "o", out, handle)
-                    assert device_state(mgmt) == before
+                    assert host_state(mgmt) == before
                     continue
                 plan = processing.array_map(mgmt, src, "o", out, handle)
                 assert plan == expected == mgmt.last_plan
@@ -324,17 +320,11 @@ class TestPlanner:
             mgmt, REDUCE, init_func=lambda a: None,
             map_to_val_func=lambda s, c: None, acc_func=lambda a, b: None,
             context=np.zeros((300, 12), np.int64))
-        before = device_state(mgmt)
+        before = host_state(mgmt)
         with pytest.raises(NoFeasiblePlan):
             processing.array_red(mgmt, "pts", "acc", 8 * 13, 300, handle)
-        assert device_state(mgmt) == before
+        assert host_state(mgmt) == before
         assert handle.ctx_array_id is None
-
-
-def iterator_state(mgmt, handle):
-    """Everything a failed iterator call must leave as it found it."""
-    return device_state(mgmt) + (list(mgmt.device.transfer_log), handle.ctx_array_id,
-                                 mgmt.last_plan)
 
 
 class TestFailingCallbacks:
@@ -356,11 +346,11 @@ class TestFailingCallbacks:
         read = []
         handle = processing.create_handle(mgmt, MAP, map_func=self.boom(mgmt, read),
                                           context=context)
-        before = iterator_state(mgmt, handle)
+        before = host_state(mgmt, handle)
         with pytest.raises(ZeroDivisionError):
             processing.array_map(mgmt, "x", "y", 16, handle)
         assert read and read[0] > before[0].dram_to_scratch_bytes
-        assert iterator_state(mgmt, handle) == before
+        assert host_state(mgmt, handle) == before
 
     @pytest.mark.parametrize("context", [None, np.ones(100, np.uint8)])
     @pytest.mark.parametrize("variant", ["shared", "private"])
@@ -371,11 +361,11 @@ class TestFailingCallbacks:
         handle = processing.create_handle(mgmt, REDUCE, init_func=lambda a: None,
                                           map_to_val_func=self.boom(mgmt, read),
                                           acc_func=lambda a, b: None, context=context)
-        before = iterator_state(mgmt, handle)
+        before = host_state(mgmt, handle)
         with pytest.raises(ZeroDivisionError):
             processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
         assert read and read[0] > before[0].dram_to_scratch_bytes
-        assert iterator_state(mgmt, handle) == before
+        assert host_state(mgmt, handle) == before
 
     @pytest.mark.parametrize("variant", ["shared", "private"])
     def test_acc_func_failing_in_the_host_fold(self, variant):
@@ -397,11 +387,32 @@ class TestFailingCallbacks:
             map_to_val_func=lambda s, c: (s.view(np.uint32).ravel(),
                                           np.zeros(s.shape[0], np.int64)),
             context=np.zeros(100, np.uint8))
-        before = iterator_state(mgmt, handle)
+        before = host_state(mgmt, handle)
         with pytest.raises(ZeroDivisionError):
             processing.array_red(mgmt, "x", "y", 4, 4, handle, variant=variant)
         assert host_calls == [1]
-        assert iterator_state(mgmt, handle) == before
+        assert host_state(mgmt, handle) == before
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_acc_func_failing_in_allreduce(self, fail_at):
+        # the host pulled every core's copy before the fold's acc_func raised
+        mgmt = make_mgmt(cores=4, log_transfers=True)
+        comm.broadcast(mgmt, "r", np.arange(8, dtype=np.uint32), 8, 4)
+        calls = []
+
+        def acc(dst, src):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise ZeroDivisionError("callback failed")
+
+        handle = processing.create_handle(
+            mgmt, REDUCE, init_func=lambda a: None, acc_func=acc,
+            map_to_val_func=lambda s, c: None)
+        before = host_state(mgmt, handle, banks=True)
+        with pytest.raises(ZeroDivisionError):
+            comm.allreduce(mgmt, "r", handle)
+        assert len(calls) == fail_at
+        assert host_state(mgmt, handle, banks=True) == before
 
 
 class TestMap:
@@ -715,10 +726,10 @@ class TestDeclaredCombiner:
         return v.astype(np.int64), np.zeros(v.size, np.int64)
 
     def assert_rejected(self, mgmt, error, kind=REDUCE, **kw):
-        before = device_state(mgmt)
+        before = host_state(mgmt)
         with pytest.raises(error):
             processing.create_handle(mgmt, kind, **kw)
-        assert device_state(mgmt) == before
+        assert host_state(mgmt) == before
 
     def test_combine_with_acc_func_rejected(self, mgmt):
         scatter_u32(mgmt, "x", range(8))
@@ -776,10 +787,10 @@ class TestDeclaredCombiner:
         scatter_u32(mgmt, "x", range(100))
         handle = keyed_handle(mgmt, lambda v: np.zeros(v.size, np.int64), np.int64,
                               combine=(np.add, np.int64), context=np.zeros(100, np.uint8))
-        before = device_state(mgmt)
+        before = host_state(mgmt)
         with pytest.raises(InvalidCombiner):
             processing.array_red(mgmt, "x", "o", 12, 1, handle)
-        assert device_state(mgmt) == before
+        assert host_state(mgmt) == before
         assert handle.ctx_array_id is None and mgmt.last_plan is None
 
     @pytest.mark.parametrize("variant", ["shared", "private"])
@@ -926,10 +937,10 @@ class TestContextLifetime:
         cid = handle.ctx_array_id
         mgmt.free("y")
         handle.map_func = self.boom
-        before = iterator_state(mgmt, handle)
+        before = host_state(mgmt, handle)
         with pytest.raises(RuntimeError):
             self.call(mgmt, MAP, handle, None)
-        assert iterator_state(mgmt, handle) == before
+        assert host_state(mgmt, handle) == before
         assert handle.ctx_array_id == cid and cid in mgmt.registry
 
     @pytest.mark.parametrize("kind", [MAP, REDUCE])
@@ -954,13 +965,13 @@ class TestContextLifetime:
         for resident in (False, True):
             if resident:
                 self.call(mgmt, MAP, handle, None)
-            state, context = device_state(mgmt), handle.context.copy()
+            state, context = host_state(mgmt), handle.context.copy()
             banks = mgmt.device.banks.copy()
             # None, and a resized context once one is resident
             for new in (None,) + ((np.zeros(96, np.uint8),) if resident else ()):
                 with pytest.raises(HostBufferInvalid):
                     processing.update_context(mgmt, handle, new)
-                assert device_state(mgmt) == state
+                assert host_state(mgmt) == state
                 assert np.array_equal(handle.context, context)
                 assert np.array_equal(mgmt.device.banks, banks)
 
