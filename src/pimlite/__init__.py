@@ -4,7 +4,7 @@ with a collective-communication and iterator programming layer on top.
 The layers, bottom to top:
 
 * :mod:`pimlite.device` -- cores with private DRAM banks and scratchpads,
-  DMA constraints, deterministic tasklet execution, traffic counters.
+  DMA constraints, kernel launches, traffic counters.
 * :mod:`pimlite.management` -- the host-side registry of device arrays.
 * :mod:`pimlite.comm` -- broadcast / scatter / gather plus the host-mediated
   allreduce / allgather collectives.
@@ -31,7 +31,6 @@ from .device import (
     TO_PIM,
     DeviceConfig,
     PimDevice,
-    TaskletContext,
     TrafficStats,
     TransferRecord,
 )

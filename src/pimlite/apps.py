@@ -11,6 +11,9 @@ leaves int64: both sides label k-means points with
 :func:`nearest_centroid`, which computes its distances in float64 (BLAS)
 only where a bound on the coordinates proves every term an exact integer,
 and in int64 otherwise, so its labels are those of the int64 expression.
+Each runner does its device work inside :meth:`ManagementContext.rollback`:
+one that raises leaves the registry, cursor, counters, log and
+``last_plan`` as they were, so the same context can run it again.
 
 Datasets come from a seeded PCG64 generator so any two runs (or two
 implementations) can reproduce them exactly.  Each dataset is cut from one
@@ -134,13 +137,14 @@ def run_reduction(mgmt: ManagementContext, spec: BenchmarkSpec,
         vals = src.view(np.uint32).ravel().astype(np.uint64)
         return vals, np.zeros(vals.size, np.int64)
 
-    comm.scatter(mgmt, "red_in", data, spec.total_elems, 4)
-    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
-                                      combine=(np.add, np.uint64))
-    processing.array_red(mgmt, "red_in", "red_out", 8, 1, handle, variant=variant)
-    total = int(comm.gather(mgmt, "red_out").view(np.uint64)[0])
-    mgmt.free("red_out")
-    mgmt.free("red_in")
+    with mgmt.rollback():
+        comm.scatter(mgmt, "red_in", data, spec.total_elems, 4)
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                          combine=(np.add, np.uint64))
+        processing.array_red(mgmt, "red_in", "red_out", 8, 1, handle, variant=variant)
+        total = int(comm.gather(mgmt, "red_out").view(np.uint64)[0])
+        mgmt.free("red_out")
+        mgmt.free("red_in")
     return total
 
 
@@ -170,15 +174,16 @@ def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
         out = dst.view(np.uint32).ravel()
         np.add(pairs[:, 0], pairs[:, 1], out=out)
 
-    comm.scatter(mgmt, "va_a", a, spec.total_elems, 4)
-    comm.scatter(mgmt, "va_b", b, spec.total_elems, 4)
-    del a, b  # on the device now; one host copy of the data at a time
-    processing.array_zip(mgmt, "va_a", "va_b", "va_ab", materialize=eager)
-    handle = processing.create_handle(mgmt, MAP, map_func=add_pairs)
-    processing.array_map(mgmt, "va_ab", "va_out", 4, handle)
-    out = comm.gather(mgmt, "va_out").view(np.uint32)
-    for name in ("va_out", "va_ab", "va_b", "va_a"):
-        mgmt.free(name)
+    with mgmt.rollback():
+        comm.scatter(mgmt, "va_a", a, spec.total_elems, 4)
+        comm.scatter(mgmt, "va_b", b, spec.total_elems, 4)
+        del a, b  # on the device now; one host copy of the data at a time
+        processing.array_zip(mgmt, "va_a", "va_b", "va_ab", materialize=eager)
+        handle = processing.create_handle(mgmt, MAP, map_func=add_pairs)
+        processing.array_map(mgmt, "va_ab", "va_out", 4, handle)
+        out = comm.gather(mgmt, "va_out").view(np.uint32)
+        for name in ("va_out", "va_ab", "va_b", "va_a"):
+            mgmt.free(name)
     return out
 
 
@@ -208,15 +213,16 @@ def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
         d = src.view(np.uint32).ravel()
         return np.ones(d.size, np.uint32), histogram_key(d, bins)
 
-    comm.scatter(mgmt, "hist_in", data, spec.total_elems, 4)
-    del data
-    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
-                                      combine=(np.add, np.uint32))
-    processing.array_red(mgmt, "hist_in", "hist_out", 4, bins, handle,
-                         variant=variant)
-    counts = comm.gather(mgmt, "hist_out").view(np.uint32)
-    mgmt.free("hist_out")
-    mgmt.free("hist_in")
+    with mgmt.rollback():
+        comm.scatter(mgmt, "hist_in", data, spec.total_elems, 4)
+        del data
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                          combine=(np.add, np.uint32))
+        processing.array_red(mgmt, "hist_in", "hist_out", 4, bins, handle,
+                             variant=variant)
+        counts = comm.gather(mgmt, "hist_out").view(np.uint32)
+        mgmt.free("hist_out")
+        mgmt.free("hist_in")
     return counts
 
 
@@ -268,22 +274,23 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
             err = z - ys
         return xs * err[:, None], np.zeros(len(rows), np.int64)
 
-    comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
-    del packed
-    w = np.zeros(dims, np.int64)
-    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
-                                      combine=(np.add, np.int64), context=w)
-    trajectory = np.zeros((spec.iterations, dims), np.int64)
-    for it in range(spec.iterations):
-        processing.update_context(mgmt, handle, w)
-        processing.array_red(mgmt, "reg_in", "reg_grad", 8 * dims, 1, handle,
-                             variant=variant)
-        grad = comm.gather(mgmt, "reg_grad").view(np.int64)
-        mgmt.free("reg_grad")
-        w = w - (grad >> (2 * shift))
-        trajectory[it] = w
-    processing.free_handle(mgmt, handle)
-    mgmt.free("reg_in")
+    with mgmt.rollback():
+        comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
+        del packed
+        w = np.zeros(dims, np.int64)
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                          combine=(np.add, np.int64), context=w)
+        trajectory = np.zeros((spec.iterations, dims), np.int64)
+        for it in range(spec.iterations):
+            processing.update_context(mgmt, handle, w)
+            processing.array_red(mgmt, "reg_in", "reg_grad", 8 * dims, 1, handle,
+                                 variant=variant)
+            grad = comm.gather(mgmt, "reg_grad").view(np.int64)
+            mgmt.free("reg_grad")
+            w = w - (grad >> (2 * shift))
+            trajectory[it] = w
+        processing.free_handle(mgmt, handle)
+        mgmt.free("reg_in")
     return trajectory
 
 
@@ -395,25 +402,26 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
         vals[:, dims] = 1
         return vals, nearest_centroid(pts, ctx.view(np.int64).reshape(k, dims))
 
-    comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
-    centroids = points[:k].astype(np.int64)
-    del points
-    handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
-                                      combine=(np.add, np.int64), context=centroids)
-    trajectory = np.zeros((spec.iterations, k, dims), np.int64)
-    for it in range(spec.iterations):
-        processing.update_context(mgmt, handle, centroids)
-        processing.array_red(mgmt, "km_pts", "km_acc", 8 * (dims + 1), k, handle,
-                             variant=variant)
-        acc = comm.gather(mgmt, "km_acc").view(np.int64).reshape(k, dims + 1)
-        mgmt.free("km_acc")
-        sums, counts = acc[:, :dims], acc[:, dims]
-        centroids = np.where(counts[:, None] > 0,
-                             trunc_div(sums, np.maximum(counts, 1)[:, None]),
-                             centroids)
-        trajectory[it] = centroids
-    processing.free_handle(mgmt, handle)
-    mgmt.free("km_pts")
+    with mgmt.rollback():
+        comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
+        centroids = points[:k].astype(np.int64)
+        del points
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                          combine=(np.add, np.int64), context=centroids)
+        trajectory = np.zeros((spec.iterations, k, dims), np.int64)
+        for it in range(spec.iterations):
+            processing.update_context(mgmt, handle, centroids)
+            processing.array_red(mgmt, "km_pts", "km_acc", 8 * (dims + 1), k, handle,
+                                 variant=variant)
+            acc = comm.gather(mgmt, "km_acc").view(np.int64).reshape(k, dims + 1)
+            mgmt.free("km_acc")
+            sums, counts = acc[:, :dims], acc[:, dims]
+            centroids = np.where(counts[:, None] > 0,
+                                 trunc_div(sums, np.maximum(counts, 1)[:, None]),
+                                 centroids)
+            trajectory[it] = centroids
+        processing.free_handle(mgmt, handle)
+        mgmt.free("km_pts")
     return trajectory
 
 

@@ -2,7 +2,8 @@
 
 The machine is a set of identical cores, each owning a private DRAM bank and
 a small scratchpad.  A core only ever touches its own bank, and only through
-explicit DMA commands that must be 8-byte aligned and at most 2048 bytes.
+explicit DMA commands that must be aligned and at most a size limit
+(8 bytes and 2048 bytes by :class:`DeviceConfig` default).
 Cores that issue the same command at once may issue it as one call over a
 ``range`` of consecutive cores: one command per core, checked once and moved
 as one copy.
@@ -10,10 +11,9 @@ The host reaches the banks through serial (one core) or parallel (all cores,
 equal-sized slices) transfer commands.  There is no core-to-core channel:
 anything collective has to go through the host.
 
-Tasklets, the per-core hardware threads, are modelled as cooperatively
-scheduled generators.  A kernel function receives a :class:`TaskletContext`
-and may ``yield`` to wait at the per-core barrier; the scheduler resumes every
-live tasklet once per round, in tasklet order, so runs are bit-reproducible.
+A kernel is called once per launch with the device and its parameters, and
+acts for every core and tasklet through the device's DMA calls; the launch
+checks the tasklet count and the scratchpad footprint the kernel declares.
 
 There is no timing model.  Traffic counters (bytes moved and commands issued)
 are the only performance proxy.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable
 
 import numpy as np
 
@@ -143,9 +142,9 @@ class TransferRecord:
 class LockTable:
     """One mutex per output entry.
 
-    Under the cooperative scheduler a tasklet never suspends while holding a
-    lock, so acquisition cannot block; the table still tracks ownership to
-    catch double-acquires and counts acquisitions for inspection.
+    Tasklets run one after another, so acquisition cannot block; the table
+    still tracks ownership to catch double-acquires and releases by a tasklet
+    that does not hold the lock, and counts acquisitions for inspection.
     """
 
     def __init__(self, num_entries: int):
@@ -154,7 +153,7 @@ class LockTable:
 
     def acquire(self, tasklet_id: int, indices: np.ndarray) -> None:
         if (self._owner[indices] != -1).any():
-            raise LockMisuse("entry lock already held; tasklet yielded while locked?")
+            raise LockMisuse("entry lock already held")
         self._owner[indices] = tasklet_id
         self.acquisitions += int(len(indices))
 
@@ -162,39 +161,6 @@ class LockTable:
         if (self._owner[indices] != tasklet_id).any():
             raise LockMisuse("releasing a lock that is not held by this tasklet")
         self._owner[indices] = -1
-
-
-@dataclass
-class TaskletContext:
-    """Execution context handed to a kernel, one per (core, tasklet).
-
-    All tasklets of a core share that core's scratchpad and lock table.
-    """
-
-    device: "PimDevice"
-    core_id: int
-    tasklet_id: int
-    num_tasklets: int
-    locks: LockTable | None = None
-
-    @property
-    def scratch(self) -> np.ndarray:
-        return self.device.scratchpads[self.core_id]
-
-    def dma_read(self, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
-        self.device.dma_read(self.core_id, dram_offset, scratch_offset, nbytes)
-
-    def dma_write(self, scratch_offset: int, dram_offset: int, nbytes: int) -> None:
-        self.device.dma_write(self.core_id, scratch_offset, dram_offset, nbytes)
-
-    def stream_read(self, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
-        """Read ``nbytes`` (any aligned size) as a sequence of legal commands."""
-        for cmd in split_dma(dram_offset, scratch_offset, nbytes,
-                             self.device.config.dma_max_bytes):
-            self.dma_read(*cmd)
-
-
-Kernel = Callable[[TaskletContext, object], object]
 
 
 def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
@@ -214,7 +180,7 @@ def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
 
 
 class PimDevice:
-    """The simulated machine: banks, scratchpads, DMA engine, tasklet runner.
+    """The simulated machine: banks, scratchpads, DMA engine, kernel launch.
 
     The host-side API (alloc, transfers, launch) is meant to be driven from a
     single control thread.  Everything is deterministic: the same sequence of
@@ -398,15 +364,14 @@ class PimDevice:
 
     # -- kernel execution ---------------------------------------------------------
 
-    def launch_kernel(self, kernel: Kernel, num_tasklets: int, params: object = None,
-                      scratch_bytes: int = 0, lock_entries: int = 0) -> None:
-        """Run ``kernel`` once per (core, tasklet), barrier-synchronized per core.
+    def launch_kernel(self, kernel, num_tasklets: int, params: object = None,
+                      scratch_bytes: int = 0) -> None:
+        """Check the launch's claims, then call ``kernel(device, params)`` once.
 
-        ``kernel(ctx, params)`` may return a generator; each ``yield`` waits at
-        the per-core barrier.  ``scratch_bytes`` is the kernel's declared
-        scratchpad footprint (buffers + accumulators) and must fit the usable
-        budget.  ``lock_entries`` sizes the per-core entry lock table.  Cores
-        are independent, so a kernel may act for several cores at once: the
+        ``num_tasklets`` must be within ``1..max_tasklets`` and
+        ``scratch_bytes``, the kernel's declared scratchpad footprint
+        (buffers + accumulators), must fit the usable budget.  Cores are
+        independent, so a kernel may act for several cores at once: the
         launch's log records are stable-sorted by core, the order that
         running the cores one after another gives.
         """
@@ -419,24 +384,7 @@ class PimDevice:
                 f"kernel claims {scratch_bytes} B, usable scratchpad is "
                 f"{cfg.usable_scratchpad_bytes} B")
         log_start = len(self.transfer_log)
-        for core in range(cfg.num_cores):
-            locks = LockTable(lock_entries) if lock_entries else None
-            live = []
-            for t in range(num_tasklets):
-                ctx = TaskletContext(self, core, t, num_tasklets, locks)
-                r = kernel(ctx, params)
-                if hasattr(r, "__next__"):
-                    live.append(r)
-            # one scheduler round per barrier epoch, tasklets in id order
-            while live:
-                nxt = []
-                for gen in live:
-                    try:
-                        next(gen)
-                        nxt.append(gen)
-                    except StopIteration:
-                        pass
-                live = nxt
+        kernel(self, params)
         if cfg.log_transfers:
             self.transfer_log[log_start:] = sorted(self.transfer_log[log_start:],
                                                    key=attrgetter("core"))

@@ -141,11 +141,12 @@ class ManagementContext:
         """Undo the block's effects on the host side if it raises, whatever
         the exception: free the ids registered inside it, newest first, which
         also returns their bank space to the bump cursor, then restore the
-        traffic counters in place (callers may hold the object) and cut the
-        transfer log back.  Bank and scratchpad bytes are not restored."""
+        traffic counters in place (callers may hold the object) and
+        ``last_plan``, and cut the transfer log back.  Bank and scratchpad
+        bytes are not restored."""
         device = self.device
         ids, log_len = set(self.registry), len(device.transfer_log)
-        counters = vars(device.stats).copy()
+        counters, last_plan = vars(device.stats).copy(), self.last_plan
         try:
             yield
         except BaseException:
@@ -153,6 +154,7 @@ class ManagementContext:
                 self.free(array_id)
             vars(device.stats).update(counters)
             del device.transfer_log[log_len:]
+            self.last_plan = last_plan
             raise
 
     def new_handle_id(self) -> str:

@@ -72,14 +72,14 @@ number of bytes or keys or a key outside the output (``InvalidArgument``),
 propagates out of the iterator.
 
 Rollback rule.  Every public operation that raises (a registry call, a
-collective, a handle call or an iterator), whatever the exception,
-leaves the registry, the bank cursor, the traffic counters, the transfer
-log, ``last_plan`` and the handle's resident context as they were before
-the call, although the call may have moved bytes before the error.  Bank
-and scratchpad bytes are undefined after a failed call.  One context
-manager, :meth:`ManagementContext.rollback`, does the undoing for all of
-them: it frees the ids registered inside it, newest first, and puts the
-counters and the log back.
+collective, a handle call, an iterator or a whole ``apps.run_*``), whatever
+the exception, leaves the registry, the bank cursor, the traffic counters,
+the transfer log, ``last_plan`` and the handle's resident context as they
+were before the call, although the call may have moved bytes before the
+error.  Bank and scratchpad bytes are undefined after a failed call.  One
+context manager, :meth:`ManagementContext.rollback`, does the undoing for
+all of them: it frees the ids registered inside it, newest first, and puts
+the counters, ``last_plan`` and the log back.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comm
-from .device import LockTable, TaskletContext, byte_array, round_up, split_dma
+from .device import LockTable, byte_array, round_up, split_dma
 from .errors import (
     ElementTooLarge,
     DistributionMismatch,
@@ -622,11 +622,10 @@ def _load_batch_views(dma_read, cores: range, reads) -> None:
         dma_read(cores, bank, slot, nbytes)
 
 
-def _iterator_kernel(tctx: TaskletContext, params) -> None:
+def _iterator_kernel(device, params) -> None:
     """The kernel of every iterator, in lockstep over cores.
 
-    The launch's first (core, tasklet) runs the whole launch and every other
-    one returns at once.  It issues the context reads on all cores at once (every core reads the
+    It issues the context reads on all cores at once (every core reads the
     same offsets), splits the cores into runs with :func:`_core_groups` and
     runs each batch step once per run: the scheduled reads, one callback
     over the rows of all the run's cores, then the write, each command
@@ -634,10 +633,7 @@ def _iterator_kernel(tctx: TaskletContext, params) -> None:
     moves the same bytes and commands as running them one after another;
     ``launch_kernel`` puts the log records back in core order.
     """
-    if tctx.core_id or tctx.tasklet_id:
-        return
     job, schedule = params
-    device = tctx.device
     everyone = range(len(job.per_core_elems))
     for bank, slot, nbytes in schedule[job.per_core_elems[0]][0]:  # context reads
         device.dma_read(everyone, bank, slot, nbytes)

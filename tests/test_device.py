@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import make_device, make_mgmt
 from pimlite import apps, comm
-from pimlite.device import TO_HOST, TO_PIM, DeviceConfig, LockTable, PimDevice, TrafficStats
+from pimlite.device import (
+    TO_HOST,
+    TO_PIM,
+    DeviceConfig,
+    LockTable,
+    PimDevice,
+    TrafficStats,
+    split_dma,
+)
 from pimlite.errors import (
     AlignmentViolation,
     HostBufferInvalid,
@@ -366,20 +374,23 @@ class TestKernels:
     def test_noop_kernel_counts_launch(self):
         dev = make_device(cores=2)
         before = dev.banks.copy()
+        calls = []
 
-        def kernel(ctx, params):
-            return None
+        def kernel(device, params):
+            calls.append((device, params))
 
-        dev.launch_kernel(kernel, num_tasklets=12)
+        params = object()
+        dev.launch_kernel(kernel, num_tasklets=12, params=params)
+        assert len(calls) == 1 and calls[0][0] is dev and calls[0][1] is params
         assert dev.stats.kernel_launches == 1
         assert np.array_equal(dev.banks, before)
 
     def test_tasklet_count_validated(self):
         dev = make_device()
         with pytest.raises(TaskletCountInvalid):
-            dev.launch_kernel(lambda ctx, p: None, num_tasklets=13)
+            dev.launch_kernel(lambda device, p: None, num_tasklets=13)
         with pytest.raises(TaskletCountInvalid):
-            dev.launch_kernel(lambda ctx, p: None, num_tasklets=0)
+            dev.launch_kernel(lambda device, p: None, num_tasklets=0)
 
     def test_scratch_claim_validated(self):
         # 12 tasklets x (2048 B buffer + 4096 B accumulator) = 73728 B,
@@ -388,44 +399,70 @@ class TestKernels:
         claim = 12 * (2048 + 4096)
         assert claim > dev.config.usable_scratchpad_bytes
         with pytest.raises(ScratchpadOverflow):
-            dev.launch_kernel(lambda ctx, p: None, 12, scratch_bytes=claim)
-
-    def test_barrier_rounds_are_ordered(self):
-        dev = make_device(cores=2)
-        events = []
-
-        def kernel(ctx, params):
-            events.append((ctx.core_id, ctx.tasklet_id, 0))
-            yield
-            events.append((ctx.core_id, ctx.tasklet_id, 1))
-
-        dev.launch_kernel(kernel, num_tasklets=4)
-        for core in range(2):
-            phases = [(t, p) for c, t, p in events if c == core]
-            # all of phase 0 happens before any of phase 1, tasklets in order
-            assert phases == [(t, 0) for t in range(4)] + [(t, 1) for t in range(4)]
+            dev.launch_kernel(lambda device, p: None, 12, scratch_bytes=claim)
 
     def test_kernel_faults_propagate(self):
         dev = make_device(cores=1)
 
-        def kernel(ctx, params):
-            ctx.dma_read(0, 0, 12)  # misaligned size
-            yield
+        def kernel(device, params):
+            device.dma_read(0, 0, 0, 12)  # misaligned size
 
         with pytest.raises(AlignmentViolation):
             dev.launch_kernel(kernel, num_tasklets=1)
+        assert dev.stats == TrafficStats()
 
-    def test_stream_read_splits_large_transfers(self):
-        dev = make_device(cores=1)
-        dev.banks[0, :4096] = 9
+    def test_split_dma_covers_a_large_transfer_in_address_order(self):
+        assert split_dma(64, 8, 4096 + 16, 2048) == (
+            (64, 8, 2048), (64 + 2048, 8 + 2048, 2048), (64 + 4096, 8 + 4096, 16))
+        assert split_dma(0, 0, 4096, 2048) == ((0, 0, 2048), (2048, 2048, 2048))
+        assert split_dma(0, 0, 0, 2048) == ()
 
-        def kernel(ctx, params):
-            ctx.stream_read(0, 0, 4096)
-            return None
+    def test_launch_sorts_the_log_by_core(self):
+        dev = make_device(cores=2, log_transfers=True)
+        dev.scratchpads[:, :64] = np.arange(64, dtype=np.uint8)
+
+        def kernel(device, params):
+            # tasklet t writes scratch [16t, 16t+16) to bank 256 + 16t on
+            # both cores, tasklet by tasklet
+            for t in range(4):
+                device.dma_write(range(2), 16 * t, 256 + 16 * t, 16)
+
+        dev.launch_kernel(kernel, num_tasklets=4)
+        assert (dev.banks[:, 256:320] == np.arange(64, dtype=np.uint8)).all()
+        assert not dev.banks[:, :256].any() and not dev.banks[:, 320:].any()
+        assert dev.stats.scratch_to_dram_bytes == 2 * 64
+        assert (dev.stats.dma_commands, dev.stats.dram_to_scratch_bytes) == (8, 0)
+        assert [(r.op, r.core, r.scratch_offset, r.bank_offset, r.nbytes)
+                for r in dev.transfer_log] == [
+            ("dma_write", core, 16 * t, 256 + 16 * t, 16)
+            for core in range(2) for t in range(4)]
+
+    def test_launch_sorts_only_its_own_log_records(self):
+        dev = make_device(cores=2, log_transfers=True)
+        dev.dma_write(1, 0, 0, 8)
+        dev.dma_write(0, 0, 8, 8)
+
+        def kernel(device, params):
+            device.dma_read(1, 16, 0, 8)
+            device.dma_read(0, 24, 0, 8)
 
         dev.launch_kernel(kernel, num_tasklets=1)
-        assert (dev.scratchpads[0, :4096] == 9).all()
-        assert dev.stats.dma_commands == 2  # split into two 2048 B commands
+        assert [(r.op, r.core, r.bank_offset) for r in dev.transfer_log] == [
+            ("dma_write", 1, 0), ("dma_write", 0, 8),  # before the launch: as issued
+            ("dma_read", 0, 24), ("dma_read", 1, 16)]  # the launch's: by core
+
+    def test_claims_at_the_limits_are_accepted(self):
+        dev = make_device(cores=1)
+        calls = []
+
+        def kernel(device, params):
+            calls.append(params)
+
+        dev.launch_kernel(kernel, dev.config.max_tasklets, params=1,
+                          scratch_bytes=dev.config.usable_scratchpad_bytes)
+        dev.launch_kernel(kernel, 1, params=2)
+        assert calls == [1, 2]
+        assert dev.stats == TrafficStats(kernel_launches=2)
 
 
 class TestLockTable:
@@ -472,71 +509,6 @@ class TestLockTable:
         assert isinstance(exc.value, PimError) and isinstance(exc.value, RuntimeError)
         with pytest.raises(LockMisuse):  # entry 1 is still held by tasklet 0
             table.acquire(2, np.array([1]))
-
-
-class TestTaskletApi:
-    """The per-(core, tasklet) kernel API that hand-written kernels use."""
-
-    def test_dma_write_moves_bytes_and_counts_one_command(self):
-        dev = make_device(cores=2, log_transfers=True)
-        dev.scratchpads[:, :64] = np.arange(64, dtype=np.uint8)
-
-        def kernel(ctx, params):
-            # tasklet t writes scratch [16t, 16t+16) to bank 256 + 16t
-            ctx.dma_write(16 * ctx.tasklet_id, 256 + 16 * ctx.tasklet_id, 16)
-
-        dev.launch_kernel(kernel, num_tasklets=4)
-        assert (dev.banks[:, 256:320] == np.arange(64, dtype=np.uint8)).all()
-        assert not dev.banks[:, :256].any() and not dev.banks[:, 320:].any()
-        assert dev.stats.scratch_to_dram_bytes == 2 * 64
-        assert (dev.stats.dma_commands, dev.stats.dram_to_scratch_bytes) == (8, 0)
-        assert [(r.op, r.core, r.scratch_offset, r.bank_offset, r.nbytes)
-                for r in dev.transfer_log] == [
-            ("dma_write", core, 16 * t, 256 + 16 * t, 16)
-            for core in range(2) for t in range(4)]
-
-    def test_scratch_is_the_cores_scratchpad_row(self):
-        dev = make_device(cores=3)
-
-        def kernel(ctx, params):
-            ctx.scratch[ctx.tasklet_id] = 10 * ctx.core_id + ctx.tasklet_id
-
-        dev.launch_kernel(kernel, num_tasklets=2)
-        assert dev.scratchpads[:, :2].tolist() == [[0, 1], [10, 11], [20, 21]]
-        assert not dev.scratchpads[:, 2:].any()
-        assert dev.stats == TrafficStats(kernel_launches=1)
-
-    def test_lock_entries_give_each_core_one_fresh_table(self):
-        dev = make_device(cores=2)
-        seen = []
-
-        def kernel(ctx, params):
-            seen.append((ctx.core_id, ctx.locks))
-            ctx.locks.acquire(ctx.tasklet_id, np.array([ctx.tasklet_id, 4]))
-            ctx.locks.release(ctx.tasklet_id, np.array([ctx.tasklet_id, 4]))
-
-        dev.launch_kernel(kernel, num_tasklets=3, lock_entries=5)
-        tables = [{id(t) for c, t in seen if c == core} for core in range(2)]
-        assert all(len(ids) == 1 for ids in tables)  # shared by the core's tasklets
-        assert tables[0] != tables[1]
-        assert all(isinstance(t, LockTable) and t.acquisitions == 6 for _, t in seen)
-        first = seen[0][1]
-        seen.clear()
-        dev.launch_kernel(kernel, num_tasklets=3, lock_entries=5)
-        assert first not in [t for _, t in seen]  # a new launch, new tables
-        dev.launch_kernel(lambda ctx, p: seen.append((ctx.core_id, ctx.locks)), 1)
-        assert seen[-2:] == [(0, None), (1, None)]  # no entries, no table
-
-    def test_yielding_while_holding_a_lock_is_caught(self):
-        dev = make_device(cores=1)
-
-        def kernel(ctx, params):
-            ctx.locks.acquire(ctx.tasklet_id, np.array([0]))
-            yield  # suspends with entry 0 still held
-            ctx.locks.release(ctx.tasklet_id, np.array([0]))
-
-        with pytest.raises(RuntimeError, match="already held"):
-            dev.launch_kernel(kernel, num_tasklets=2, lock_entries=1)
 
 
 class TestAuditability:

@@ -32,10 +32,9 @@ def record_jobs(mgmt):
     launches = []
     launch = device.launch_kernel
 
-    def recording(kernel, num_tasklets, params=None, scratch_bytes=0, lock_entries=0):
+    def recording(kernel, num_tasklets, params=None, scratch_bytes=0):
         start, before = len(device.transfer_log), device.stats.copy()
-        launch(kernel, num_tasklets, params, scratch_bytes=scratch_bytes,
-               lock_entries=lock_entries)
+        launch(kernel, num_tasklets, params, scratch_bytes=scratch_bytes)
         records = [(r.op, r.core, r.bank_offset, r.scratch_offset, r.nbytes)
                    for r in device.transfer_log[start:]]
         launches.append((*params, records, before, device.stats.copy()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TEST_BANK_BYTES
+from conftest import TEST_BANK_BYTES, host_state, make_mgmt
 from pimlite import comm, processing
 from pimlite.errors import (
     ArrayInUse,
@@ -185,3 +185,44 @@ class TestCreate:
         with pytest.raises(error):
             mgmt.create(*args)
         assert mgmt.registry == registry and mgmt.device.cursors == cursors
+
+
+class Raised(BaseException):
+    """Not an ``Exception``: ``rollback`` must undo whatever the block raises."""
+
+
+class TestRollback:
+    def test_a_raising_block_leaves_the_host_state_as_it_found_it(self):
+        mgmt = make_mgmt(log_transfers=True)
+        scatter_u32(mgmt, "t1", range(10))
+        mgmt.last_plan = "before"
+        before = host_state(mgmt)
+        with pytest.raises(Raised):
+            with mgmt.rollback():
+                scatter_u32(mgmt, "a", range(6))
+                comm.broadcast(mgmt, "c", np.arange(4, dtype=np.uint32), 4, 4)
+                mgmt.last_plan = "inside"
+                raise Raised
+        assert host_state(mgmt) == before
+        assert list(mgmt.registry) == ["t1"]
+
+    def test_ids_are_freed_newest_first(self, mgmt, monkeypatch):
+        freed = []
+        free = mgmt.free
+        monkeypatch.setattr(mgmt, "free", lambda array_id: (freed.append(array_id),
+                                                            free(array_id)))
+        with pytest.raises(Raised):
+            with mgmt.rollback():
+                for name in ("a", "b", "c"):
+                    scatter_u32(mgmt, name, range(4))
+                raise Raised
+        assert freed == ["c", "b", "a"]
+        assert mgmt.device.cursors == [0, 0]
+
+    def test_a_clean_block_keeps_its_effects(self):
+        mgmt = make_mgmt(log_transfers=True)
+        with mgmt.rollback():
+            scatter_u32(mgmt, "a", range(6))
+            mgmt.last_plan = "inside"
+        assert list(mgmt.registry) == ["a"] and mgmt.last_plan == "inside"
+        assert mgmt.device.stats.host_to_pim_bytes > 0 and mgmt.device.transfer_log

@@ -177,10 +177,9 @@ def record_launches(mgmt):
     launches = []
     launch = mgmt.device.launch_kernel
 
-    def recording(kernel, num_tasklets, params=None, scratch_bytes=0, lock_entries=0):
+    def recording(kernel, num_tasklets, params=None, scratch_bytes=0):
         launches.append((num_tasklets, scratch_bytes))
-        return launch(kernel, num_tasklets, params, scratch_bytes=scratch_bytes,
-                      lock_entries=lock_entries)
+        return launch(kernel, num_tasklets, params, scratch_bytes=scratch_bytes)
 
     mgmt.device.launch_kernel = recording
     return launches

@@ -30,10 +30,12 @@ the host state of a clean run.
 
 Apps (``APPS``): ``run_reduction``, ``run_vecadd`` (lazy and eager zip),
 ``run_histogram``, ``run_linreg``, ``run_logreg`` and ``run_kmeans`` at a
-small size.  The apps are not atomic: the arrays of the operations before
-the one that fails stay registered.  Every public operation of ``comm`` and
-``processing`` is wrapped so that, when it raises, it checks that it restored
-its own snapshot; the operation that raised must have done so.
+small size.  Each app follows the rule as a whole: after a fault the host
+state equals the one before the app, and running the app again on the same
+registry gives the oracle's result and leaves the registry empty and the
+cursors at 0.  Every public operation of ``comm`` and ``processing`` is
+wrapped so that, when it raises, it checks that it restored its own
+snapshot; the operation that raised must have done so.
 """
 
 import functools
@@ -45,6 +47,7 @@ from conftest import host_state, make_mgmt
 from pimlite import apps, comm, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import PimDevice
+from pimlite.harness import RUNNERS
 from pimlite.management import LAYOUT_REPLICATED, ManagementContext
 from pimlite.processing import MAP, REDUCE, Handle
 
@@ -223,6 +226,7 @@ def run_app(monkeypatch, name, point=None, fail_at=None):
     spec = BenchmarkSpec(name=name.split("-")[0], total_elems=150, dims=3, bins=16,
                          clusters=3, iterations=2, seed=5)
     mgmt = make_mgmt(cores=CORES, log_transfers=True)
+    before = host_state(mgmt)
     raised = []
     with monkeypatch.context() as mp:
         for module, op in PUBLIC:
@@ -233,6 +237,11 @@ def run_app(monkeypatch, name, point=None, fail_at=None):
         else:
             with pytest.raises(Injected):
                 runner(mgmt, spec, **kwargs)
+    if fail_at is not None:
+        assert host_state(mgmt) == before
+        result = runner(mgmt, spec, **kwargs)  # the retry runs clean
+        assert np.array_equal(result, RUNNERS[spec.name][1](spec))
+        assert not mgmt.registry and mgmt.device.cursors == [0] * CORES
     return counter.calls, raised
 
 
