@@ -252,36 +252,52 @@ class PimDevice:
         if scratch_offset < 0 or scratch_offset + nbytes > cfg.scratchpad_bytes:
             raise OutOfBounds(f"scratch range [{scratch_offset}, +{nbytes}) out of bounds")
 
+    def _issue(self, cores: range, commands) -> None:
+        """Check, count and log ``commands`` on each core of ``cores``, without
+        moving a byte: the caller copies them after this returns.  A command
+        is ``(op, dram offset, scratch offset, nbytes)``, ``op`` being
+        ``"dma_read"`` or ``"dma_write"``, in the order each core issues them;
+        they count and log as issuing them one by one on ``cores`` does.
+        ``cores`` must be a non-empty step-1 range of the device's cores.
+        Every command is checked before any is counted or logged, so one
+        that breaks a rule leaves the counters and the log as they were."""
+        cfg = self.config
+        if not (cores.step == 1 and 0 <= cores.start < cores.stop <= cfg.num_cores):
+            raise OutOfBounds(f"{cores!r} is not a core or a non-empty step-1 "
+                              f"range of the {cfg.num_cores} cores")
+        reads = writes = 0
+        for op, dram_offset, scratch_offset, nbytes in commands:
+            self._check_dma(dram_offset, scratch_offset, nbytes)
+            if op == "dma_read":
+                reads += nbytes
+            else:
+                writes += nbytes
+        n = len(cores)
+        self.stats.dram_to_scratch_bytes += reads * n
+        self.stats.scratch_to_dram_bytes += writes * n
+        self.stats.dma_commands += len(commands) * n
+        if cfg.log_transfers:
+            self.transfer_log.extend(
+                TransferRecord(op, "dram_to_scratch" if op == "dma_read"
+                               else "scratch_to_dram", c, dram, scratch, nbytes)
+                for op, dram, scratch, nbytes in commands for c in cores)
+
     def _dma(self, op: str, core, dram_offset: int, scratch_offset: int,
              nbytes: int) -> None:
-        """The one DMA path: check the command, then copy, count and log it.
-        ``core`` is a core or a ``range(first, end)`` of cores with step 1; a
-        core is the range of that core alone.  The range must be a non-empty
-        range of the device's cores; the command is then checked once, as
-        every core has the same geometry.  A rejected command moves nothing."""
-        cfg = self.config
+        """The one DMA path that moves bytes: :meth:`_issue` the command, then
+        copy it.  ``core`` is a core or a ``range(first, end)`` of cores with
+        step 1; a core is the range of that core alone.  The command is
+        checked once, as every core has the same geometry.  A rejected
+        command moves nothing."""
         cores = core if isinstance(core, range) else range(core, core + 1)
-        if not (cores.step == 1 and 0 <= cores.start < cores.stop <= cfg.num_cores):
-            raise OutOfBounds(f"{core!r} is not a core or a non-empty step-1 "
-                              f"range of the {cfg.num_cores} cores")
-        self._check_dma(dram_offset, scratch_offset, nbytes)
+        self._issue(cores, ((op, dram_offset, scratch_offset, nbytes),))
         rows = slice(cores.start, cores.stop)
         bank = self.banks[rows, dram_offset:dram_offset + nbytes]
         scratch = self.scratchpads[rows, scratch_offset:scratch_offset + nbytes]
-        moved = nbytes * len(cores)
         if op == "dma_read":
             scratch[...] = bank
-            self.stats.dram_to_scratch_bytes += moved
-            direction = "dram_to_scratch"
         else:
             bank[...] = scratch
-            self.stats.scratch_to_dram_bytes += moved
-            direction = "scratch_to_dram"
-        self.stats.dma_commands += len(cores)
-        if cfg.log_transfers:
-            self.transfer_log.extend(
-                TransferRecord(op, direction, c, dram_offset, scratch_offset, nbytes)
-                for c in cores)
 
     def dma_read(self, core, dram_offset: int, scratch_offset: int, nbytes: int) -> None:
         """Copy bank -> scratchpad: one hardware command on ``core``, or one

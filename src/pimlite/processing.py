@@ -18,7 +18,13 @@ a run issues the same commands, so each one is issued for the run at once, as
 a ``range`` of cores: one command per core, moved as one copy.  Cores are
 independent, so the bytes, counters and commands are those of running the
 cores one after another, and a launch's transfer log records are in core
-order.  Reductions keep their accumulators in the scratchpad in one of two
+order.  A map or materializing zip steps only through each tasklet's last
+two batches; the full batch rounds before them skip the scratchpad, whose
+bytes the last two overwrite anyway.  Their elements go straight from the
+input banks to the output banks in chunks, one callback per chunk, while
+their commands are issued from the same schedule in the same order, so the
+counters, the log and the scratchpads end as the per-batch steps leave
+them.  Reductions keep their accumulators in the scratchpad in one of two
 variants (one shared array behind per-entry locks,
 or one private array per tasklet merged ring-style); each core then writes
 its partial result into its copy of the output array, and the host folds the
@@ -28,8 +34,9 @@ batches in the scratchpad; zipping an already-lazy array forces physical
 materialization (laziness is one level deep).
 
 Callback contract.  All buffers are C-contiguous uint8 rows of scratchpad
-batches (copies when they span several cores; outputs are copied back);
-callbacks reinterpret them with ``.view(dtype)``.  One call may receive the
+batches or, for a map's full batch rounds, of chunks of bank rows (copies
+when they span several cores or chunks; outputs are copied back); callbacks
+reinterpret them with ``.view(dtype)``.  One call may receive the
 rows of several cores, stacked core by core: a callback must treat rows
 independently, and it sees one copy of the context, the one all those cores
 hold.
@@ -121,6 +128,9 @@ VARIANT_PRIVATE = "thread_private"
 
 # tasklet counts tried when throttling; 12 keeps the core pipeline saturated
 TASKLET_CANDIDATES = (12, 8, 4, 2, 1)
+
+# rows, across a run's cores, of one chunk of a map or zip's full batch rounds
+_BULK_ROWS = 1 << 16
 
 # ufuncs that are commutative and associative on integers and bools, so a
 # declared combiner gives the same result however the work is split
@@ -564,9 +574,8 @@ def _core_groups(per_core_elems, contexts) -> list[tuple[int, int]]:
 
 def _rows(view: np.ndarray, m: int) -> np.ndarray:
     """The first ``m`` rows of each core of a ``(cores, batch, bytes)`` slot
-    view as C-contiguous ``(cores * m, bytes)`` rows: a copy unless the run
-    has one core.  A strided view would lose what a callback writes through
-    ``ravel()``."""
+    view as the C-contiguous ``(cores * m, bytes)`` rows a callback reads: a
+    copy unless the run has one core."""
     part = view[:, :m]
     return part.reshape(-1, part.shape[2])
 
@@ -617,7 +626,9 @@ class _Slots:
 
 def _load_batch_views(dma_read, cores: range, reads) -> None:
     """Issue the scheduled ``reads`` of one batch on a run of ``cores``, one
-    command per core for each read.  Called once per run and batch."""
+    command per core for each read.  Called once per run and batch that goes
+    through the scratchpad: every batch of a reduction, and only the last two
+    batch rounds of a map or zip (:func:`_stream_run`)."""
     for bank, slot, nbytes in reads:
         dma_read(cores, bank, slot, nbytes)
 
@@ -629,7 +640,8 @@ def _iterator_kernel(device, params) -> None:
     same offsets), splits the cores into runs with :func:`_core_groups` and
     runs each batch step once per run: the scheduled reads, one callback
     over the rows of all the run's cores, then the write, each command
-    issued for the run's range of cores.  Cores are independent, so this
+    issued for the run's range of cores (a map or zip runs its full batch
+    rounds in chunks instead, see :func:`_stream_run`).  Cores are independent, so this
     moves the same bytes and commands as running them one after another;
     ``launch_kernel`` puts the log records back in core order.
     """
@@ -649,20 +661,73 @@ def _iterator_kernel(device, params) -> None:
 
 def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     """Map or materializing zip on cores ``first..end-1``, which share
-    ``schedule`` and the context ``ctx``."""
+    ``schedule`` and the context ``ctx``.
+
+    Each tasklet's last two batches run one batch step at a time through its
+    scratchpad slots.  The batches before them, the full batch rounds,
+    leave nothing in the scratchpad that a later batch does not overwrite,
+    so their bytes go straight from the input banks to the output banks
+    (:func:`_bulk_pass`).  Their commands are issued from the schedule all
+    the same, each tasklet's just before its tail batches, in the order the
+    per-batch steps issue them; their bytes move once all are checked."""
     scratch, cores = device.scratchpads[first:end], range(first, end)
     dma_read, dma_write = device.dma_read, device.dma_write
-    map_func = job.handle.map_func
-    for t, batches in enumerate(schedule[1]):
+    map_func, tasklets = job.handle.map_func, schedule[1]
+    for t, batches in enumerate(tasklets):
+        commands = []
+        for _, reads, (slot, bank, nbytes) in batches[:-2]:
+            commands += [("dma_read", *read) for read in reads]
+            commands.append(("dma_write", bank, slot, nbytes))
+        if commands:
+            device._issue(cores, commands)
         slots = _Slots(scratch, job, t)
-        for m, reads, (slot, bank, nbytes) in batches:
+        for m, reads, (slot, bank, nbytes) in batches[-2:]:
             _load_batch_views(dma_read, cores, reads)
             slots.combine(m)
             if map_func is not None:
-                dst = _rows(slots.out, m)
+                dst = np.empty((len(cores) * m, job.out_size), np.uint8)
                 map_func(_rows(slots.batch, m), dst, ctx)
-                slots.out[:, :m] = dst.reshape(end - first, m, -1)
+                slots.out[:, :m] = dst.reshape(len(cores), m, -1)
             dma_write(cores, slot, bank, nbytes)
+    bulk_batches = sum(map(len, tasklets)) - 2 * len(tasklets)
+    if bulk_batches > 0:
+        _bulk_pass(device.banks[first:end], job, bulk_batches * job.plan.batch_elems, ctx)
+
+
+def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
+    """The first ``elems`` elements of every core of a run, whose bank rows
+    are ``banks``, straight from the input streams to the output, in chunks
+    of about ``_BULK_ROWS`` rows across the run's cores and at least one
+    batch per core.  The streams are interleaved in the widest unsigned word
+    that divides 8 and every element size, as in the zip slot.  A map calls
+    ``map_func`` once per chunk, over the chunk's rows of all the cores; a
+    materializing zip interleaves straight into its output."""
+    cores = banks.shape[0]
+    sizes = [s.type_size for s in job.in_streams]
+    in_size, word = sum(sizes), np.dtype(f"u{math.gcd(8, *sizes)}")
+    chunk = min(max(job.plan.batch_elems, _BULK_ROWS // cores), elems)
+    map_func = job.handle.map_func
+    if map_func is not None:  # reused across chunks
+        src_buf = np.empty(cores * chunk * in_size, np.uint8)
+        dst_buf = np.empty(cores * chunk * job.out_size, np.uint8)
+
+    def rows(offset, size, lo, n):  # elements lo..lo+n-1 of every core
+        return banks[:, offset + lo * size:offset + (lo + n) * size].reshape(cores, n, size)
+
+    for lo in range(0, elems, chunk):
+        n = min(chunk, elems - lo)
+        out = rows(job.out_offset, job.out_size, lo, n)
+        zipped = out if map_func is None else \
+            src_buf[:cores * n * in_size].reshape(cores, n, in_size)
+        words, col = zipped.view(word), 0
+        for s in job.in_streams:
+            width = s.type_size // word.itemsize
+            words[:, :, col:col + width] = rows(s.bank_offset, s.type_size, lo, n).view(word)
+            col += width
+        if map_func is not None:
+            dst = dst_buf[:cores * n * job.out_size].reshape(cores * n, job.out_size)
+            map_func(zipped.reshape(cores * n, in_size), dst, ctx)
+            out[...] = dst.reshape(cores, n, job.out_size)
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,

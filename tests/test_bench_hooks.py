@@ -9,7 +9,9 @@ tests run one tiny op of each benchmarked workload under the tracer.
 The iterator kernel issues each DMA command, and loads each batch, once for
 a run of lockstep cores.  Every workload here is one run of ``CORES`` equal
 cores, so each wrapped call stands for exactly ``CORES`` commands or
-per-core batches."""
+per-core batches.  A map or zip issues the commands of its full batch rounds
+(all but the last two) without these names, so every workload here also
+stays within two batch rounds per core."""
 
 import importlib.util
 from pathlib import Path
@@ -74,5 +76,6 @@ def test_traced_op_sees_every_batch_command_and_plan(tracing, app):
         assert all(p.variant == processing.VARIANT_PRIVATE for p in tracer.plans)
         plans = tracer.plans
     per_core = comm.plan_scatter(spec.total_elems, elem_bytes, CORES).per_core_elems
+    assert all(-(-n // p.batch_elems) <= 2 * p.num_tasklets for p in plans for n in per_core)
     assert tracer.counts["processing.kernel.batches"] * CORES == \
         sum(batches_of(p, per_core) for p in plans) > 0

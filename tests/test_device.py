@@ -214,6 +214,30 @@ class TestDma:
         assert np.array_equal(dev.scratchpads, scratchpads)
         assert dev.stats == stats and dev.transfer_log == log
 
+    @pytest.mark.parametrize("violation", VIOLATIONS)
+    def test_a_run_of_commands_is_checked_before_any_counts(self, violation):
+        # the bulk path of the iterators issues runs of commands without
+        # moving their bytes: a run counts and logs as its commands issued
+        # one by one, and one bad command leaves no trace of the others
+        overrides, core, dram, scratch, nbytes, error = self.VIOLATIONS[violation]
+        cores = core if isinstance(core, range) else range(core, core + 1)
+        good = [("dma_read", 48, 96, 240), ("dma_write", 480, 24, 24)]
+        dev = make_device(cores=2, bank_bytes=4096, log_transfers=True, **overrides)
+        ref = make_device(cores=2, bank_bytes=4096, log_transfers=True, **overrides)
+        if cores.step == 1 and 0 <= cores.start < cores.stop <= 2:
+            dev._issue(cores, good)
+            for op, bank, scratch_off, n in good:
+                if op == "dma_read":
+                    ref.dma_read(cores, bank, scratch_off, n)
+                else:
+                    ref.dma_write(cores, scratch_off, bank, n)
+            assert dev.stats == ref.stats and dev.transfer_log == ref.transfer_log
+        stats, log = dev.stats.copy(), list(dev.transfer_log)
+        with pytest.raises(error):
+            dev._issue(cores, good + [("dma_write", dram, scratch, nbytes)])
+        assert not dev.banks.any() and not dev.scratchpads.any()
+        assert dev.stats == stats and dev.transfer_log == log
+
     @pytest.mark.parametrize("op", ["dma_read", "dma_write"])
     @pytest.mark.parametrize("cores", [range(1, 3), range(2, 3)], ids=["two", "one"])
     def test_a_range_of_cores_is_one_command_per_core(self, op, cores):

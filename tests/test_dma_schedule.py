@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_lockstep as tl
 import test_processing as tp
 from conftest import make_mgmt
 from pimlite import apps, processing
@@ -132,6 +133,23 @@ class TestScheduleIsExecuted:
                     tp.TestBatchLoopBitIdentity().run_zipped(
                         mgmt, scenario, *sizes, total, rng)
                 assert_schedules_executed(mgmt, launches)
+
+
+    # map over a plain array, map over a lazy zip, materializing zip, with
+    # one chunk per run and with one batch per core per chunk
+    @pytest.mark.parametrize("chunk_rows", [processing._BULK_ROWS, 1])
+    @pytest.mark.parametrize("op", ["map", "map-lazy-zip", "zip"])
+    def test_full_batch_rounds(self, monkeypatch, op, chunk_rows):
+        monkeypatch.setattr(processing, "_BULK_ROWS", chunk_rows)
+        mgmt = make_mgmt(cores=3, log_transfers=True)
+        launches = record_jobs(mgmt)
+        tl.run_op(mgmt, op, (2, 6), 3 * 15_500 - 5, np.random.default_rng(7))
+        (job, *_), = launches
+        assert len(set(job.per_core_elems)) == 2
+        # at least three full batch rounds before the last two on every core
+        steps = -(-min(job.per_core_elems) // job.plan.batch_elems)
+        assert steps - 2 * job.plan.num_tasklets >= 3 * job.plan.num_tasklets
+        assert_schedules_executed(mgmt, launches)
 
 
 def _audit(config, kind, in_sizes, out_size, output_len, context_bytes, counts, variant):

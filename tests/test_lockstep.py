@@ -12,8 +12,8 @@ import pytest
 
 from conftest import make_mgmt
 from pimlite import comm, processing
-from pimlite.device import TO_PIM
-from pimlite.processing import MAP, REDUCE
+from pimlite.device import TO_PIM, DeviceConfig
+from pimlite.processing import MAP, REDUCE, ZIP
 
 ENTRIES = 13
 
@@ -106,6 +106,8 @@ GEOMETRIES = {
     "one-count": (3, 3000, (8, 40)),
     "one-core": (1, 1001, (4, 12)),
     "many-cores": (8, 8 * 1300 + 5, (4, 4)),
+    # 9400, 9400 and 9395: a full batch round or more before the last two
+    "long": (3, 3 * 9400 - 5, (2, 6)),
 }
 OPS = ["map", "map-lazy-zip", "zip"] + [
     f"red-{variant}-{combiner}-{source}"
@@ -120,6 +122,13 @@ def test_geometries_cover_the_count_patterns():
         assert comm.plan_scatter(total, sizes[1], cores).per_core_elems == splits[name]
     assert splits["three-counts-empty-last"] == (8, 8, 4, 0)
     assert len(set(splits["two-counts"])) == 2
+    assert len(set(splits["long"])) == 2
+    config = DeviceConfig(num_cores=1)
+    for kind, in_sizes in ((MAP, (2,)), (MAP, (2, 6)), (ZIP, (2, 6))):
+        plan = processing.plan_iterator(config, kind, in_sizes, 8,
+                                        context_bytes=37 if kind == MAP else 0)
+        batches = -(-min(splits["long"]) // plan.batch_elems)
+        assert batches >= 3 * plan.num_tasklets
 
 
 class TestLockstepEqualsPerCore:

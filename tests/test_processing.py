@@ -1021,6 +1021,41 @@ BIT_IDENTITY_DIGESTS = {
 }
 
 
+def _short_lengths(b, tasklets):
+    """Per-core lengths whose batches all fall in the last two rounds of 12
+    tasklets: full, partial and one-element last batches."""
+    return (b + b // 3 + 1, 2 * b + 1, 13 * b + 1)
+
+
+def _bulk_lengths(b, tasklets):
+    """Per-core lengths with full batch rounds before the last two: one
+    round and a partial batch more, and one batch more."""
+    return (3 * tasklets * b + b // 3 + 1, (2 * tasklets + 1) * b)
+
+
+BULK_SCENARIOS = [s for s in BIT_IDENTITY_SCENARIOS
+                  if s.split("-")[0] in ("vecadd", "zip", "map")]
+
+# The same digest at ``_bulk_lengths``, where map and zip stream all but the
+# last two batch rounds straight between bank views.  Computed with the
+# per-batch loop that ran every batch through the scratchpad.
+BULK_DIGESTS = {
+    "vecadd-lazy": "4065271aa5e4daad499f58866bb9e4093d08f6ec3acafd8d3bd2c9872dd5d358",
+    "vecadd-eager": "1b36d223d0cefd5c57379aaad37ae374ae5671cdf1d4d90a85f7859ce92eda5e",
+    "zip-12x4": "d8cf895e56aa329c1b2d940f974782d2325fd17b370f483b7615ff768d57aed1",
+    "map-12x4": "9c55feac9a4ca6803423ce44bc13a421710193038b35f78bc3099ea323351d88",
+    "zip-2x6": "eed39105f7334e50dbbfee8a8bd8ab48f7194800ebce51f1e97c21898fb6025c",
+    "map-2x6": "a22583559723fb9d7706533840c61613ba5bba7fe553cd7cf524c8d9092027a8",
+    "zip-8x8": "cffd84e3d4463aa0a1a87a652ec927c90eec9949b34be285e3416ca2c5492a1b",
+    "map-8x8": "c3ebd48caeaf88a3fbdcc9ab92c2e7aadb4e82caa49f1aef6f906d107301fce5",
+    "zip-40x8": "11a48b5c49bdaad7fac68101bcd864ba35af90a1dcc2e0467620bc8c096d3e7c",
+    "map-40x8": "cad77ac69657dff683ab23b745ec710e2435f302cfad5591242eae980a57b573",
+    "zip-24x16": "8d3958be081457e28003bec763b81205de0fa494f121d118ca333aeabd201ec9",
+    "map-24x16": "cdfebb758e8469edfff2ad1f9f7512f626851085ba3b157426793f8004339e3e",
+    "zip-1x1": "560ee10d74a49331a9c7a7c3f2fbea3816a78e8a0cf3a1c879c9df7b527af122",
+    "map-1x1": "802f8cb8ddf3ca8d1e3710641f5787913ff65e76366b589926d64bfd835bcaee",
+}
+
 class TestBatchLoopBitIdentity:
     """The batch loop leaves the same bytes, counters and commands behind as
     the loop it replaced, on full, partial and one-element last batches."""
@@ -1061,7 +1096,7 @@ class TestBatchLoopBitIdentity:
                                               init_func=init, acc_func=acc, context=ctx)
         processing.array_red(mgmt, "ab", "out", 8, 13, handle, variant=kind)
 
-    def digest(self, scenario):
+    def digest(self, scenario, lengths=_short_lengths):
         h = hashlib.sha256()
         config = DeviceConfig(num_cores=1)
         if scenario.startswith("vecadd"):
@@ -1076,10 +1111,9 @@ class TestBatchLoopBitIdentity:
             else:
                 plan = processing.plan_iterator(config, REDUCE, sizes, 8, output_len=13,
                                                 variant=kind, context_bytes=37)
-        b = plan.batch_elems
         rng = np.random.default_rng(4)
         for cores in (1, 3, 8):
-            for per_core in (b + b // 3 + 1, 2 * b + 1, 13 * b + 1):
+            for per_core in lengths(plan.batch_elems, plan.num_tasklets):
                 mgmt = make_mgmt(cores=cores, bank_bytes=1 << 18, log_transfers=True)
                 total = cores * per_core
                 if scenario.startswith("vecadd"):
@@ -1097,6 +1131,15 @@ class TestBatchLoopBitIdentity:
     @pytest.mark.parametrize("scenario", BIT_IDENTITY_SCENARIOS)
     def test_digest_matches_the_previous_loop(self, scenario):
         assert self.digest(scenario) == BIT_IDENTITY_DIGESTS[scenario]
+
+    # one chunk per run; one batch per core per chunk; chunks that are not
+    # a whole number of batches on one core
+    @pytest.mark.parametrize("chunk_rows", [processing._BULK_ROWS, 1, 1000])
+    @pytest.mark.parametrize("scenario", BULK_SCENARIOS)
+    def test_bulk_digest_matches_the_per_batch_loop(self, monkeypatch, scenario,
+                                                    chunk_rows):
+        monkeypatch.setattr(processing, "_BULK_ROWS", chunk_rows)
+        assert self.digest(scenario, _bulk_lengths) == BULK_DIGESTS[scenario]
 
 
 def _searched_plan(config, kind, in_sizes, out_size, output_len, variant,
