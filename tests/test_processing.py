@@ -1056,6 +1056,7 @@ BULK_DIGESTS = {
     "map-1x1": "802f8cb8ddf3ca8d1e3710641f5787913ff65e76366b589926d64bfd835bcaee",
 }
 
+
 class TestBatchLoopBitIdentity:
     """The batch loop leaves the same bytes, counters and commands behind as
     the loop it replaced, on full, partial and one-element last batches."""
