@@ -17,11 +17,18 @@ checks the tasklet count and the scratchpad footprint the kernel declares.
 
 There is no timing model.  Traffic counters (bytes moved and commands issued)
 are the only performance proxy.
+
+Banks and scratchpads are private anonymous memory in base pages.  A bank
+allocation and a launch's scratchpad claim are populated when they are made,
+one ``madvise`` per core row, so the program's first writes there take no
+page fault; bytes, counters and the transfer log are the same either way.
 """
 
 from __future__ import annotations
 
 import mmap
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -163,20 +170,46 @@ class LockTable:
         self._owner[indices] = -1
 
 
+_LINUX = sys.platform.startswith("linux")
+# Linux's advice (5.14+) to back a range with writable pages at once; older
+# Python versions do not name it
+_MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE", 23)
+
+
 def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
     """A zeroed, writable, C-contiguous ``(rows, row_bytes)`` uint8 array in
-    an anonymous memory mapping.  The OS backs a page only when a byte of it
-    is first touched, in base pages unless it puts all anonymous memory in
-    huge pages, so resident memory grows with the bytes the program uses,
-    not with the geometry.  A mapping the OS refuses raises
-    ``OutOfBankMemory`` before anything is reserved."""
+    a private anonymous memory mapping, its ``base``.  The OS backs a page
+    only when a byte of it is first touched or :func:`_populate` asks for
+    it, in base pages whatever the host's transparent huge page setting, so
+    resident memory grows with the bytes the program uses, not with the
+    geometry.  A mapping the OS refuses raises ``OutOfBankMemory`` before
+    anything is reserved."""
     size = rows * row_bytes
     try:
-        buf = mmap.mmap(-1, size) if size else bytearray()
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) if size else bytearray()
     except (OSError, OverflowError, ValueError) as exc:
         raise OutOfBankMemory(
             f"cannot map {rows} {what} of {row_bytes} bytes: {exc}") from exc
-    return np.frombuffer(buf, np.uint8).reshape(rows, row_bytes)
+    if size and _LINUX:
+        with suppress(OSError):  # a kernel built without huge pages refuses it
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray((rows, row_bytes), np.uint8, buffer=buf)
+
+
+def _populate(rows: np.ndarray, start: int, stop: int) -> None:
+    """Back bytes ``[start, stop)`` of every row of a :func:`_zeroed_rows`
+    array with writable pages now, one ``madvise`` per row from the page
+    that holds ``start``, so the first writes there take no page fault.
+    Nothing is populated off Linux or for an empty range.  If the kernel
+    refuses (before 5.14, or out of memory), the rest of the pages fault on
+    first touch as they would without this call.  No byte changes."""
+    if not _LINUX or stop <= start:
+        return
+    mapping, row_bytes, page = rows.base, rows.shape[1], mmap.PAGESIZE
+    with suppress(OSError):
+        for row in range(0, rows.size, row_bytes):
+            first = (row + start) // page * page
+            mapping.madvise(_MADV_POPULATE_WRITE, first, row + stop - first)
 
 
 class PimDevice:
@@ -187,10 +220,11 @@ class PimDevice:
     calls produces bit-identical bank contents and identical counters.
 
     ``banks`` and ``scratchpads`` are ``(num_cores, bytes)`` uint8 arrays that
-    start as zeros.  Each lives in an anonymous memory mapping, so the
-    process's resident memory grows with the bytes touched, not with
-    ``num_cores * dram_bank_bytes``.  A geometry whose mapping the OS refuses
-    raises ``OutOfBankMemory``.
+    start as zeros.  Each lives in a private anonymous memory mapping in
+    base pages, populated per allocation (banks) and per launch claim
+    (scratchpads), so the process's resident memory grows with the bytes
+    reserved or touched, not with ``num_cores * dram_bank_bytes``.  A
+    geometry whose mapping the OS refuses raises ``OutOfBankMemory``.
     """
 
     def __init__(self, config: DeviceConfig):
@@ -206,7 +240,9 @@ class PimDevice:
 
     def alloc(self, nbytes: int) -> int:
         """Reserve ``nbytes`` (rounded up to alignment) at the same offset in
-        every bank and return that offset."""
+        every bank and return that offset.  The reserved bytes of every bank
+        are populated (:func:`_populate`), which leaves their contents as
+        they were."""
         if nbytes < 0:
             raise InvalidArgument("nbytes must be non-negative")
         aligned = round_up(nbytes, self.config.dma_alignment)
@@ -217,6 +253,7 @@ class PimDevice:
                 f"request of {aligned} bytes at cursor {offset} exceeds "
                 f"bank size {self.config.dram_bank_bytes}"
             )
+        _populate(self.banks, offset, offset + aligned)
         self.cursors = [offset + aligned] * self.config.num_cores
         return offset
 
@@ -386,19 +423,24 @@ class PimDevice:
 
         ``num_tasklets`` must be within ``1..max_tasklets`` and
         ``scratch_bytes``, the kernel's declared scratchpad footprint
-        (buffers + accumulators), must fit the usable budget.  Cores are
-        independent, so a kernel may act for several cores at once: the
-        launch's log records are stable-sorted by core, the order that
-        running the cores one after another gives.
+        (buffers + accumulators), must be non-negative and fit the usable
+        budget; a launch that breaks either rule raises before the kernel
+        runs.  ``[0, scratch_bytes)`` of every scratchpad is then populated
+        (:func:`_populate`).  Cores are independent, so a kernel may act for
+        several cores at once: the launch's log records are stable-sorted by
+        core, the order that running the cores one after another gives.
         """
         cfg = self.config
         if not 1 <= num_tasklets <= cfg.max_tasklets:
             raise TaskletCountInvalid(
                 f"num_tasklets {num_tasklets} outside 1..{cfg.max_tasklets}")
+        if scratch_bytes < 0:
+            raise InvalidArgument(f"scratch_bytes {scratch_bytes} is negative")
         if scratch_bytes > cfg.usable_scratchpad_bytes:
             raise ScratchpadOverflow(
                 f"kernel claims {scratch_bytes} B, usable scratchpad is "
                 f"{cfg.usable_scratchpad_bytes} B")
+        _populate(self.scratchpads, 0, scratch_bytes)
         log_start = len(self.transfer_log)
         kernel(self, params)
         if cfg.log_transfers:

@@ -1,3 +1,4 @@
+import mmap
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device, make_mgmt
-from pimlite import apps, comm
+from pimlite import apps, comm, device
 from pimlite.device import (
     TO_HOST,
     TO_PIM,
@@ -19,6 +20,7 @@ from pimlite.device import (
 from pimlite.errors import (
     AlignmentViolation,
     HostBufferInvalid,
+    InvalidArgument,
     LockMisuse,
     OutOfBankMemory,
     OutOfBounds,
@@ -98,6 +100,35 @@ def resident_bytes() -> int:
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def vm_flags(start: int, stop: int) -> list[set[str]]:
+    """The ``VmFlags`` of every mapping in ``/proc/self/smaps`` that overlaps
+    the addresses ``[start, stop)``."""
+    found, overlaps = [], False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(a, 16) for a in head.split("-"))
+                overlaps = lo < stop and start < hi
+            elif head == "VmFlags:" and overlaps:
+                found.append(set(line.split()[1:]))
+    return found
+
+
+def populating_works() -> bool:
+    """Whether the kernel populates a private anonymous mapping on request."""
+    if not device._LINUX:
+        return False
+    probe = mmap.mmap(-1, mmap.PAGESIZE, flags=mmap.MAP_PRIVATE)
+    try:
+        probe.madvise(device._MADV_POPULATE_WRITE, 0, mmap.PAGESIZE)
+    except OSError:
+        return False
+    finally:
+        probe.close()
+    return True
+
+
 class TestBankMemory:
     @pytest.mark.parametrize("cores,bank_bytes", [(1, 8), (3, 1 << 12), (5, 1 << 20)])
     def test_banks_and_scratchpads_start_as_zeroed_rows(self, cores, bank_bytes):
@@ -119,6 +150,63 @@ class TestBankMemory:
         assert resident_bytes() - before < 32 << 20
         assert np.array_equal(mgmt.device.banks[:, :8].view(np.uint64).ravel(),
                               np.arange(640))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                        reason="reads mapping flags from /proc/self/smaps")
+    def test_banks_and_scratchpads_are_private_mappings_without_huge_pages(self):
+        # private anonymous memory may get transparent huge pages on a host
+        # whose setting is "always"; no-huge-page advice keeps base pages
+        dev = make_device(cores=3)
+        for rows in (dev.banks, dev.scratchpads):
+            start = rows.ctypes.data
+            flags = vm_flags(start, start + rows.size)
+            assert flags, "mapping not found in smaps"
+            for vma in flags:
+                assert "nh" in vma and "sh" not in vma, vma
+
+    def test_population_changes_no_bytes(self):
+        # rows of 12,296 bytes: most rows start inside a page
+        dev = make_device(cores=3, bank_bytes=12_296)
+        assert dev.alloc(24) == 0
+        payload = (np.arange(3 * 5000) % 251).astype(np.uint8).reshape(3, 5000)
+        offset = dev.alloc(5000)
+        dev.host_parallel_transfer(TO_PIM, payload, offset, 5000)
+        assert dev.dealloc(offset, 5000) and dev.alloc(5000) == offset
+        assert np.array_equal(dev.banks[:, offset:offset + 5000], payload)
+        assert not dev.banks[:, :offset].any() and not dev.banks[:, offset + 5000:].any()
+        dev.scratchpads[:, :64] = 9
+        dev.launch_kernel(lambda device, p: None, 1, scratch_bytes=4096 + 8)
+        assert (dev.scratchpads[:, :64] == 9).all()
+        assert not dev.scratchpads[:, 64:].any()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads resident memory from /proc/self/statm")
+    def test_an_allocation_is_resident_before_any_write(self):
+        if not populating_works():
+            pytest.skip("the kernel does not populate on request")
+        dev = make_device(cores=64)
+        before = resident_bytes()
+        dev.alloc(64 << 10)  # 64 KB in each of 64 banks: 4 MB
+        assert resident_bytes() - before >= 3.5 * (1 << 20)
+
+    @pytest.mark.parametrize("name,run", [
+        ("vecadd", lambda mgmt, spec: apps.run_vecadd(mgmt, spec)),
+        ("histogram", lambda mgmt, spec: apps.run_histogram(mgmt, spec)),
+    ])
+    def test_a_refused_population_faults_pages_in_as_before(self, monkeypatch, name, run):
+        spec = apps.BenchmarkSpec(name=name, total_elems=4321, bins=64, seed=3)
+        expected = {"vecadd": apps.oracle_vecadd,
+                    "histogram": apps.oracle_histogram}[name](spec)
+        results = []
+        for refused in (False, True):
+            if refused:  # an advice no kernel knows: every madvise raises OSError
+                monkeypatch.setattr(device, "_MADV_POPULATE_WRITE", 9999)
+                assert not populating_works()
+            mgmt = make_mgmt(cores=4, log_transfers=True)
+            out = run(mgmt, spec)
+            assert np.array_equal(out, expected)
+            results.append((mgmt.device.stats, mgmt.device.transfer_log))
+        assert results[0] == results[1]
 
 
 class TestDma:
@@ -424,6 +512,16 @@ class TestKernels:
         assert claim > dev.config.usable_scratchpad_bytes
         with pytest.raises(ScratchpadOverflow):
             dev.launch_kernel(lambda device, p: None, 12, scratch_bytes=claim)
+
+    def test_negative_scratch_claim_rejected_before_the_kernel_runs(self):
+        dev = make_device(log_transfers=True)
+        dev.dma_read(0, 0, 0, 8)  # one logged command to keep
+        stats, log = dev.stats.copy(), list(dev.transfer_log)
+        calls = []
+        with pytest.raises(InvalidArgument):
+            dev.launch_kernel(lambda device, p: calls.append(p), 1, scratch_bytes=-8)
+        assert calls == []
+        assert dev.stats == stats and dev.transfer_log == log
 
     def test_kernel_faults_propagate(self):
         dev = make_device(cores=1)
