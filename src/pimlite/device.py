@@ -424,8 +424,8 @@ class PimDevice:
         ``num_tasklets`` must be within ``1..max_tasklets`` and
         ``scratch_bytes``, the kernel's declared scratchpad footprint
         (buffers + accumulators), must be non-negative and fit the usable
-        budget; a launch that breaks either rule raises before the kernel
-        runs.  ``[0, scratch_bytes)`` of every scratchpad is then populated
+        budget; a launch that breaks any of these rules raises before the
+        kernel runs.  ``[0, scratch_bytes)`` of every scratchpad is then populated
         (:func:`_populate`).  Cores are independent, so a kernel may act for
         several cores at once: the launch's log records are stable-sorted by
         core, the order that running the cores one after another gives.

@@ -107,7 +107,7 @@ def vm_flags(start: int, stop: int) -> list[set[str]]:
     with open("/proc/self/smaps") as f:
         for line in f:
             head = line.split()[0]
-            if "-" in head and not head.endswith(":"):
+            if not head.endswith(":"):  # "start-end perms ..." opens a mapping
                 lo, hi = (int(a, 16) for a in head.split("-"))
                 overlaps = lo < stop and start < hi
             elif head == "VmFlags:" and overlaps:
@@ -165,7 +165,7 @@ class TestBankMemory:
                 assert "nh" in vma and "sh" not in vma, vma
 
     def test_population_changes_no_bytes(self):
-        # rows of 12,296 bytes: most rows start inside a page
+        # rows of 12,296 bytes: rows 1 and 2 start inside a page
         dev = make_device(cores=3, bank_bytes=12_296)
         assert dev.alloc(24) == 0
         payload = (np.arange(3 * 5000) % 251).astype(np.uint8).reshape(3, 5000)
@@ -189,14 +189,13 @@ class TestBankMemory:
         dev.alloc(64 << 10)  # 64 KB in each of 64 banks: 4 MB
         assert resident_bytes() - before >= 3.5 * (1 << 20)
 
-    @pytest.mark.parametrize("name,run", [
-        ("vecadd", lambda mgmt, spec: apps.run_vecadd(mgmt, spec)),
-        ("histogram", lambda mgmt, spec: apps.run_histogram(mgmt, spec)),
-    ])
-    def test_a_refused_population_faults_pages_in_as_before(self, monkeypatch, name, run):
-        spec = apps.BenchmarkSpec(name=name, total_elems=4321, bins=64, seed=3)
-        expected = {"vecadd": apps.oracle_vecadd,
-                    "histogram": apps.oracle_histogram}[name](spec)
+    @pytest.mark.parametrize("run,oracle", [
+        (apps.run_vecadd, apps.oracle_vecadd),
+        (apps.run_histogram, apps.oracle_histogram),
+    ], ids=["vecadd", "histogram"])
+    def test_a_refused_population_faults_pages_in_as_before(self, monkeypatch, run, oracle):
+        spec = apps.BenchmarkSpec(total_elems=4321, bins=64, seed=3)
+        expected = oracle(spec)
         results = []
         for refused in (False, True):
             if refused:  # an advice no kernel knows: every madvise raises OSError
