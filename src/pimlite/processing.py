@@ -18,14 +18,14 @@ a run issues the same commands, so each one is issued for the run at once, as
 a ``range`` of cores: one command per core, moved as one copy.  Cores are
 independent, so the bytes, counters and commands are those of running the
 cores one after another, and a launch's transfer log records are in core
-order.  A map or materializing zip steps only through each tasklet's last
-two batches; the full batch rounds before them skip the scratchpad, whose
-bytes the last two overwrite anyway.  Their elements go straight from the
-input banks to the output banks in chunks, one callback per chunk, while
-their commands are issued from the same schedule in the same order, so the
-counters, the log and the scratchpads end as the per-batch steps leave
-them.  Reductions keep their accumulators in the scratchpad in one of two
-variants (one shared array behind per-entry locks,
+order.  A map or materializing zip moves every element straight from the
+input banks to the output banks in chunks, one callback per chunk, and then
+issues its commands from the same schedule in the same order.  Only each
+tasklet's last two batches step through the scratchpad, without a callback:
+their bytes overwrite all that the earlier batches would leave there, so the
+counters, the log, the scratchpads and the output padding end as the
+per-batch steps leave them.  Reductions keep their accumulators in the
+scratchpad in one of two variants (one shared array behind per-entry locks,
 or one private array per tasklet merged ring-style); each core then writes
 its partial result into its copy of the output array, and the host folds the
 copies with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the
@@ -33,13 +33,13 @@ two source arrays and the next iterator streams both of them, combining
 batches in the scratchpad; zipping an already-lazy array forces physical
 materialization (laziness is one level deep).
 
-Callback contract.  All buffers are C-contiguous uint8 rows of scratchpad
-batches or, for a map's full batch rounds, of chunks of bank rows (copies
-when they span several cores or chunks; outputs are copied back); callbacks
-reinterpret them with ``.view(dtype)``.  One call may receive the
-rows of several cores, stacked core by core: a callback must treat rows
-independently, and it sees one copy of the context, the one all those cores
-hold.
+Callback contract.  All buffers are C-contiguous uint8 rows, which
+callbacks reinterpret with ``.view(dtype)``.  ``map_func`` sees chunks of
+bank rows (copies; its output is copied to the banks), ``map_to_val_func``
+scratchpad batches (copies when they span several cores).  One call may
+receive the rows of several cores, stacked core by core: a callback must
+treat rows independently, and it sees one copy of the context, the one all
+those cores hold.
 
 ``map_func(src, dst, ctx)``
     ``src`` is ``(m, in_size)``, ``dst`` is ``(m, out_size)``; fill ``dst``
@@ -627,8 +627,9 @@ class _Slots:
 def _load_batch_views(dma_read, cores: range, reads) -> None:
     """Issue the scheduled ``reads`` of one batch on a run of ``cores``, one
     command per core for each read.  Called once per run and batch that goes
-    through the scratchpad: every batch of a reduction, and only the last two
-    batch rounds of a map or zip (:func:`_stream_run`)."""
+    through the scratchpad: every batch of a reduction, and the last two
+    batch rounds of a map or zip, which replay them without a callback
+    (:func:`_stream_run`)."""
     for bank, slot, nbytes in reads:
         dma_read(cores, bank, slot, nbytes)
 
@@ -640,10 +641,11 @@ def _iterator_kernel(device, params) -> None:
     same offsets), splits the cores into runs with :func:`_core_groups` and
     runs each batch step once per run: the scheduled reads, one callback
     over the rows of all the run's cores, then the write, each command
-    issued for the run's range of cores (a map or zip runs its full batch
-    rounds in chunks instead, see :func:`_stream_run`).  Cores are independent, so this
-    moves the same bytes and commands as running them one after another;
-    ``launch_kernel`` puts the log records back in core order.
+    issued for the run's range of cores (a map or zip calls back over
+    chunks of bank rows instead, see :func:`_stream_run`).  Cores are
+    independent, so this moves the same bytes and commands as running them
+    one after another; ``launch_kernel`` puts the log records back in core
+    order.
     """
     job, schedule = params
     everyone = range(len(job.per_core_elems))
@@ -663,45 +665,44 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     """Map or materializing zip on cores ``first..end-1``, which share
     ``schedule`` and the context ``ctx``.
 
-    Each tasklet's last two batches run one batch step at a time through its
-    scratchpad slots.  The batches before them, the full batch rounds,
-    leave nothing in the scratchpad that a later batch does not overwrite,
-    so their bytes go straight from the input banks to the output banks
-    (:func:`_bulk_pass`).  Their commands are issued from the schedule all
-    the same, each tasklet's just before its tail batches, in the order the
-    per-batch steps issue them; their bytes move once all are checked."""
-    scratch, cores = device.scratchpads[first:end], range(first, end)
-    dma_read, dma_write = device.dma_read, device.dma_write
-    map_func, tasklets = job.handle.map_func, schedule[1]
-    for t, batches in enumerate(tasklets):
+    Every element goes straight from the input banks to the output banks
+    first (:func:`_bulk_pass`), so a map's callback runs there only.  Then
+    each tasklet's commands are issued from the schedule in the order the
+    per-batch steps issue them: its full batch rounds with nothing to move,
+    as no later step reads the scratchpad bytes they would leave, and its
+    last two batches replayed through its scratchpad slots without a
+    callback (the reads, the zip slot, a map's output slot filled from the
+    output banks, the write), so the scratchpads and the output padding end
+    as the per-batch steps leave them."""
+    banks, scratch = device.banks[first:end], device.scratchpads[first:end]
+    cores, local = range(first, end), job.per_core_elems[first]
+    if local:
+        _bulk_pass(banks, job, local, ctx)
+    for t, batches in enumerate(schedule[1]):
         commands = []
         for _, reads, (slot, bank, nbytes) in batches[:-2]:
             commands += [("dma_read", *read) for read in reads]
             commands.append(("dma_write", bank, slot, nbytes))
-        if commands:
-            device._issue(cores, commands)
+        device._issue(cores, commands)
         slots = _Slots(scratch, job, t)
         for m, reads, (slot, bank, nbytes) in batches[-2:]:
-            _load_batch_views(dma_read, cores, reads)
+            _load_batch_views(device.dma_read, cores, reads)
             slots.combine(m)
-            if map_func is not None:
-                dst = np.empty((len(cores) * m, job.out_size), np.uint8)
-                map_func(_rows(slots.batch, m), dst, ctx)
-                slots.out[:, :m] = dst.reshape(len(cores), m, -1)
-            dma_write(cores, slot, bank, nbytes)
-    bulk_batches = sum(map(len, tasklets)) - 2 * len(tasklets)
-    if bulk_batches > 0:
-        _bulk_pass(device.banks[first:end], job, bulk_batches * job.plan.batch_elems, ctx)
+            if job.handle.map_func is not None:  # the padding stays the slot's
+                slots.out[:, :m] = banks[:, bank:bank + m * job.out_size].reshape(
+                    len(cores), m, job.out_size)
+            device.dma_write(cores, slot, bank, nbytes)
 
 
 def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
-    """The first ``elems`` elements of every core of a run, whose bank rows
-    are ``banks``, straight from the input streams to the output, in chunks
-    of about ``_BULK_ROWS`` rows across the run's cores and at least one
-    batch per core.  The streams are interleaved in the widest unsigned word
-    that divides 8 and every element size, as in the zip slot.  A map calls
-    ``map_func`` once per chunk, over the chunk's rows of all the cores; a
-    materializing zip interleaves straight into its output."""
+    """The ``elems`` elements of every core of a run, whose bank rows are
+    ``banks``, straight from the input streams to the output, in chunks of
+    about ``_BULK_ROWS`` rows across the run's cores and at least one batch
+    per core.  The streams are interleaved in the widest unsigned word that
+    divides 8 and every element size, as in the zip slot.  A map calls
+    ``map_func`` once per chunk, over the chunk's rows of all the cores, and
+    nowhere else; a materializing zip interleaves straight into its
+    output."""
     cores = banks.shape[0]
     sizes = [s.type_size for s in job.in_streams]
     in_size, word = sum(sizes), np.dtype(f"u{math.gcd(8, *sizes)}")

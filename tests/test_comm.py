@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mgmt
+from conftest import host_state, make_mgmt
 from pimlite import comm, processing
 from pimlite.comm import plan_scatter
 from pimlite.device import TransferRecord, round_up
@@ -365,6 +365,17 @@ class TestAllreduce:
         assert mgmt.device.stats == before
         assert np.array_equal(mgmt.device.banks, banks)
         assert mgmt.lookup("r") == meta
+
+    def test_zero_length_array_calls_nothing_and_moves_nothing(self):
+        mgmt = make_mgmt(cores=3, log_transfers=True)
+        comm.broadcast(mgmt, "r", np.zeros(0, np.uint32), 0, 4)
+        calls = []
+        handle = _acc_handle(mgmt)
+        handle.acc_func = lambda dst, src: calls.append(1)
+        before = host_state(mgmt, handle, banks=True)
+        comm.allreduce(mgmt, "r", handle)
+        assert calls == []
+        assert host_state(mgmt, handle, banks=True) == before
 
 
 class TestAllgather:

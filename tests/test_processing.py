@@ -340,15 +340,25 @@ class TestFailingCallbacks:
 
     @pytest.mark.parametrize("context", [None, np.ones(100, np.uint8)])
     def test_failing_map_func(self, context):
+        # a map's callback runs before any stream command: the output is
+        # already registered and allocated when it raises
         mgmt = make_mgmt(cores=2, log_transfers=True)
         scatter_u32(mgmt, "x", range(100))
-        read = []
-        handle = processing.create_handle(mgmt, MAP, map_func=self.boom(mgmt, read),
-                                          context=context)
+        read, created = [], []
+        boom = self.boom(mgmt, read)
+
+        def map_func(*args):
+            created.append(("y" in mgmt.registry, list(mgmt.device.cursors)))
+            boom(*args)
+
+        handle = processing.create_handle(mgmt, MAP, map_func=map_func, context=context)
         before = host_state(mgmt, handle)
         with pytest.raises(ZeroDivisionError):
             processing.array_map(mgmt, "x", "y", 16, handle)
-        assert read and read[0] > before[0].dram_to_scratch_bytes
+        (registered, cursors), = created
+        assert registered and cursors > before[1]
+        if context is not None:
+            assert read[0] > before[0].dram_to_scratch_bytes
         assert host_state(mgmt, handle) == before
 
     @pytest.mark.parametrize("context", [None, np.ones(100, np.uint8)])
