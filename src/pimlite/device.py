@@ -291,7 +291,7 @@ class PimDevice:
 
     def _issue(self, cores: range, commands) -> None:
         """Check, count and log ``commands`` on each core of ``cores``, without
-        moving a byte: the caller copies them after this returns.  A command
+        moving a byte: the caller moves them itself.  A command
         is ``(op, dram offset, scratch offset, nbytes)``, ``op`` being
         ``"dma_read"`` or ``"dma_write"``, in the order each core issues them;
         they count and log as issuing them one by one on ``cores`` does.

@@ -64,22 +64,22 @@ def reference_kernel(device, params):
                     vals, keys = handle.map_to_val_func(rows, ctx)
                     vals = np.ascontiguousarray(vals).view(np.uint8).reshape(m, d)
                     mine = accum[t if copies > 1 else 0]
-                    for key, i in zip(np.asarray(keys).ravel(), range(m)):
+                    for i, key in enumerate(np.asarray(keys).ravel()):
                         handle.acc_func(mine[key:key + 1], vals[i:i + 1])
                 if write is not None:
                     device.dma_write(core, *write)
         if plan.variant is None:
             continue
-        num_t = copies  # the ring merge of the private variant; one copy is merged
-        for step in range(num_t - 1):
-            for t in range(num_t):
-                seg = (t - 1 - step) % num_t
-                lo, hi = seg * n // num_t, (seg + 1) * n // num_t
+        # the ring merge of private copies (a shared one has nothing to merge)
+        for step in range(copies - 1):
+            for t in range(copies):
+                seg = (t - 1 - step) % copies
+                lo, hi = seg * n // copies, (seg + 1) * n // copies
                 if hi > lo:
                     handle.acc_func(accum[t, lo:hi], accum[t - 1, lo:hi])
-        for t in range(1, num_t):
-            own = (t + 1) % num_t
-            lo, hi = own * n // num_t, (own + 1) * n // num_t
+        for t in range(1, copies):
+            own = (t + 1) % copies
+            lo, hi = own * n // copies, (own + 1) * n // copies
             accum[0, lo:hi] = accum[t, lo:hi]
         for c in range(copies):
             scratch[plan.accum_base + c * plan.accum_slot:][:n * d] = accum[c].reshape(-1)
