@@ -586,10 +586,10 @@ class _Slots:
 
     ``batch`` holds the rows a callback reads: the stream slot, or the zip
     slot for zipped streams.  ``columns`` pairs each word column of the zip
-    slot with its stream slot; the zip slot is filled in the widest unsigned
-    word that divides 8 and every element size, so each stream is copied in
-    whole words.  ``out`` is the slot written back to the bank (None in a
-    reduction).
+    slot with its stream's element size; the zip slot is filled in the
+    widest unsigned word that divides 8 and every element size, so each
+    stream is copied in whole words.  ``out`` is the slot written back to the
+    bank (None in a reduction).
     """
 
     __slots__ = ("batch", "columns", "out")
@@ -601,27 +601,30 @@ class _Slots:
         def slot(rel, size):
             return scratch[:, base + rel:base + rel + b * size].reshape(-1, b, size)
 
-        views = [slot(rel, s.type_size) for s, rel in zip(job.in_streams, plan.stream_rels)]
+        sizes = [s.type_size for s in job.in_streams]
         self.columns = []
         if plan.combine_rel is None:
-            self.batch = views[0]
+            self.batch = slot(plan.stream_rels[0], sizes[0])
         else:
-            sizes = [s.type_size for s in job.in_streams]
             word = np.dtype(f"u{math.gcd(8, *sizes)}")
             self.batch = slot(plan.combine_rel, sum(sizes))
             words = self.batch.view(word)
             col = 0
-            for view in views:
-                width = view.shape[2] // word.itemsize
-                self.columns.append((words[:, :, col:col + width], view.view(word)))
+            for size in sizes:
+                width = size // word.itemsize
+                self.columns.append((words[:, :, col:col + width], size))
                 col += width
         self.out = None if plan.out_rel is None else slot(plan.out_rel, job.out_size)
 
-    def combine(self, m: int) -> None:
+    def combine(self, banks: np.ndarray, reads, m: int) -> None:
         """Interleave the first ``m`` elements of the zipped streams into the
-        zip slot of every core."""
-        for dst, src in self.columns:
-            dst[:, :m] = src[:, :m]
+        zip slot of every core.  Each column comes from the bank rows, of
+        ``banks``, that the batch's ``reads`` have just copied into the
+        stream slots: the same bytes, but a copy between two slots of the
+        one scratchpad array would go through a temporary."""
+        for (dst, size), (bank, _, _) in zip(self.columns, reads):
+            dst[:, :m] = banks[:, bank:bank + m * size].reshape(
+                len(banks), m, size).view(dst.dtype)
 
 
 def _load_batch_views(dma_read, cores: range, reads) -> None:
@@ -687,7 +690,7 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
         slots = _Slots(scratch, job, t)
         for m, reads, (slot, bank, nbytes) in batches[-2:]:
             _load_batch_views(device.dma_read, cores, reads)
-            slots.combine(m)
+            slots.combine(banks, reads, m)
             if job.handle.map_func is not None:  # the padding stays the slot's
                 slots.out[:, :m] = banks[:, bank:bank + m * job.out_size].reshape(
                     len(cores), m, job.out_size)
@@ -808,39 +811,52 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
         .reshape(cores, copies, plan.accum_slot)[:, :, :n * d]
     accum = np.ascontiguousarray(accum_slots.reshape(cores * copies * n, d))
     handle.init_func(accum)
+    b = plan.batch_elems
     if handle.combine is None:
         def fold(rows, idx):
             _scatter_accumulate(accum, rows, idx, handle.acc_func)
     else:
         ufunc, dtype = handle.combine
         w = d // dtype.itemsize  # values per entry
-        target, lanes = accum.view(dtype).reshape(-1), np.arange(w)
+        target = accum.view(dtype).reshape(-1)
+        if w == 1:
+            def fold(rows, idx):
+                ufunc.at(target, idx, rows.view(dtype).reshape(-1))
+        else:
+            lanes = np.tile(np.arange(w), cores * b)
 
-        def fold(rows, idx):  # value j of entry i is value i * w + j
-            ufunc.at(target, (idx[:, None] * w + lanes).reshape(-1),
-                     rows.view(dtype).reshape(-1))
+            def fold(rows, idx):  # value j of entry i is value i * w + j
+                flat = np.repeat(idx * w, w)
+                flat += lanes[:flat.size]
+                ufunc.at(target, flat, rows.view(dtype).reshape(-1))
     # the run's entry locks: each core's table of n entries, side by side
     locks = None if private else LockTable(cores * n)
     core_rows = np.arange(cores) * (copies * n)
-    full_batch_rows = np.repeat(core_rows, plan.batch_elems)
+    banks, cores_range = device.banks[first:end], range(first, end)
     map_to_val, dma_read = handle.map_to_val_func, device.dma_read
     for t, batches in enumerate(tasklets):
         slots = _Slots(scratch, job, t)
+        # row of key 0 for each element of a batch: its core's (and, when
+        # private, this tasklet's) table
+        table_rows = core_rows + t * n if private else core_rows
+        full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
-            _load_batch_views(dma_read, range(first, end), reads)
-            slots.combine(m)
+            _load_batch_views(dma_read, cores_range, reads)
+            slots.combine(banks, reads, m)
             vals, keys = map_to_val(_rows(slots.batch, m), ctx)
             rows = _as_entry_rows(vals, cores * m, d)
-            ks = np.asarray(keys, np.int64).ravel()
+            ks = np.asarray(keys)
+            if ks.dtype.kind not in "iu":
+                raise InvalidArgument(f"reduction keys must be integers, got {ks.dtype}")
+            ks = ks.astype(np.int64, copy=False).ravel()
             if ks.size != cores * m:
                 raise InvalidArgument(
                     f"callback returned {ks.size} keys for {cores * m} elements")
-            if ks.min() < 0 or ks.max() >= n:
+            if ks.view(np.uint64).max() >= n:  # a negative key wraps to >= 2**63
                 raise InvalidArgument(f"reduction key outside [0, {n})")
-            idx = ks + (full_batch_rows if m == plan.batch_elems
-                        else np.repeat(core_rows, m))
+            idx = ks + (full_batch_rows if m == b else np.repeat(table_rows, m))
             if private:
-                fold(rows, idx + t * n)
+                fold(rows, idx)
             else:
                 uniq = np.unique(idx)
                 locks.acquire(t, uniq)

@@ -186,6 +186,42 @@ class TestCallbackOutput:
         assert handle.ctx_array_id is None
 
 
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    @pytest.mark.parametrize("key", [-1, np.iinfo(np.int64).min, np.uint64(1 << 63)],
+                             ids=["minus-one", "int64-min", "uint64-2**63"])
+    def test_a_key_outside_the_output_is_refused(self, key, variant):
+        """The one-pass range check reads keys as uint64, so a negative key
+        is out of range as well as one far past the end."""
+        def to_val(src, ctx):
+            keys = np.zeros(src.shape[0], np.asarray(key).dtype)
+            keys[-1] = key
+            return np.zeros(src.shape[0], np.uint64), keys
+
+        mgmt = loaded_mgmt()
+        handle = sum_handle(mgmt, to_val)
+        before = host_state(mgmt)
+        with pytest.raises(InvalidArgument, match="key outside"):
+            processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
+        assert host_state(mgmt) == before
+
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    @pytest.mark.parametrize("keys", [lambda m: np.full(m, 1.7),
+                                      lambda m: np.zeros(m, bool),
+                                      lambda m: np.zeros(m, complex),
+                                      lambda m: np.zeros(m, object)],
+                             ids=["float", "bool", "complex", "object"])
+    def test_non_integer_keys_are_refused(self, keys, variant):
+        """Keys that are not integers are refused rather than truncated: a
+        float key of 1.7 would otherwise land in entry 1."""
+        mgmt = loaded_mgmt()
+        handle = sum_handle(mgmt, lambda src, ctx: (np.zeros(src.shape[0], np.uint64),
+                                                    keys(src.shape[0])))
+        before = host_state(mgmt)
+        with pytest.raises(InvalidArgument, match="keys must be integers"):
+            processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
+        assert host_state(mgmt) == before
+
+
 class TestHostSerialTransfer:
     @pytest.mark.parametrize("core,direction,host,offset,nbytes,error", [
         (2, TO_PIM, np.zeros(8, np.uint8), 0, 8, OutOfBounds),

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -544,6 +545,36 @@ class TestZip:
         combined = comm.gather(mgmt, "abc").view(np.uint32).reshape(50, 3)
         assert np.array_equal(combined,
                               np.stack([a, b, c], axis=1))
+
+    def test_zip_slot_is_filled_without_a_temporary(self, monkeypatch):
+        """Each zip-slot column is copied from the bank rows the batch has
+        just read, not from its stream slot: a copy between two views of the
+        one scratchpad array would first copy the column into a temporary."""
+        cores, per_core = 32, 238
+        mgmt = make_mgmt(cores=cores)
+        a = scatter_u32(mgmt, "a", np.arange(cores * per_core))
+        b = scatter_u32(mgmt, "b", np.arange(cores * per_core) * 3)
+        processing.array_zip(mgmt, "a", "b", "ab")
+        peaks, combine = [], processing._Slots.combine
+
+        def traced(slots, banks, reads, m):
+            tracemalloc.start()
+            try:
+                combine(slots, banks, reads, m)
+                peaks.append((tracemalloc.get_traced_memory()[1], len(banks) * m * 4))
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(processing._Slots, "combine", traced)
+
+        def add(src, dst, ctx):
+            pairs = src.view(np.uint32).reshape(-1, 2)
+            np.add(pairs[:, 0], pairs[:, 1], out=dst.view(np.uint32).ravel())
+
+        handle = processing.create_handle(mgmt, MAP, map_func=add)
+        processing.array_map(mgmt, "ab", "s", 4, handle)
+        assert np.array_equal(comm.gather(mgmt, "s").view(np.uint32), a + b)
+        assert peaks and all(peak < column for peak, column in peaks), peaks
 
     def test_eager_traffic_exceeds_lazy_by_two(self):
         def vecadd_traffic(eager):
