@@ -53,7 +53,10 @@ those cores hold.
 
 ``map_to_val_func(src, ctx) -> (vals, keys)``
     ``vals`` is any C-contiguous array of ``m * entry_size`` bytes (one entry
-    per input element), ``keys`` is ``m`` output indices.
+    per input element), ``keys`` is ``m`` output indices: integers in ``[0,
+    n)`` for ``n`` entries.  Keys of any other dtype (float, bool, complex,
+    object) are refused, not truncated; the range is checked in one pass
+    over the keys read as uint64, where a negative key is ``>= 2**63``.
 
 ``acc_func(dst, src)``
     ``dst[i] ⊕= src[i]`` over entry rows, in place.  ``⊕`` must be commutative
@@ -69,14 +72,17 @@ result would depend on the work split.
 Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
 ``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
 when ``init_func`` is omitted, the accumulator is filled with
-``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``; an
-opaque ``acc_func`` is folded by pair-reducing duplicate keys in log rounds.
+``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``: on
+the entries' row indices themselves when an entry holds one value, else on
+``np.repeat(row * w, w)`` plus a lane pattern ``0..w-1`` tiled once per run
+for ``w`` values per entry.  An opaque ``acc_func`` is folded by
+pair-reducing duplicate keys in log rounds.
 The ring merge and the host fold call ``acc_func`` either way, so both paths
 move the same bytes and give the same results.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
-number of bytes or keys or a key outside the output (``InvalidArgument``),
-propagates out of the iterator.
+number of bytes or keys, non-integer keys or a key outside the output
+(``InvalidArgument``), propagates out of the iterator.
 
 Rollback rule.  Every public operation that raises (a registry call, a
 collective, a handle call, an iterator or a whole ``apps.run_*``), whatever
@@ -797,8 +803,13 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     + key``: the scratchpad slots themselves when they already lie that way
     (one core, no padding between copies), else a copy.  They are
     initialized, folded and merged there and copied back before each core
-    writes its partial.  A declared combiner folds each batch step with one
-    1-D ``ufunc.at`` over the entries' values.
+    writes its partial.  Each tasklet's rows of key 0 for a full batch are
+    computed once, so a batch's row index is its keys plus those rows.  Keys
+    must be integers in ``[0, n)``, checked in one pass as uint64.  A
+    declared combiner folds each batch step with one 1-D ``ufunc.at`` over
+    the entries' values: on the row index itself when an entry holds one
+    value, else on the index repeated ``w`` times, scaled by ``w``, plus the
+    run's lane pattern.
     """
     _, tasklets, partial = schedule
     plan, handle = job.plan, job.handle
@@ -832,7 +843,7 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     # the run's entry locks: each core's table of n entries, side by side
     locks = None if private else LockTable(cores * n)
     core_rows = np.arange(cores) * (copies * n)
-    banks, cores_range = device.banks[first:end], range(first, end)
+    banks = device.banks[first:end]
     map_to_val, dma_read = handle.map_to_val_func, device.dma_read
     for t, batches in enumerate(tasklets):
         slots = _Slots(scratch, job, t)
@@ -841,7 +852,7 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
         table_rows = core_rows + t * n if private else core_rows
         full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
-            _load_batch_views(dma_read, cores_range, reads)
+            _load_batch_views(dma_read, range(first, end), reads)
             slots.combine(banks, reads, m)
             vals, keys = map_to_val(_rows(slots.batch, m), ctx)
             rows = _as_entry_rows(vals, cores * m, d)

@@ -150,7 +150,8 @@ class TestIteratorArguments:
 
 
 class TestCallbackOutput:
-    """A reduction callback that returns the wrong bytes or keys raises
+    """A reduction callback that returns the wrong bytes, the wrong number of
+    keys, keys that are not integers or a key outside the output raises
     ``InvalidArgument`` inside the kernel, after that batch's DMA reads and
     the broadcast of the handle's context.  The iterator's allocation and
     that context are released, and the traffic counters and the transfer log
@@ -158,6 +159,14 @@ class TestCallbackOutput:
     launch) and free bank space differs from before the call."""
 
     N = 4
+    # the last key of a batch; the range check reads keys as uint64, so a
+    # negative key is out of range too
+    PLANTED = {"key-range": N, "key-minus-one": -1,
+               "key-int64-min": np.iinfo(np.int64).min,
+               "key-uint64-2**63": np.uint64(1 << 63)}
+    # refused rather than truncated: 1.7 would otherwise land in entry 1
+    NON_INTEGER = {"float-keys": float, "bool-keys": bool,
+                   "complex-keys": complex, "object-keys": object}
 
     def to_val(self, bad):
         def to_val(src, ctx):
@@ -167,15 +176,20 @@ class TestCallbackOutput:
                 return vals[:-1], keys
             if bad == "keys":
                 return vals, keys[:-1]
-            keys[-1] = self.N  # one past the last entry
+            if bad in self.NON_INTEGER:
+                return vals, np.full(m, 1.7, self.NON_INTEGER[bad])
+            key = self.PLANTED[bad]
+            keys = keys.astype(np.asarray(key).dtype)
+            keys[-1] = key
             return vals, keys
 
         return to_val
 
     @pytest.mark.parametrize("variant", ["shared", "private"])
-    @pytest.mark.parametrize("bad,message", [("bytes", "bytes, expected"),
-                                             ("keys", "keys for"),
-                                             ("key-range", "key outside")])
+    @pytest.mark.parametrize("bad,message", [
+        ("bytes", "bytes, expected"), ("keys", "keys for"),
+        *((bad, "key outside") for bad in PLANTED),
+        *((bad, "keys must be integers") for bad in NON_INTEGER)])
     def test_allocation_and_context_are_released(self, bad, message, variant):
         mgmt = loaded_mgmt()
         handle = sum_handle(mgmt, self.to_val(bad), context=np.ones(16, np.uint8))
@@ -184,42 +198,6 @@ class TestCallbackOutput:
             processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
         assert host_state(mgmt) == before
         assert handle.ctx_array_id is None
-
-
-    @pytest.mark.parametrize("variant", ["shared", "private"])
-    @pytest.mark.parametrize("key", [-1, np.iinfo(np.int64).min, np.uint64(1 << 63)],
-                             ids=["minus-one", "int64-min", "uint64-2**63"])
-    def test_a_key_outside_the_output_is_refused(self, key, variant):
-        """The one-pass range check reads keys as uint64, so a negative key
-        is out of range as well as one far past the end."""
-        def to_val(src, ctx):
-            keys = np.zeros(src.shape[0], np.asarray(key).dtype)
-            keys[-1] = key
-            return np.zeros(src.shape[0], np.uint64), keys
-
-        mgmt = loaded_mgmt()
-        handle = sum_handle(mgmt, to_val)
-        before = host_state(mgmt)
-        with pytest.raises(InvalidArgument, match="key outside"):
-            processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
-        assert host_state(mgmt) == before
-
-    @pytest.mark.parametrize("variant", ["shared", "private"])
-    @pytest.mark.parametrize("keys", [lambda m: np.full(m, 1.7),
-                                      lambda m: np.zeros(m, bool),
-                                      lambda m: np.zeros(m, complex),
-                                      lambda m: np.zeros(m, object)],
-                             ids=["float", "bool", "complex", "object"])
-    def test_non_integer_keys_are_refused(self, keys, variant):
-        """Keys that are not integers are refused rather than truncated: a
-        float key of 1.7 would otherwise land in entry 1."""
-        mgmt = loaded_mgmt()
-        handle = sum_handle(mgmt, lambda src, ctx: (np.zeros(src.shape[0], np.uint64),
-                                                    keys(src.shape[0])))
-        before = host_state(mgmt)
-        with pytest.raises(InvalidArgument, match="keys must be integers"):
-            processing.array_red(mgmt, "x", "out", 8, self.N, handle, variant=variant)
-        assert host_state(mgmt) == before
 
 
 class TestHostSerialTransfer:
