@@ -341,9 +341,14 @@ def oracle_logreg(spec: BenchmarkSpec) -> np.ndarray:
 # keep their previous centroid; division truncates toward zero.
 
 
-def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
+def check_kmeans_spec(spec: BenchmarkSpec) -> None:
+    """Refuse fewer points than clusters: the first points seed the centroids."""
     if spec.total_elems < spec.clusters:
         raise InvalidArgument("need at least one point per cluster seed")
+
+
+def make_kmeans_points(spec: BenchmarkSpec) -> np.ndarray:
+    check_kmeans_spec(spec)
     words = pcg64_words(spec.seed, spec.total_elems * spec.dims)
     return _top_bits(words, 12).view(np.int32).reshape(spec.total_elems, spec.dims)
 

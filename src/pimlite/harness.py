@@ -60,8 +60,11 @@ class ExperimentConfig:
             raise InvalidArgument("scaling must be weak or strong")
         if not self.core_counts or any(c < 1 for c in self.core_counts):
             raise InvalidArgument("core_counts must be positive")
-        # every run's spec differs from this one in total_elems alone
-        _make_spec(self, self.elems_per_core * min(self.core_counts))
+        # every run's spec differs from this one in total_elems alone, and
+        # has at least as many
+        spec = _make_spec(self, self.elems_per_core * min(self.core_counts))
+        if self.benchmark == "kmeans":
+            apps.check_kmeans_spec(spec)
 
 
 @dataclass

@@ -13,7 +13,10 @@ command: it issues, in order, the commands that :func:`dma_schedule`
 derives from the job once per launch.  The cores run in
 lockstep: consecutive cores with the same element count and the same context
 bytes form a run, and each batch step runs once per run (the scheduled reads,
-one callback over the rows of all the run's cores, the write).  Every core of
+one callback over the rows of all the run's cores, the write).  One loader,
+``_load_batch_views``, issues a batch's reads and returns the scratchpad rows
+the callback reads; one function, ``_interleave``, lays out zipped elements,
+in the zip slot and in a map or zip's bulk pass.  Every core of
 a run issues the same commands, so each one is issued for the run at once, as
 a ``range`` of cores: one command per core, moved as one copy.  Cores are
 independent, so the bytes, counters and commands are those of running the
@@ -578,69 +581,50 @@ def _core_groups(per_core_elems, contexts) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _rows(view: np.ndarray, m: int) -> np.ndarray:
-    """The first ``m`` rows of each core of a ``(cores, batch, bytes)`` slot
-    view as the C-contiguous ``(cores * m, bytes)`` rows a callback reads: a
-    copy unless the run has one core."""
-    part = view[:, :m]
-    return part.reshape(-1, part.shape[2])
+def _elements(rows: np.ndarray, start: int, n: int, size: int) -> np.ndarray:
+    """Elements ``0..n-1`` of ``size`` bytes from byte ``start`` of each of
+    ``rows``, a run's bank or scratchpad rows, as a ``(cores, n, size)`` view."""
+    return rows[:, start:start + n * size].reshape(len(rows), n, size)
 
 
-class _Slots:
-    """Tasklet ``t``'s scratchpad slots on a run of cores, as ``(cores,
-    batch, element bytes)`` views of ``scratch``, the run's scratchpad rows.
+def _interleave(dst: np.ndarray, banks: np.ndarray, sources, n: int) -> None:
+    """Fill ``dst``, ``(cores, n, element bytes)``, with zipped elements: the
+    first ``n`` elements of each of ``sources``, ``(bank offset, element
+    size)`` pairs in the run's bank rows ``banks``, side by side in order.
+    Each stream is copied in the widest unsigned word that divides 8 and
+    every element size, so it moves in whole words."""
+    word = np.dtype(f"u{math.gcd(8, *(size for _, size in sources))}")
+    words, col = dst.view(word), 0
+    for offset, size in sources:
+        width = size // word.itemsize
+        words[:, :, col:col + width] = _elements(banks, offset, n, size).view(word)
+        col += width
 
-    ``batch`` holds the rows a callback reads: the stream slot, or the zip
-    slot for zipped streams.  ``columns`` pairs each word column of the zip
-    slot with its stream's element size; the zip slot is filled in the
-    widest unsigned word that divides 8 and every element size, so each
-    stream is copied in whole words.  ``out`` is the slot written back to the
-    bank (None in a reduction).
+
+def _load_batch_views(device, job: _Job, cores: range, t: int, m: int,
+                      reads) -> np.ndarray:
+    """Load tasklet ``t``'s batch of ``m`` elements on a run of ``cores``
+    and return the ``(cores, m, in_size)`` scratchpad rows a callback reads.
+
+    The batch's scheduled ``reads`` go through ``device.dma_read``, one
+    command per core for each read.  The rows are the stream slot, or for
+    zipped streams the zip slot, filled with :func:`_interleave` from the
+    bank rows that the reads have just copied: the same bytes, but a copy
+    between two slots of the one scratchpad array would go through a
+    temporary.  Called once per run and batch that goes through the
+    scratchpad: every batch of a reduction, and the last two batch rounds of
+    a map or zip, which replay them without a callback (:func:`_stream_run`).
     """
-
-    __slots__ = ("batch", "columns", "out")
-
-    def __init__(self, scratch: np.ndarray, job: _Job, t: int):
-        plan, b = job.plan, job.plan.batch_elems
-        base = plan.blocks_base + t * plan.block_bytes
-
-        def slot(rel, size):
-            return scratch[:, base + rel:base + rel + b * size].reshape(-1, b, size)
-
-        sizes = [s.type_size for s in job.in_streams]
-        self.columns = []
-        if plan.combine_rel is None:
-            self.batch = slot(plan.stream_rels[0], sizes[0])
-        else:
-            word = np.dtype(f"u{math.gcd(8, *sizes)}")
-            self.batch = slot(plan.combine_rel, sum(sizes))
-            words = self.batch.view(word)
-            col = 0
-            for size in sizes:
-                width = size // word.itemsize
-                self.columns.append((words[:, :, col:col + width], size))
-                col += width
-        self.out = None if plan.out_rel is None else slot(plan.out_rel, job.out_size)
-
-    def combine(self, banks: np.ndarray, reads, m: int) -> None:
-        """Interleave the first ``m`` elements of the zipped streams into the
-        zip slot of every core.  Each column comes from the bank rows, of
-        ``banks``, that the batch's ``reads`` have just copied into the
-        stream slots: the same bytes, but a copy between two slots of the
-        one scratchpad array would go through a temporary."""
-        for (dst, size), (bank, _, _) in zip(self.columns, reads):
-            dst[:, :m] = banks[:, bank:bank + m * size].reshape(
-                len(banks), m, size).view(dst.dtype)
-
-
-def _load_batch_views(dma_read, cores: range, reads) -> None:
-    """Issue the scheduled ``reads`` of one batch on a run of ``cores``, one
-    command per core for each read.  Called once per run and batch that goes
-    through the scratchpad: every batch of a reduction, and the last two
-    batch rounds of a map or zip, which replay them without a callback
-    (:func:`_stream_run`)."""
     for bank, slot, nbytes in reads:
-        dma_read(cores, bank, slot, nbytes)
+        device.dma_read(cores, bank, slot, nbytes)
+    plan, sizes = job.plan, [s.type_size for s in job.in_streams]
+    rel = plan.stream_rels[0] if plan.combine_rel is None else plan.combine_rel
+    batch = _elements(device.scratchpads[cores.start:cores.stop],
+                      plan.blocks_base + t * plan.block_bytes + rel, m, sum(sizes))
+    if plan.combine_rel is not None:
+        _interleave(batch, device.banks[cores.start:cores.stop],
+                    [(bank, size) for (bank, _, _), size in zip(reads, sizes)], m)
+    return batch
 
 
 def _iterator_kernel(device, params) -> None:
@@ -680,9 +664,10 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     per-batch steps issue them: its full batch rounds with nothing to move,
     as no later step reads the scratchpad bytes they would leave, and its
     last two batches replayed through its scratchpad slots without a
-    callback (the reads, the zip slot, a map's output slot filled from the
-    output banks, the write), so the scratchpads and the output padding end
-    as the per-batch steps leave them."""
+    callback (the reads and the zip slot by :func:`_load_batch_views`, a
+    map's output slot filled from the output banks, the write), so the
+    scratchpads and the output padding end as the per-batch steps leave
+    them."""
     banks, scratch = device.banks[first:end], device.scratchpads[first:end]
     cores, local = range(first, end), job.per_core_elems[first]
     if local:
@@ -693,13 +678,11 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
             commands += [("dma_read", *read) for read in reads]
             commands.append(("dma_write", bank, slot, nbytes))
         device._issue(cores, commands)
-        slots = _Slots(scratch, job, t)
         for m, reads, (slot, bank, nbytes) in batches[-2:]:
-            _load_batch_views(device.dma_read, cores, reads)
-            slots.combine(banks, reads, m)
+            _load_batch_views(device, job, cores, t, m, reads)
             if job.handle.map_func is not None:  # the padding stays the slot's
-                slots.out[:, :m] = banks[:, bank:bank + m * job.out_size].reshape(
-                    len(cores), m, job.out_size)
+                _elements(scratch, slot, m, job.out_size)[...] = \
+                    _elements(banks, bank, m, job.out_size)
             device.dma_write(cores, slot, bank, nbytes)
 
 
@@ -707,33 +690,24 @@ def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
     """The ``elems`` elements of every core of a run, whose bank rows are
     ``banks``, straight from the input streams to the output, in chunks of
     about ``_BULK_ROWS`` rows across the run's cores and at least one batch
-    per core.  The streams are interleaved in the widest unsigned word that
-    divides 8 and every element size, as in the zip slot.  A map calls
-    ``map_func`` once per chunk, over the chunk's rows of all the cores, and
-    nowhere else; a materializing zip interleaves straight into its
-    output."""
+    per core.  The streams are interleaved by :func:`_interleave`, as in the
+    zip slot.  A map calls ``map_func`` once per chunk, over the chunk's rows
+    of all the cores, and nowhere else; a materializing zip interleaves
+    straight into its output."""
     cores = banks.shape[0]
-    sizes = [s.type_size for s in job.in_streams]
-    in_size, word = sum(sizes), np.dtype(f"u{math.gcd(8, *sizes)}")
+    in_size = sum(s.type_size for s in job.in_streams)
     chunk = min(max(job.plan.batch_elems, _BULK_ROWS // cores), elems)
     map_func = job.handle.map_func
     if map_func is not None:  # reused across chunks
         src_buf = np.empty(cores * chunk * in_size, np.uint8)
         dst_buf = np.empty(cores * chunk * job.out_size, np.uint8)
-
-    def rows(offset, size, lo, n):  # elements lo..lo+n-1 of every core
-        return banks[:, offset + lo * size:offset + (lo + n) * size].reshape(cores, n, size)
-
     for lo in range(0, elems, chunk):
         n = min(chunk, elems - lo)
-        out = rows(job.out_offset, job.out_size, lo, n)
+        out = _elements(banks, job.out_offset + lo * job.out_size, n, job.out_size)
         zipped = out if map_func is None else \
             src_buf[:cores * n * in_size].reshape(cores, n, in_size)
-        words, col = zipped.view(word), 0
-        for s in job.in_streams:
-            width = s.type_size // word.itemsize
-            words[:, :, col:col + width] = rows(s.bank_offset, s.type_size, lo, n).view(word)
-            col += width
+        _interleave(zipped, banks, [(s.bank_offset + lo * s.type_size, s.type_size)
+                                    for s in job.in_streams], n)
         if map_func is not None:
             dst = dst_buf[:cores * n * job.out_size].reshape(cores * n, job.out_size)
             map_func(zipped.reshape(cores * n, in_size), dst, ctx)
@@ -803,7 +777,9 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     + key``: the scratchpad slots themselves when they already lie that way
     (one core, no padding between copies), else a copy.  They are
     initialized, folded and merged there and copied back before each core
-    writes its partial.  Each tasklet's rows of key 0 for a full batch are
+    writes its partial.  Each batch step loads its rows with
+    :func:`_load_batch_views` and calls ``map_to_val_func`` on them, stacked
+    core by core.  Each tasklet's rows of key 0 for a full batch are
     computed once, so a batch's row index is its keys plus those rows.  Keys
     must be integers in ``[0, n)``, checked in one pass as uint64.  A
     declared combiner folds each batch step with one 1-D ``ufunc.at`` over
@@ -818,8 +794,7 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     private = plan.variant == VARIANT_PRIVATE
     copies = num_t if private else 1
     scratch = device.scratchpads[first:end]
-    accum_slots = scratch[:, plan.accum_base:plan.accum_base + copies * plan.accum_slot] \
-        .reshape(cores, copies, plan.accum_slot)[:, :, :n * d]
+    accum_slots = _elements(scratch, plan.accum_base, copies, plan.accum_slot)[:, :, :n * d]
     accum = np.ascontiguousarray(accum_slots.reshape(cores * copies * n, d))
     handle.init_func(accum)
     b = plan.batch_elems
@@ -843,18 +818,15 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     # the run's entry locks: each core's table of n entries, side by side
     locks = None if private else LockTable(cores * n)
     core_rows = np.arange(cores) * (copies * n)
-    banks = device.banks[first:end]
-    map_to_val, dma_read = handle.map_to_val_func, device.dma_read
+    map_to_val = handle.map_to_val_func
     for t, batches in enumerate(tasklets):
-        slots = _Slots(scratch, job, t)
         # row of key 0 for each element of a batch: its core's (and, when
         # private, this tasklet's) table
         table_rows = core_rows + t * n if private else core_rows
         full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
-            _load_batch_views(dma_read, range(first, end), reads)
-            slots.combine(banks, reads, m)
-            vals, keys = map_to_val(_rows(slots.batch, m), ctx)
+            batch = _load_batch_views(device, job, range(first, end), t, m, reads)
+            vals, keys = map_to_val(batch.reshape(cores * m, -1), ctx)
             rows = _as_entry_rows(vals, cores * m, d)
             ks = np.asarray(keys)
             if ks.dtype.kind not in "iu":

@@ -96,6 +96,10 @@ class TestRunExperiment:
             ExperimentConfig(benchmark="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(benchmark="vecadd", scaling="sideways")
+        for scaling in ("weak", "strong"):  # the smallest run has 8 points
+            with pytest.raises(ValueError, match="per cluster seed"):
+                ExperimentConfig(benchmark="kmeans", core_counts=(16, 8), scaling=scaling,
+                                 elems_per_core=1, clusters=10)
 
 
 class TestCsv:
@@ -243,6 +247,17 @@ class TestVerify:
             main(["run", "--benchmark", "vecadd", "--cores", cores])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scaling", ["weak", "strong"])
+    def test_kmeans_with_fewer_points_than_clusters(self, capsys, monkeypatch, scaling):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--benchmark", "kmeans", "--elems", "1", "--cores", "8",
+                  "--clusters", "10", "--scaling", scaling])
+        assert exc.value.code == 2
+        assert "need at least one point per cluster seed" in capsys.readouterr().err
+        assert not ran
 
     def test_audit_reports_every_bad_record(self):
         dev = PimDevice(DeviceConfig(num_cores=2, dram_bank_bytes=1 << 20))

@@ -555,17 +555,17 @@ class TestZip:
         a = scatter_u32(mgmt, "a", np.arange(cores * per_core))
         b = scatter_u32(mgmt, "b", np.arange(cores * per_core) * 3)
         processing.array_zip(mgmt, "a", "b", "ab")
-        peaks, combine = [], processing._Slots.combine
+        peaks, interleave = [], processing._interleave
 
-        def traced(slots, banks, reads, m):
+        def traced(dst, banks, sources, n):
             tracemalloc.start()
             try:
-                combine(slots, banks, reads, m)
-                peaks.append((tracemalloc.get_traced_memory()[1], len(banks) * m * 4))
+                interleave(dst, banks, sources, n)
+                peaks.append((tracemalloc.get_traced_memory()[1], len(banks) * n * 4))
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(processing._Slots, "combine", traced)
+        monkeypatch.setattr(processing, "_interleave", traced)
 
         def add(src, dst, ctx):
             pairs = src.view(np.uint32).reshape(-1, 2)
