@@ -94,6 +94,17 @@ def _bank_bytes_for(total_elems: int, cores: int) -> int:
     return max(1 << 20, round_up(per_core * 64 + (1 << 17), 1 << 20))
 
 
+def _bank_bytes_for_spec(spec: BenchmarkSpec, cores: int) -> int:
+    """:func:`_bank_bytes_for`, widened where the spec's widest stored
+    element exceeds the 64 B per element that allows: a k-means point holds
+    4 bytes per dimension, a regression row one more value, its label."""
+    widest = {"kmeans": 4 * spec.dims, "linreg": 4 * (spec.dims + 1),
+              "logreg": 4 * (spec.dims + 1)}.get(spec.name, 0)
+    per_core = -(-spec.total_elems // cores)
+    return max(_bank_bytes_for(spec.total_elems, cores),
+               round_up(per_core * widest + (1 << 17), 1 << 20))
+
+
 def _make_spec(config: ExperimentConfig, total: int) -> BenchmarkSpec:
     return BenchmarkSpec(name=config.benchmark, total_elems=total,
                          dims=config.dims, bins=config.bins,
@@ -111,7 +122,7 @@ def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
     runner, oracle = RUNNERS[name]
     expected = oracle(spec)
     device = PimDevice(DeviceConfig(
-        num_cores=cores, dram_bank_bytes=_bank_bytes_for(spec.total_elems, cores),
+        num_cores=cores, dram_bank_bytes=_bank_bytes_for_spec(spec, cores),
         log_transfers=log_transfers))
     mgmt = ManagementContext(device)
     start = time.perf_counter()

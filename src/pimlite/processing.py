@@ -1,40 +1,44 @@
 """Iterators over device-resident arrays: map, keyed reduction, and zip.
 
 Execution strategy: inputs stream through per-tasklet scratchpad buffers in
-aligned batches.  One planner, :func:`plan_iterator`, computes the batch from
-the element sizes, the DMA command limit and the remaining scratchpad budget,
-throttles the tasklet count and lays out the scratchpad; every iterator runs
-exactly the plan it returns.  Map, a materializing zip and a reduction plan
-first, before anything moves, and then run through one function,
-``_iterate``: it broadcasts the handle's context on first use, creates the
-output array, launches the kernel with one job record and folds a
-reduction's partials on the host.  The kernel computes no DMA
-command: it issues, in order, the commands that :func:`dma_schedule`
-derives from the job once per launch.  The cores run in
-lockstep: consecutive cores with the same element count and the same context
-bytes form a run, and each batch step runs once per run (the scheduled reads,
-one callback over the rows of all the run's cores, the write).  One loader,
-``_load_batch_views``, issues a batch's reads and returns the scratchpad rows
-the callback reads; one function, ``_interleave``, lays out zipped elements,
-in the zip slot and in a map or zip's bulk pass.  Every core of
-a run issues the same commands, so each one is issued for the run at once, as
-a ``range`` of cores: one command per core, moved as one copy.  Cores are
-independent, so the bytes, counters and commands are those of running the
-cores one after another, and a launch's transfer log records are in core
-order.  A map or materializing zip moves every element straight from the
-input banks to the output banks in chunks, one callback per chunk, and then
-issues its commands from the same schedule in the same order.  Only each
-tasklet's last two batches step through the scratchpad, without a callback:
-their bytes overwrite all that the earlier batches would leave there, so the
-counters, the log, the scratchpads and the output padding end as the
-per-batch steps leave them.  Reductions keep their accumulators in the
-scratchpad in one of two variants (one shared array behind per-entry locks,
-or one private array per tasklet merged ring-style); each core then writes
-its partial result into its copy of the output array, and the host folds the
-copies with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the
-two source arrays and the next iterator streams both of them, combining
-batches in the scratchpad; zipping an already-lazy array forces physical
-materialization (laziness is one level deep).
+aligned batches.  One planner, :func:`plan_iterator`, computes the batch
+from the element sizes, the DMA command limit and the remaining scratchpad
+budget, throttles the tasklet count and lays out the scratchpad; every
+iterator runs exactly the plan it returns.  Map, a materializing zip and a
+reduction validate their arguments and then run through one function,
+``_iterate``: it plans before anything moves, broadcasts the handle's
+context on first use, creates the output array, launches the kernel with one
+job record and folds a reduction's partials on the host.  The job holds the
+registry records of the arrays the launch touches (its streamed inputs, the
+resident context, the output), not copies of their fields.  The kernel
+computes no DMA command: it issues, in order, the commands that
+:func:`dma_schedule` derives from the job once per launch, where the context
+reads and a reduction's partial writes, alike on every core, appear once.
+The cores run in lockstep: consecutive cores with the same element count and
+the same context bytes form a run, and each batch step runs once per run
+(the scheduled reads, one callback over the rows of all the run's cores, the
+write).  One loader, ``_load_batch_views``, issues a batch's reads and
+returns the scratchpad rows the callback reads; one function,
+``_interleave``, lays out zipped elements, in the zip slot and in a map or
+zip's bulk pass.  Every core of a run issues the same commands, so each one
+is issued for the run at once, as a ``range`` of cores: one command per
+core, moved as one copy.  Cores are independent, so the bytes, counters and
+commands are those of running the cores one after another, and a launch's
+transfer log records are in core order.  A map or materializing zip moves
+every element from the input banks to the output banks in chunks, through a
+host buffer, one callback per chunk, and then issues its commands from the
+same schedule in the same order.  Only each tasklet's last two batches step
+through the scratchpad, without a callback: their bytes overwrite all that
+the earlier batches would leave there, so the counters, the log, the
+scratchpads and the output padding end as the per-batch steps leave them.
+Reductions keep their accumulators in the scratchpad in one of two variants
+(one shared array behind per-entry locks, or one private array per tasklet
+merged ring-style); each core then writes its partial result into its copy
+of the output array, and the host folds the copies with ``acc_func`` and
+rewrites core 0's.  Zip is lazy: it records the two source arrays and the
+next iterator streams both of them, combining batches in the scratchpad;
+zipping an already-lazy array forces physical materialization (laziness is
+one level deep).
 
 Callback contract.  All buffers are C-contiguous uint8 rows, which
 callbacks reinterpret with ``.view(dtype)``.  ``map_func`` sees chunks of
@@ -78,8 +82,8 @@ when ``init_func`` is omitted, the accumulator is filled with
 ``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``: on
 the entries' row indices themselves when an entry holds one value, else on
 ``np.repeat(row * w, w)`` plus a lane pattern ``0..w-1`` tiled once per run
-for ``w`` values per entry.  An opaque ``acc_func`` is folded by
-pair-reducing duplicate keys in log rounds.
+for ``w`` values per entry.  An opaque ``acc_func`` is folded by a stride
+tree over the key-sorted rows, one vectorized call per stride.
 The ring merge and the host fold call ``acc_func`` either way, so both paths
 move the same bytes and give the same results.
 
@@ -414,58 +418,55 @@ def plan_iterator(config, kind: str, in_sizes, out_size: int, *,
 # --- shared kernel machinery -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Stream:
-    bank_offset: int
-    type_size: int
-
-
-def _physical_streams(mgmt: ManagementContext, meta: ArrayMetadata) -> list[_Stream]:
+def _physical_streams(mgmt: ManagementContext, meta: ArrayMetadata) -> list[ArrayMetadata]:
+    """The records of the arrays an iterator over ``meta`` streams: a lazy
+    zip's two sources, or ``meta`` itself."""
     if meta.layout == LAYOUT_LAZY_ZIP:
         parts = [mgmt.lookup(src) for src in meta.zip_sources]
         assert all(p.layout != LAYOUT_LAZY_ZIP for p in parts), "zip nesting escaped"
-        return [_Stream(p.bank_offset, p.type_size) for p in parts]
+        return parts
     if meta.layout == LAYOUT_REPLICATED:
         raise WrongLayout(f"{meta.id} is replicated; iterators need scattered input")
-    return [_Stream(meta.bank_offset, meta.type_size)]
+    return [meta]
 
 
 @dataclass
 class _Job:
     """One iterator kernel launch: the handle whose callbacks run, the plan,
-    the streamed inputs, the resident context as (bank offset, bytes, padded
-    bytes) or None, and the output array of ``out_len`` elements of
-    ``out_size`` bytes at ``out_offset`` (a reduction's entries)."""
+    the per-core element counts, and the registry records of the streamed
+    inputs, of the resident context (None without one) and of the output (a
+    reduction's ``len`` entries of ``type_size`` bytes)."""
 
     handle: Handle
     plan: IteratorPlan
     per_core_elems: tuple[int, ...]
-    in_streams: tuple[_Stream, ...]
-    ctx: tuple[int, int, int] | None
-    out_offset: int
-    out_len: int
-    out_size: int
+    in_streams: tuple[ArrayMetadata, ...]
+    ctx: ArrayMetadata | None
+    out: ArrayMetadata
 
 
-def dma_schedule(config, job: _Job) -> dict[int, tuple]:
-    """Every DMA command of ``job``'s kernel: for each per-core element count,
-    ``(context, tasklets, partial)`` in the order a core issues them.
+def dma_schedule(config, job: _Job) -> tuple:
+    """Every DMA command of ``job``'s kernel, as ``(context, runs,
+    partial)`` in the order a core issues them.
 
-    ``context`` are tasklet 0's context reads at kernel entry.
-    ``tasklets[t]`` are tasklet ``t``'s batches in order, each ``(m, reads,
-    write)``: ``m`` elements, one read per input stream and the write of the
-    batch's output (None in a reduction).  ``partial`` are the writes of a
-    reduction's partial result after the merge.  Reads are ``(bank offset,
-    scratch offset, nbytes)``, writes ``(scratch offset, bank offset, nbytes)``.
-    A pure function of the plan, the offsets and counts in ``job`` and
-    ``config``: cores with the same count share one schedule.
+    ``context`` are tasklet 0's context reads at kernel entry and
+    ``partial`` the writes of a reduction's partial result after the merge:
+    every core issues the same ones, so they appear once per launch.
+    ``runs`` maps each per-core element count to its tasklets: ``tasklets[t]``
+    are tasklet ``t``'s batches in order, each ``(m, reads, write)``: ``m``
+    elements, one read per input stream and the write of the batch's output
+    (None in a reduction).  Reads are ``(bank offset, scratch offset,
+    nbytes)``, writes ``(scratch offset, bank offset, nbytes)``.  A pure
+    function of the plan, the records and counts in ``job`` and ``config``:
+    cores with the same count share one entry of ``runs``.
     """
-    plan, align, step = job.plan, config.dma_alignment, config.dma_max_bytes
+    plan, align, step, out = job.plan, config.dma_alignment, config.dma_max_bytes, job.out
     b, num_t = plan.batch_elems, plan.num_tasklets
-    context = () if job.ctx is None else split_dma(job.ctx[0], 0, job.ctx[2], step)
+    context = () if job.ctx is None else split_dma(
+        job.ctx.bank_offset, 0, job.ctx.padded_chunk_bytes, step)
     partial = () if plan.variant is None else split_dma(
-        plan.accum_base, job.out_offset, plan.accum_slot, step)
-    schedule = {}
+        plan.accum_base, out.bank_offset, plan.accum_slot, step)
+    runs = {}
     for local in set(job.per_core_elems):
         tasklets = []
         for t in range(num_t):
@@ -477,39 +478,41 @@ def dma_schedule(config, job: _Job) -> dict[int, tuple]:
                                round_up(m * s.type_size, align))
                               for s, rel in zip(job.in_streams, plan.stream_rels))
                 write = None if plan.out_rel is None else (
-                    base + plan.out_rel, job.out_offset + lo * job.out_size,
-                    round_up(m * job.out_size, align))
+                    base + plan.out_rel, out.bank_offset + lo * out.type_size,
+                    round_up(m * out.type_size, align))
                 batches.append((m, reads, write))
             tasklets.append(tuple(batches))
-        schedule[local] = (context, tuple(tasklets), partial)
-    return schedule
+        runs[local] = tuple(tasklets)
+    return context, runs, partial
 
 
-def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
-             src: ArrayMetadata, in_streams, dest_id: str,
-             out_per_core: tuple[int, ...], out_size: int) -> None:
-    """Run an iterator that ``plan`` was made for over ``src`` into a new
-    array ``dest_id`` of ``out_per_core`` elements of ``out_size`` bytes per
-    core.
+def _iterate(mgmt: ManagementContext, kind: str, handle: Handle, in_streams,
+             dest_id: str, out_size: int, out_per_core: tuple[int, ...], *,
+             output_len: int = 0, variant: str = "auto") -> IteratorPlan:
+    """Plan and run an iterator of ``kind`` over the records ``in_streams``
+    into a new array ``dest_id`` of ``out_per_core`` elements of
+    ``out_size`` bytes per core; return the plan that ran.
 
-    In order: broadcast the handle's context on its first use, create the
-    output, launch the kernel with the job and its DMA schedule, fold a
+    In order: plan with :func:`plan_iterator` (its errors come before
+    anything moves), broadcast the handle's context on its first use, create
+    the output, launch the kernel with the job and its DMA schedule, fold a
     reduction's per-core partials on the host and push them to core 0, and
     record the context and the plan as executed.  A call that raises
     follows the rollback rule of the module docstring.
     """
     device = mgmt.device
+    plan = plan_iterator(device.config, kind, [s.type_size for s in in_streams],
+                         out_size, output_len=output_len, variant=variant,
+                         context_bytes=handle.context_size)
     ctx_id, ctx = handle.ctx_array_id, None
     with mgmt.rollback():
         if handle.context_size:
             if ctx_id is None:
                 ctx_id = f"__ctx_{handle.id}"
                 comm.broadcast(mgmt, ctx_id, handle.context, handle.context_size, 1)
-            meta = mgmt.lookup(ctx_id)
-            ctx = (meta.bank_offset, handle.context_size, meta.padded_chunk_bytes)
+            ctx = mgmt.lookup(ctx_id)
         out = mgmt.create(dest_id, out_size, out_per_core)
-        job = _Job(handle, plan, src.per_core_elems, tuple(in_streams), ctx,
-                   out.bank_offset, out.len, out_size)
+        job = _Job(handle, plan, in_streams[0].per_core_elems, tuple(in_streams), ctx, out)
         device.launch_kernel(_iterator_kernel, plan.num_tasklets,
                              (job, dma_schedule(device.config, job)),
                              scratch_bytes=plan.occupancy_bytes)
@@ -519,6 +522,7 @@ def _iterate(mgmt: ManagementContext, handle: Handle, plan: IteratorPlan,
             device.host_serial_transfer(0, comm.TO_PIM, combined, out.bank_offset,
                                         out.padded_chunk_bytes)
     handle.ctx_array_id, mgmt.last_plan = ctx_id, plan
+    return plan
 
 
 def _as_entry_rows(arr, m: int, entry_bytes: int) -> np.ndarray:
@@ -533,35 +537,30 @@ def _scatter_accumulate(accum: np.ndarray, vals: np.ndarray, keys: np.ndarray,
                         acc_func) -> None:
     """Fold value rows into ``accum[key]`` using only the binary combiner.
 
-    Duplicate keys are pair-reduced in log rounds (sort by key, combine each
-    survivor with its right neighbour of the same key) so every ``acc_func``
-    call stays vectorized; valid because the combiner is commutative and
+    The rows are sorted by key and each key's rows folded in place by a
+    stride tree: at stride ``s`` (1, 2, 4, ...), a row whose rank within its
+    key is a multiple of ``2s`` takes in the row at rank ``+s``, in one
+    vectorized ``acc_func`` call per stride; then each key's first row is
+    folded into ``accum``.  Valid because the combiner is commutative and
     associative.
     """
     order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    v = vals[order]
-    while True:
-        dup_next = np.zeros(k.size, bool)
-        dup_next[:-1] = k[:-1] == k[1:]
-        if not dup_next.any():
-            break
-        first = np.ones(k.size, bool)
-        first[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(first)
-        rank = np.arange(k.size) - starts[np.cumsum(first) - 1]
-        keep = rank % 2 == 0
-        left = keep & dup_next
-        left_idx = np.flatnonzero(left)
-        merged = v[left_idx]  # fancy index -> fresh writable copy
-        acc_func(merged, v[left_idx + 1])
-        kept_idx = np.flatnonzero(keep)
-        v = v[kept_idx]
-        v[left[kept_idx]] = merged
-        k = k[kept_idx]
-    slot = accum[k]
-    acc_func(slot, v)
-    accum[k] = slot
+    k, v = keys[order], vals[order]
+    first = np.diff(k, prepend=-1) != 0  # keys are >= 0: row 0 starts a key
+    starts = np.flatnonzero(first)
+    key_of = np.cumsum(first) - 1
+    pos = np.arange(k.size)
+    rank = pos - starts[key_of]
+    room = np.append(starts[1:], k.size)[key_of] - pos  # rows left in the key
+    stride = 1
+    while (left := np.flatnonzero((rank % (2 * stride) == 0) & (room > stride))).size:
+        merged = v[left]  # fancy index -> fresh writable copy
+        acc_func(merged, v[left + stride])
+        v[left] = merged
+        stride *= 2
+    slot = accum[k[starts]]
+    acc_func(slot, v[starts])
+    accum[k[starts]] = slot
 
 
 # --- lockstep kernel ----------------------------------------------------------------
@@ -640,27 +639,30 @@ def _iterator_kernel(device, params) -> None:
     one after another; ``launch_kernel`` puts the log records back in core
     order.
     """
-    job, schedule = params
+    job, (context, runs, partial) = params
     everyone = range(len(job.per_core_elems))
-    for bank, slot, nbytes in schedule[job.per_core_elems[0]][0]:  # context reads
+    for bank, slot, nbytes in context:
         device.dma_read(everyone, bank, slot, nbytes)
-    contexts = None if job.ctx is None else device.scratchpads[:, :job.ctx[1]]
-    run = _stream_run if job.plan.variant is None else _red_run
+    contexts = None if job.ctx is None else device.scratchpads[:, :job.ctx.len]
     for first, end in _core_groups(job.per_core_elems, contexts):
-        run(device, job, schedule[job.per_core_elems[first]], first, end,
-            None if contexts is None else contexts[first])
+        tasklets = runs[job.per_core_elems[first]]
+        ctx = None if contexts is None else contexts[first]
+        if job.plan.variant is None:
+            _stream_run(device, job, tasklets, first, end, ctx)
+        else:
+            _red_run(device, job, tasklets, partial, first, end, ctx)
 
 
 # --- map / zip-materialize kernel -------------------------------------------------
 
 
-def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
-    """Map or materializing zip on cores ``first..end-1``, which share
-    ``schedule`` and the context ``ctx``.
+def _stream_run(device, job: _Job, tasklets, first: int, end: int, ctx) -> None:
+    """Map or materializing zip on cores ``first..end-1``, which share the
+    scheduled ``tasklets`` and the context ``ctx``.
 
     Every element goes straight from the input banks to the output banks
     first (:func:`_bulk_pass`), so a map's callback runs there only.  Then
-    each tasklet's commands are issued from the schedule in the order the
+    each tasklet's commands are issued from ``tasklets`` in the order the
     per-batch steps issue them: its full batch rounds with nothing to move,
     as no later step reads the scratchpad bytes they would leave, and its
     last two batches replayed through its scratchpad slots without a
@@ -672,7 +674,7 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     cores, local = range(first, end), job.per_core_elems[first]
     if local:
         _bulk_pass(banks, job, local, ctx)
-    for t, batches in enumerate(schedule[1]):
+    for t, batches in enumerate(tasklets):
         commands = []
         for _, reads, (slot, bank, nbytes) in batches[:-2]:
             commands += [("dma_read", *read) for read in reads]
@@ -681,8 +683,8 @@ def _stream_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
         for m, reads, (slot, bank, nbytes) in batches[-2:]:
             _load_batch_views(device, job, cores, t, m, reads)
             if job.handle.map_func is not None:  # the padding stays the slot's
-                _elements(scratch, slot, m, job.out_size)[...] = \
-                    _elements(banks, bank, m, job.out_size)
+                size = job.out.type_size
+                _elements(scratch, slot, m, size)[...] = _elements(banks, bank, m, size)
             device.dma_write(cores, slot, bank, nbytes)
 
 
@@ -690,28 +692,29 @@ def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
     """The ``elems`` elements of every core of a run, whose bank rows are
     ``banks``, straight from the input streams to the output, in chunks of
     about ``_BULK_ROWS`` rows across the run's cores and at least one batch
-    per core.  The streams are interleaved by :func:`_interleave`, as in the
-    zip slot.  A map calls ``map_func`` once per chunk, over the chunk's rows
-    of all the cores, and nowhere else; a materializing zip interleaves
-    straight into its output."""
-    cores = banks.shape[0]
+    per core.  The streams are interleaved by :func:`_interleave` into a
+    host buffer, as in the zip slot: interleaving straight into the output,
+    another view of the bank array, would copy each source column through a
+    temporary.  A map calls ``map_func`` once per chunk, over the chunk's
+    rows of all the cores, and nowhere else; a materializing zip copies the
+    buffer to its output."""
+    cores, size = banks.shape[0], job.out.type_size
     in_size = sum(s.type_size for s in job.in_streams)
     chunk = min(max(job.plan.batch_elems, _BULK_ROWS // cores), elems)
     map_func = job.handle.map_func
-    if map_func is not None:  # reused across chunks
-        src_buf = np.empty(cores * chunk * in_size, np.uint8)
-        dst_buf = np.empty(cores * chunk * job.out_size, np.uint8)
+    src_buf = np.empty(cores * chunk * in_size, np.uint8)  # reused across chunks
+    if map_func is not None:
+        dst_buf = np.empty(cores * chunk * size, np.uint8)
     for lo in range(0, elems, chunk):
         n = min(chunk, elems - lo)
-        out = _elements(banks, job.out_offset + lo * job.out_size, n, job.out_size)
-        zipped = out if map_func is None else \
-            src_buf[:cores * n * in_size].reshape(cores, n, in_size)
-        _interleave(zipped, banks, [(s.bank_offset + lo * s.type_size, s.type_size)
-                                    for s in job.in_streams], n)
+        rows = src_buf[:cores * n * in_size].reshape(cores, n, in_size)
+        _interleave(rows, banks, [(s.bank_offset + lo * s.type_size, s.type_size)
+                                  for s in job.in_streams], n)
         if map_func is not None:
-            dst = dst_buf[:cores * n * job.out_size].reshape(cores * n, job.out_size)
-            map_func(zipped.reshape(cores * n, in_size), dst, ctx)
-            out[...] = dst.reshape(cores, n, job.out_size)
+            dst = dst_buf[:cores * n * size].reshape(cores * n, size)
+            map_func(rows.reshape(cores * n, in_size), dst, ctx)
+            rows = dst.reshape(cores, n, size)
+        _elements(banks, job.out.bank_offset + lo * size, n, size)[...] = rows
 
 
 def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
@@ -725,12 +728,8 @@ def array_map(mgmt: ManagementContext, src_id: str, dest_id: str,
         raise HandleKindMismatch(f"array_map needs a map handle, got {handle.kind}")
     if output_type_size < 1:
         raise InvalidArgument("output_type_size must be >= 1")
-    in_streams = _physical_streams(mgmt, meta)
-    plan = plan_iterator(mgmt.device.config, MAP, [s.type_size for s in in_streams],
-                         output_type_size, context_bytes=handle.context_size)
-    _iterate(mgmt, handle, plan, meta, in_streams, dest_id, meta.per_core_elems,
-             output_type_size)
-    return plan
+    return _iterate(mgmt, MAP, handle, _physical_streams(mgmt, meta), dest_id,
+                    output_type_size, meta.per_core_elems)
 
 
 def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
@@ -756,21 +755,20 @@ def array_zip(mgmt: ManagementContext, src1_id: str, src2_id: str, dest_id: str,
         mgmt.create(dest_id, out_type_size, a.per_core_elems, LAYOUT_LAZY_ZIP,
                     (src1_id, src2_id))
         return None
-    in_streams = _physical_streams(mgmt, a) + _physical_streams(mgmt, b)
-    plan = plan_iterator(mgmt.device.config, ZIP,
-                         [s.type_size for s in in_streams], out_type_size)
     # a zip handle has no callbacks: the kernel writes the combined batches
-    _iterate(mgmt, Handle(ZIP), plan, a, in_streams, dest_id, a.per_core_elems,
-             out_type_size)
-    return plan
+    return _iterate(mgmt, ZIP, Handle(ZIP),
+                    _physical_streams(mgmt, a) + _physical_streams(mgmt, b), dest_id,
+                    out_type_size, a.per_core_elems)
 
 
 # --- keyed reduction ---------------------------------------------------------------
 
 
-def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
-    """Keyed reduction on cores ``first..end-1``, which share ``schedule``
-    and the context ``ctx``.
+def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
+             ctx) -> None:
+    """Keyed reduction on cores ``first..end-1``, which share the scheduled
+    ``tasklets`` and the context ``ctx``; ``partial`` are the launch's
+    partial-result writes.
 
     The accumulators of all these cores (one per tasklet when private) are
     one C-contiguous array of entry rows, row ``(core * copies + tasklet) * n
@@ -787,9 +785,8 @@ def _red_run(device, job: _Job, schedule, first: int, end: int, ctx) -> None:
     value, else on the index repeated ``w`` times, scaled by ``w``, plus the
     run's lane pattern.
     """
-    _, tasklets, partial = schedule
     plan, handle = job.plan, job.handle
-    n, d = job.out_len, job.out_size
+    n, d = job.out.len, job.out.type_size
     cores, num_t = end - first, plan.num_tasklets
     private = plan.variant == VARIANT_PRIVATE
     copies = num_t if private else 1
@@ -884,11 +881,7 @@ def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,
     if handle.kind != REDUCE:
         raise HandleKindMismatch(f"array_red needs a reduce handle, got {handle.kind}")
     comm._check_combiner_fits(handle, output_type_size)
-    in_streams = _physical_streams(mgmt, meta)
-    config = mgmt.device.config
-    plan = plan_iterator(config, REDUCE, [s.type_size for s in in_streams],
-                         output_type_size, output_len=output_len, variant=variant,
-                         context_bytes=handle.context_size)
-    _iterate(mgmt, handle, plan, meta, in_streams, dest_id,
-             (output_len,) + (0,) * (config.num_cores - 1), output_type_size)
-    return plan
+    return _iterate(mgmt, REDUCE, handle, _physical_streams(mgmt, meta), dest_id,
+                    output_type_size,
+                    (output_len,) + (0,) * (mgmt.device.config.num_cores - 1),
+                    output_len=output_len, variant=variant)

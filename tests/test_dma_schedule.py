@@ -22,6 +22,7 @@ from pimlite import apps, processing
 from pimlite.apps import BenchmarkSpec
 from pimlite.device import DeviceConfig, round_up
 from pimlite.errors import ElementTooLarge, NoFeasiblePlan
+from pimlite.management import LAYOUT_REPLICATED, ArrayMetadata
 from pimlite.processing import MAP, REDUCE, ZIP
 
 
@@ -48,10 +49,10 @@ def flatten(schedule, per_core_elems):
     """The schedule as log records, core by core: context reads, tasklets
     0..T-1 batch by batch (reads, then the write), partial writes."""
     records = []
+    context, runs, partial = schedule
     for core, local in enumerate(per_core_elems):
-        context, tasklets, partial = schedule[local]
         records += [("dma_read", core, *cmd) for cmd in context]
-        for batches in tasklets:
+        for batches in runs[local]:
             for _, reads, write in batches:
                 records += [("dma_read", core, *cmd) for cmd in reads]
                 if write is not None:
@@ -152,6 +153,29 @@ class TestScheduleIsExecuted:
         assert_schedules_executed(mgmt, launches)
 
 
+class TestJobNamesItsArrays:
+    """A launch's job holds the registry's own records of the arrays it
+    streams, of the handle's resident context and of its output."""
+
+    @pytest.mark.parametrize("op,sources", [
+        ("map-lazy-zip", "ab"),  # with a context
+        ("red-private-declared-lazy-zip", "ab"),  # with a context
+        ("red-shared-opaque-plain", "a"),
+    ])
+    def test_records_are_the_registry_records(self, op, sources):
+        mgmt = make_mgmt(cores=3)
+        launches = record_jobs(mgmt)
+        tl.run_op(mgmt, op, (4, 4), 3 * 700 + 1, np.random.default_rng(5))
+        (job, *_), = launches
+        assert len(job.in_streams) == len(sources)
+        assert all(s is mgmt.lookup(i) for s, i in zip(job.in_streams, sources))
+        if op == "red-shared-opaque-plain":
+            assert job.ctx is None
+        else:
+            assert job.ctx is mgmt.lookup(f"__ctx_{job.handle.id}")
+        assert job.out is mgmt.lookup("out")
+
+
 def _audit(config, kind, in_sizes, out_size, output_len, context_bytes, counts, variant):
     """Plan one kernel the way the iterators do and check every command of
     its schedule; geometries without a plan are skipped."""
@@ -169,15 +193,17 @@ def _audit(config, kind, in_sizes, out_size, output_len, context_bytes, counts, 
         cursor += regions[-1][1]
     ctx = None
     if context_bytes:
-        ctx = (cursor, context_bytes, round_up(context_bytes, align))
-        cursor += ctx[2]
+        ctx = ArrayMetadata("ctx", context_bytes, 1, cursor, (context_bytes,) * len(counts),
+                            round_up(context_bytes, align), LAYOUT_REPLICATED)
+        cursor += ctx.padded_chunk_bytes
     out_bytes = plan.accum_slot if kind == REDUCE else round_up(max(counts) * out_size, align)
-    job = processing._Job(
-        None, plan, tuple(counts),
-        tuple(processing._Stream(off, size) for (off, _), size in zip(regions, in_sizes)),
-        ctx, cursor, output_len if kind == REDUCE else sum(counts), out_size)
-    schedule = processing.dma_schedule(config, job)
-    assert set(schedule) == set(counts)
+    streams = tuple(ArrayMetadata(f"in{i}", sum(counts), size, off, tuple(counts), padded)
+                    for i, ((off, padded), size) in enumerate(zip(regions, in_sizes)))
+    out = ArrayMetadata("out", output_len if kind == REDUCE else sum(counts), out_size,
+                        cursor, tuple(counts), out_bytes)
+    job = processing._Job(None, plan, tuple(counts), streams, ctx, out)
+    context, runs, partial = processing.dma_schedule(config, job)
+    assert set(runs) == set(counts)
 
     def check(cmd_bank, cmd_scratch, nbytes, bank_range, scratch_range):
         assert nbytes % align == cmd_bank % align == cmd_scratch % align == 0
@@ -186,10 +212,15 @@ def _audit(config, kind, in_sizes, out_size, output_len, context_bytes, counts, 
         assert cmd_scratch + nbytes <= scratch_range[1] <= plan.occupancy_bytes
         assert bank_range[0] <= cmd_bank and cmd_bank + nbytes <= sum(bank_range)
 
-    for local, (context, tasklets, partial) in schedule.items():
+    for bank, scratch, n in context:
+        check(bank, scratch, n, (ctx.bank_offset, ctx.padded_chunk_bytes),
+              (0, plan.accum_base))
+    for scratch, bank, n in partial:
+        check(bank, scratch, n, (cursor, out_bytes),
+              (plan.accum_base, plan.accum_base + plan.accum_slot))
+    assert sum(n for *_, n in partial) == (plan.accum_slot if kind == REDUCE else 0)
+    for local, tasklets in runs.items():
         assert len(tasklets) == plan.num_tasklets
-        for bank, scratch, n in context:
-            check(bank, scratch, n, (ctx[0], ctx[2]), (0, plan.accum_base))
         for t, batches in enumerate(tasklets):
             block = plan.blocks_base + t * plan.block_bytes
             for m, reads, write in batches:
@@ -209,10 +240,6 @@ def _audit(config, kind, in_sizes, out_size, output_len, context_bytes, counts, 
         assert sum(m for batches in tasklets for m, _, _ in batches) == local
         # each stream is read once per batch: ceil(local / batch) commands
         assert sum(map(len, tasklets)) == math.ceil(local / plan.batch_elems)
-        for scratch, bank, n in partial:
-            check(bank, scratch, n, (cursor, out_bytes),
-                  (plan.accum_base, plan.accum_base + plan.accum_slot))
-        assert sum(n for *_, n in partial) == (plan.accum_slot if kind == REDUCE else 0)
 
 
 @st.composite

@@ -181,6 +181,25 @@ class TestCli:
         assert row["variant"] == "thread_private"
 
 
+    # a k-means point of 20 or 40 dimensions, a regression row of 41 values:
+    # wider than the 64 B per element that _bank_bytes_for allows
+    @pytest.mark.parametrize("args", [
+        ["kmeans", "--dims", "20", "--elems", "100000", "--cores", "2", "--iters", "1"],
+        ["kmeans", "--dims", "40", "--elems", "10000", "--cores", "1"],
+        ["linreg", "--dims", "40", "--elems", "10000", "--cores", "1"],
+    ])
+    def test_wide_elements_fit_the_banks(self, capsys, args):
+        assert main(["run", "--benchmark", *args]) == 0
+        row, = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["correct"] == "true"
+
+    def test_banks_of_narrow_elements_keep_their_size(self):
+        for name in harness.RUNNERS:
+            spec = apps.BenchmarkSpec(name=name, total_elems=80_000, dims=15)
+            assert harness._bank_bytes_for_spec(spec, 8) == \
+                harness._bank_bytes_for(80_000, 8)
+
+
 class TestChecks:
     def test_batch_sizing_check(self):
         res = harness.check_batch_sizing()

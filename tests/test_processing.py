@@ -576,6 +576,31 @@ class TestZip:
         assert np.array_equal(comm.gather(mgmt, "s").view(np.uint32), a + b)
         assert peaks and all(peak < column for peak, column in peaks), peaks
 
+    def test_materializing_zip_interleaves_without_a_temporary(self, monkeypatch):
+        """A materializing zip interleaves each chunk into a host buffer and
+        copies it to the output once: interleaving straight into the output,
+        another view of the bank array, would first copy each source column
+        into a temporary."""
+        cores, per_core = 32, 5000
+        mgmt = make_mgmt(cores=cores)
+        a = scatter_u32(mgmt, "a", np.arange(cores * per_core))
+        b = scatter_u32(mgmt, "b", np.arange(cores * per_core) * 3)
+        peaks, interleave = [], processing._interleave
+
+        def traced(dst, banks, sources, n):
+            tracemalloc.start()
+            try:
+                interleave(dst, banks, sources, n)
+                peaks.append((tracemalloc.get_traced_memory()[1], len(banks) * n * 4))
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(processing, "_interleave", traced)
+        processing.array_zip(mgmt, "a", "b", "ab", materialize=True)
+        pairs = comm.gather(mgmt, "ab").view(np.uint32).reshape(-1, 2)
+        assert np.array_equal(pairs, np.stack([a, b], axis=1))
+        assert peaks and all(peak < column for peak, column in peaks), peaks
+
     def test_eager_traffic_exceeds_lazy_by_two(self):
         def vecadd_traffic(eager):
             mgmt = make_mgmt(cores=2)

@@ -30,14 +30,15 @@ def reference_kernel(device, params):
     job, schedule = params
     plan, handle = job.plan, job.handle
     sizes = [s.type_size for s in job.in_streams]
-    in_size, n, d = sum(sizes), job.out_len, job.out_size
+    in_size, n, d = sum(sizes), job.out.len, job.out.type_size
     copies = plan.num_tasklets if plan.variant == VARIANT_PRIVATE else 1
+    context, runs, partial = schedule
     for core, local in enumerate(job.per_core_elems):
-        context, tasklets, partial = schedule[local]
+        tasklets = runs[local]
         scratch = device.scratchpads[core]
         for bank, slot, nbytes in context:
             device.dma_read(core, bank, slot, nbytes)
-        ctx = None if job.ctx is None else scratch[:job.ctx[1]]
+        ctx = None if job.ctx is None else scratch[:job.ctx.len]
         if plan.variant is not None:
             accum = np.stack([scratch[plan.accum_base + c * plan.accum_slot:][:n * d]
                               for c in range(copies)]).reshape(copies, n, d)
