@@ -180,7 +180,6 @@ class TestCli:
             row = next(csv.DictReader(f))
         assert row["variant"] == "thread_private"
 
-
     # a k-means point of 20 or 40 dimensions, a regression row of 41 values:
     # wider than the 64 B per element that _bank_bytes_for allows
     @pytest.mark.parametrize("args", [
