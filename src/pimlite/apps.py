@@ -7,10 +7,14 @@ int64 / wrapping uint32/uint64 numpy operations) but compute through
 completely different paths: the runners go through scatter, scratchpad
 streaming and keyed reduction, while the oracles are straight-line passes
 over the host arrays, ``ROW_BLOCK`` rows at a time.  One shared definition
-leaves int64: both sides label k-means points with
-:func:`nearest_centroid`, which computes its distances in float64 (BLAS)
+leaves int64: both sides label k-means points with a
+:func:`centroid_labeller`, which computes its distances in float64 (BLAS)
 only where a bound on the coordinates proves every term an exact integer,
 and in int64 otherwise, so its labels are those of the int64 expression.
+A labeller does the work that depends on the centroids alone once, when it
+is built from a copy of them: the runner builds one per context it sees
+(the context bytes key it, so new centroids build a new one), the oracle
+one per iteration.
 Each runner does its device work inside :meth:`ManagementContext.rollback`:
 one that raises leaves the registry, cursor, counters, log and
 ``last_plan`` as they were, so the same context can run it again.
@@ -359,15 +363,15 @@ def _top(a: np.ndarray) -> int:
 
 
 def _float64_exact(w: int, dims: int, ptop: int, ctop: int) -> bool:
-    """Whether every term of ``nearest_centroid``'s float64 path is an exact
+    """Whether every term of a ``centroid_labeller``'s float64 path is an exact
     integer, for key multiplier ``w`` and coordinates at most ``ptop`` (points)
     and ``ctop`` (centroids) in absolute value.  Python ints: no overflow."""
     return w * (2 * dims * ptop * ctop + dims * ctop * ctop) + w < 2 ** 53
 
 
-def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each integer point row's nearest centroid by squared
-    distance, ties to the lowest index.
+def centroid_labeller(centroids: np.ndarray):
+    """A function that labels integer point rows with the index of their
+    nearest centroid by squared distance, ties to the lowest index.
 
     ``|p - c|² = |p|² - 2p·c + |c|²`` and ``|p|²`` is the same for every
     centroid of a row, so ``|c_j|² - 2p·c_j`` has the same argmin.  The
@@ -382,30 +386,51 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     bound the points' (by their dtype, else their values) and the centroids'
     coordinates.  Below 2^53 float64 holds each of them exactly, in any
     summation order and with FMA, so the labels equal the reference's; at or
-    above it the int64 reference runs."""
-    cents = np.asarray(centroids, np.int64)
+    above it the int64 reference runs.
+
+    What depends on the centroids alone (``w``, ``ctop``, the scaled matrix,
+    the norms and the packed bias) is computed here, once, from a copy of
+    ``centroids``: writing to that array later changes no label.  Each call
+    checks the bound for its points and computes their keys."""
+    cents = np.array(centroids, np.int64)
     k, dims = cents.shape
     w, ctop = 1 << (k - 1).bit_length(), _top(cents)
-    if not (_float64_exact(w, dims, np.iinfo(points.dtype).max + 1, ctop)
-            or _float64_exact(w, dims, _top(points), ctop)):
-        points64 = np.asarray(points, np.int64)
-        return ((cents * cents).sum(axis=1) - 2 * (points64 @ cents.T)).argmin(axis=1)
-    keys = (cents * (-2.0 * w)) @ points.T
-    keys += ((cents * cents).sum(axis=1) * w + np.arange(k))[:, None]
-    return np.minimum.reduce(keys, axis=0).astype(np.int64) & (w - 1)
+    norms = (cents * cents).sum(axis=1)
+    scaled = cents * (-2.0 * w)
+    bias = (norms * w + np.arange(k)).astype(np.float64)[:, None]
+
+    def label(points: np.ndarray) -> np.ndarray:
+        if not (_float64_exact(w, dims, np.iinfo(points.dtype).max + 1, ctop)
+                or _float64_exact(w, dims, _top(points), ctop)):
+            return (norms - 2 * (np.asarray(points, np.int64) @ cents.T)).argmin(axis=1)
+        keys = scaled @ points.T
+        keys += bias
+        return np.minimum.reduce(keys, axis=0).astype(np.int64) & (w - 1)
+
+    return label
+
+
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each integer point row's nearest centroid, ties to the lowest
+    index: :func:`centroid_labeller` of ``centroids`` applied to ``points``."""
+    return centroid_labeller(centroids)(points)
 
 
 def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
                variant: str = "auto") -> np.ndarray:
     points = make_kmeans_points(spec)
     k, dims = spec.clusters, spec.dims
+    built = [b"", None]  # the context bytes last seen and their labeller
 
     def to_val(src, ctx):
         pts = src.view(np.int32).reshape(-1, dims)
         vals = np.empty((len(pts), dims + 1), np.int64)  # coordinates, then a 1
         vals[:, :dims] = pts
         vals[:, dims] = 1
-        return vals, nearest_centroid(pts, ctx.view(np.int64).reshape(k, dims))
+        key = ctx.tobytes()
+        if key != built[0]:  # a new context: build its labeller once
+            built[:] = key, centroid_labeller(np.frombuffer(key, np.int64).reshape(k, dims))
+        return vals, built[1](pts)
 
     with mgmt.rollback():
         comm.scatter(mgmt, "km_pts", points, spec.total_elems, 4 * dims)
@@ -444,13 +469,13 @@ def oracle_kmeans(spec: BenchmarkSpec) -> np.ndarray:
     centroids = points[:k].astype(np.int64)
     trajectory = np.zeros((spec.iterations, k, spec.dims), np.int64)
     for it in range(spec.iterations):
+        label = centroid_labeller(centroids)
         counts = np.zeros(k, np.int64)
         sums = np.zeros((k, spec.dims), np.int64)
         for rows in _row_blocks(spec.total_elems):
             block = points[rows]
-            labels = np.concatenate([
-                nearest_centroid(block[start:start + LABEL_ROWS], centroids)
-                for start in range(0, len(block), LABEL_ROWS)])
+            labels = np.concatenate([label(block[start:start + LABEL_ROWS])
+                                     for start in range(0, len(block), LABEL_ROWS)])
             counts += np.bincount(labels, minlength=k)
             sums += _cluster_sums(block, labels, k)
         centroids = np.where(counts[:, None] > 0,

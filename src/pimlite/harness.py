@@ -19,14 +19,14 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import apps, comm, processing
 from .apps import BenchmarkSpec
 from .device import DeviceConfig, PimDevice, round_up
-from .errors import InvalidArgument, OracleMismatch
+from .errors import InvalidArgument, OracleMismatch, PimError
 from .management import ManagementContext
 
 RUNNERS = {
@@ -65,6 +65,13 @@ class ExperimentConfig:
         spec = _make_spec(self, self.elems_per_core * min(self.core_counts))
         if self.benchmark == "kmeans":
             apps.check_kmeans_spec(spec)
+        # an iterator's plan depends on its element sizes, context and output
+        # entries, never on element or core counts: one iteration over
+        # ``clusters`` elements (k-means' fewest) on one core plans every
+        # iterator of the sweep, and raises the planner's PimError before any
+        # run starts when they cannot be planned
+        probe = replace(spec, total_elems=spec.clusters, iterations=1)
+        _run_app(self.benchmark, probe, 1, self.variant)
 
 
 @dataclass
@@ -112,6 +119,23 @@ def _make_spec(config: ExperimentConfig, total: int) -> BenchmarkSpec:
                          seed=config.seed)
 
 
+def _run_app(name: str, spec: BenchmarkSpec, cores: int, variant: str,
+             log_transfers: bool = False):
+    """Run one benchmark's app on a fresh device; returns (result, mgmt,
+    wall_seconds)."""
+    device = PimDevice(DeviceConfig(
+        num_cores=cores, dram_bank_bytes=_bank_bytes_for_spec(spec, cores),
+        log_transfers=log_transfers))
+    mgmt = ManagementContext(device)
+    runner = RUNNERS[name][0]
+    start = time.perf_counter()
+    if name == "vecadd":
+        result = runner(mgmt, spec)
+    else:
+        result = runner(mgmt, spec, variant=variant)
+    return result, mgmt, time.perf_counter() - start
+
+
 def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
                   variant: str = "auto", log_transfers: bool = False):
     """Run one benchmark on a fresh device; returns
@@ -119,18 +143,8 @@ def run_benchmark(name: str, spec: BenchmarkSpec, cores: int,
     the counters and ``mgmt.last_plan`` the plan of the last kernel run.
     The oracle runs before the device exists, so its working data is freed
     before the first bank page is touched."""
-    runner, oracle = RUNNERS[name]
-    expected = oracle(spec)
-    device = PimDevice(DeviceConfig(
-        num_cores=cores, dram_bank_bytes=_bank_bytes_for_spec(spec, cores),
-        log_transfers=log_transfers))
-    mgmt = ManagementContext(device)
-    start = time.perf_counter()
-    if name == "vecadd":
-        result = runner(mgmt, spec)
-    else:
-        result = runner(mgmt, spec, variant=variant)
-    wall = time.perf_counter() - start
+    expected = RUNNERS[name][1](spec)
+    result, mgmt, wall = _run_app(name, spec, cores, variant, log_transfers)
     correct = bool(np.array_equal(np.asarray(result), np.asarray(expected)))
     return result, expected, correct, mgmt, wall
 
@@ -523,7 +537,7 @@ def main(argv=None) -> int:
             elems_per_core=args.elems, bins=args.bins, dims=args.dims,
             clusters=args.clusters, iterations=args.iters, seed=args.seed,
             variant=args.variant, transfer_log_path=log_path)
-    except InvalidArgument as exc:
+    except PimError as exc:  # a bad flag, or a sweep that cannot be planned
         run.error(str(exc))  # a usage error: exits with status 2
     rows = run_experiment(config)
     if args.out:

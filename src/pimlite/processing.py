@@ -85,7 +85,9 @@ the entries' row indices themselves when an entry holds one value, else on
 for ``w`` values per entry.  An opaque ``acc_func`` is folded by a stride
 tree over the key-sorted rows, one vectorized call per stride.
 The ring merge and the host fold call ``acc_func`` either way, so both paths
-move the same bytes and give the same results.
+move the same bytes and give the same results: the ring merge hands a
+declared combiner's ``acc_func`` the accumulators' value views to fold in
+place, one ufunc call per step and tasklet, and an opaque one entry rows.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys, non-integer keys or a key outside the output
@@ -783,7 +785,8 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     declared combiner folds each batch step with one 1-D ``ufunc.at`` over
     the entries' values: on the row index itself when an entry holds one
     value, else on the index repeated ``w`` times, scaled by ``w``, plus the
-    run's lane pattern.
+    run's lane pattern.  Private accumulators are then merged by
+    :func:`_ring_merge`, on every core of the run at once.
     """
     plan, handle = job.plan, job.handle
     n, d = job.out.len, job.out.type_size
@@ -843,26 +846,42 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
                 fold(rows, idx)
                 locks.release(t, uniq)
     if private:
-        # ring merge, each step on every core at once: after num_t-1 steps
-        # each tasklet owns one fully reduced segment (segment s is entries
-        # s*n//num_t up to (s+1)*n//num_t), then segments are assembled into
-        # the first copy for a single writer
-        copy = accum.reshape(cores, num_t, n, d)
-        for step in range(num_t - 1):
-            for t in range(num_t):
-                seg = (t - 1 - step) % num_t
-                lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
-                if hi_e > lo_e:
-                    mine = copy[:, t, lo_e:hi_e].reshape(-1, d)
-                    handle.acc_func(mine, copy[:, t - 1, lo_e:hi_e].reshape(-1, d))
-                    copy[:, t, lo_e:hi_e] = mine.reshape(cores, -1, d)
-        for t in range(1, num_t):
-            own = (t + 1) % num_t
-            lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
-            copy[:, 0, lo_e:hi_e] = copy[:, t, lo_e:hi_e]
+        _ring_merge(accum.reshape(cores, num_t, n, d), handle)
     accum_slots[...] = accum.reshape(accum_slots.shape)
     for scratch_off, bank, nbytes in partial:  # each core's to its output copy
         device.dma_write(range(first, end), scratch_off, bank, nbytes)
+
+
+def _ring_merge(copies: np.ndarray, handle: Handle) -> None:
+    """Merge the private accumulators ``copies``, ``(cores, tasklets, n,
+    entry_size)``, ring-style, each step on every core at once: at step
+    ``s`` tasklet ``t`` folds tasklet ``t - 1``'s segment ``(t - 1 - s) mod
+    tasklets`` into its own (segment ``i`` is entries ``i·n // tasklets`` up
+    to ``(i + 1)·n // tasklets``), so after ``tasklets - 1`` steps each
+    tasklet owns one fully reduced segment; then the segments are assembled
+    into copy 0 for a single writer.  No two folds of a step touch the same
+    segment of the same copy, so their order within the step does not
+    matter.  A declared combiner's ``acc_func`` folds the ``(cores, entries,
+    entry_size)`` views in place, one ufunc call per step and tasklet; an
+    opaque one gets entry rows, which are copies when there are several
+    cores, and its result is copied back."""
+    cores, num_t, n, d = copies.shape
+    for step in range(num_t - 1):
+        for t in range(num_t):
+            seg = (t - 1 - step) % num_t
+            lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
+            if hi_e > lo_e:
+                mine, theirs = copies[:, t, lo_e:hi_e], copies[:, t - 1, lo_e:hi_e]
+                if handle.combine is not None:
+                    handle.acc_func(mine, theirs)
+                else:
+                    rows = mine.reshape(-1, d)
+                    handle.acc_func(rows, theirs.reshape(-1, d))
+                    mine[...] = rows.reshape(mine.shape)
+    for t in range(1, num_t):
+        own = (t + 1) % num_t
+        lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
+        copies[:, 0, lo_e:hi_e] = copies[:, t, lo_e:hi_e]
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

@@ -416,6 +416,85 @@ class TestKmeans:
         monkeypatch.setattr(apps, "_float64_exact", lambda *bound: True)
         assert apps.nearest_centroid(points, cents).tolist() == [0]
 
+    def kmeans_to_val(self, monkeypatch, spec):
+        """The ``map_to_val_func`` a k-means run hands its reduce handle, and
+        a list that records each labeller the run's callbacks build."""
+        handles, built = [], []
+        create, labeller = processing.create_handle, apps.centroid_labeller
+
+        def recording_create(*args, **kw):
+            handles.append(kw["map_to_val_func"])
+            return create(*args, **kw)
+
+        def recording_labeller(centroids):
+            built.append(np.array(centroids))
+            return labeller(centroids)
+
+        monkeypatch.setattr(processing, "create_handle", recording_create)
+        monkeypatch.setattr(apps, "centroid_labeller", recording_labeller)
+        apps.run_kmeans(make_mgmt(cores=3), spec)
+        return handles[0], built
+
+    def test_a_run_builds_one_labeller_per_context(self, monkeypatch):
+        spec = BenchmarkSpec(name="kmeans", total_elems=3 * 2000, clusters=5,
+                             iterations=3, seed=8)
+        _, built = self.kmeans_to_val(monkeypatch, spec)
+        by_run = list(built)
+        # 6,000 points take several batches per launch, but each launch's
+        # context (the iteration's centroids) builds one labeller, and so
+        # does each iteration of the oracle
+        trajectory = apps.oracle_kmeans(spec)
+        first = apps.make_kmeans_points(spec)[:5]
+        assert len(by_run) == 3 and len(built) == 6
+        for got, want in zip(by_run, [first, trajectory[0], trajectory[1]]):
+            assert np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(by_run, built[3:]))
+
+    def test_a_changed_context_relabels(self, monkeypatch):
+        spec = BenchmarkSpec(name="kmeans", total_elems=60, dims=2, clusters=2,
+                             iterations=1, seed=1)
+        to_val, built = self.kmeans_to_val(monkeypatch, spec)
+        built.clear()
+        points = np.array([[0, 0], [10, 10], [4, 4], [6, 6]], np.int32)
+        src = points.view(np.uint8).reshape(len(points), -1)
+        near_zero = np.array([[0, 0], [10, 10]], np.int64)
+        ctx = near_zero.copy().view(np.uint8).ravel()  # a scratchpad row stand-in
+        assert to_val(src, ctx)[1].tolist() == [0, 1, 0, 1]
+        ctx.view(np.int64)[:] = [10, 10, 0, 0]  # overwritten in place: swapped
+        assert to_val(src, ctx)[1].tolist() == [1, 0, 1, 0]
+        assert to_val(src, ctx)[1].tolist() == [1, 0, 1, 0]
+        ctx.view(np.int64)[:] = near_zero.ravel()
+        assert to_val(src, ctx)[1].tolist() == [0, 1, 0, 1]
+        assert len(built) == 3  # one per change, none for the repeated call
+
+    def test_a_labeller_keeps_its_own_copy_of_the_centroids(self):
+        rng = np.random.default_rng(5)
+        points = rng.integers(0, 4096, (200, 3), dtype=np.int32)
+        cents = rng.integers(0, 4096, (6, 3)).astype(np.int64)
+        before = direct_nearest(points, cents)
+        label = apps.centroid_labeller(cents)
+        cents[:] = cents[::-1]  # the buffer it was built from, overwritten
+        assert np.array_equal(label(points), before)
+        assert not np.array_equal(before, direct_nearest(points, cents))
+
+    def test_a_labeller_takes_int64_for_points_beyond_the_bound(self, monkeypatch):
+        # small centroids, so the bound holds for int32 points; points of
+        # magnitude 2^52 break it.  With c0 = (2, 1), c1 = (0, 2) and p =
+        # (2^51, 2^52), |c_j|² - 2p·c_j is 5 - 2^54 and 4 - 2^54: centroid 1
+        # is nearest.  float64 rounds both packed keys, 10 - 2^55 and
+        # 9 - 2^55, to 8 - 2^55, whose low bit names centroid 0.
+        cents = np.array([[2, 1], [0, 2]], np.int64)
+        label = apps.centroid_labeller(cents)
+        near = np.array([[2, 1], [1, 2], [0, 3]], np.int32)
+        assert np.array_equal(label(near), direct_nearest(near, cents))
+        far = np.array([[1 << 51, 1 << 52]], np.int64)
+        assert direct_nearest(far, cents).tolist() == [1]
+        assert label(far).tolist() == [1]
+        # the bound is looked up per call: forced open, the same labeller
+        # takes the float64 path and the rounded keys
+        monkeypatch.setattr(apps, "_float64_exact", lambda *bound: True)
+        assert label(far).tolist() == [0]
+
     def test_trunc_div_rounds_toward_zero(self):
         a = np.array([7, -7, 1, -1], np.int64)
         b = np.array([2, 2, 2, 2], np.int64)

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimlite import apps, harness
 from pimlite.device import DeviceConfig, PimDevice, TransferRecord
@@ -276,6 +279,59 @@ class TestVerify:
         assert exc.value.code == 2
         assert "need at least one point per cluster seed" in capsys.readouterr().err
         assert not ran
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--benchmark histogram --bins 100000 --elems 100 --cores 1",
+         "0 B of context, 400000 B of accumulator and streaming buffers do not fit"),
+        ("--benchmark linreg --dims 600 --elems 50 --cores 2",
+         "no aligned batch of element sizes (2404,) fits"),
+        ("--benchmark kmeans --dims 600 --elems 50 --cores 2",
+         "no aligned batch of element sizes (2400,) fits"),
+    ], ids=["no-feasible-plan", "linreg-too-wide", "kmeans-too-wide"])
+    def test_a_sweep_that_cannot_be_planned_is_a_usage_error(self, capsys, monkeypatch,
+                                                              argv, message):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv.split()])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"pimlite run: error: {message}" in err
+        assert out == "" and not ran
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_run_either_verifies_every_row_or_is_refused_up_front(self, data):
+        # tiny sizes, and in about half the runs one flag at a rare value:
+        # out of range, or past what a plan can hold
+        tiny = {"--elems": st.integers(0, 40), "--bins": st.integers(2, 300),
+                "--dims": st.integers(1, 12), "--clusters": st.integers(1, 12),
+                "--iters": st.integers(1, 2), "--seed": st.integers(0, 3)}
+        rare = {"--elems": [-1], "--bins": [1, 5000, 100000], "--dims": [0, 511, 512, 600],
+                "--clusters": [0], "--iters": [0], "--seed": [-1]}
+        odd = data.draw(st.sampled_from([None] * len(rare) + list(rare)))
+        cores = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        argv = ["run", "--benchmark", data.draw(st.sampled_from(sorted(harness.RUNNERS))),
+                "--cores", ",".join(map(str, cores)),
+                "--scaling", data.draw(st.sampled_from(["weak", "strong"])),
+                "--variant", data.draw(st.sampled_from(["auto", "shared", "private"]))]
+        for name, sizes in tiny.items():
+            value = st.sampled_from(rare[name]) if name == odd else sizes
+            argv += [name, str(data.draw(value))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 0:
+            rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+            assert [int(row["cores"]) for row in rows] == cores
+            assert all(row["correct"] == "true" for row in rows)
+        else:
+            assert code == 2
+            assert "pimlite run: error: " in err.getvalue()
+            assert out.getvalue() == ""
 
     def test_audit_reports_every_bad_record(self):
         dev = PimDevice(DeviceConfig(num_cores=2, dram_bank_bytes=1 << 20))

@@ -960,6 +960,80 @@ class TestDeclaredCombinerDifferential:
                 assert np.array_equal(fast, getattr(apps, f"oracle_{app}")(spec))
 
 
+def ring_merge_by_rows(copies, acc_func):
+    """The ring merge one (step, tasklet) at a time on entry-row copies: the
+    reference the in-place merge of a declared combiner must equal."""
+    cores, num_t, n, d = copies.shape
+    for step in range(num_t - 1):
+        for t in range(num_t):
+            seg = (t - 1 - step) % num_t
+            lo, hi = seg * n // num_t, (seg + 1) * n // num_t
+            if hi > lo:
+                mine = copies[:, t, lo:hi].reshape(-1, d)
+                acc_func(mine, copies[:, t - 1, lo:hi].reshape(-1, d))
+                copies[:, t, lo:hi] = mine.reshape(cores, -1, d)
+    for t in range(1, num_t):
+        own = (t + 1) % num_t
+        lo, hi = own * n // num_t, (own + 1) * n // num_t
+        copies[:, 0, lo:hi] = copies[:, t, lo:hi]
+
+
+class TestRingMerge:
+    """``_ring_merge`` leaves every accumulator byte as the per-(step,
+    tasklet) merge on entry-row copies does: copy 0's reduced entries and
+    the residues the other copies keep."""
+
+    SHAPES = [(12, 10, 11), (2, 4096, 1), (5, 3, 2), (1, 7, 3)]  # (T, n, w)
+
+    def merged(self, handle, copies):
+        got, want = copies.copy(), copies.copy()
+        calls = collections.Counter()
+
+        def counted(dst, src):
+            calls[dst.ndim] += 1
+            handle.acc_func(dst, src)
+
+        processing._ring_merge(got, processing.Handle(REDUCE, acc_func=counted,
+                                                      combine=handle.combine))
+        ring_merge_by_rows(want, handle.acc_func)
+        assert np.array_equal(got, want)
+        num_t, n = copies.shape[1:3]
+        assert sum(calls.values()) == sum(
+            (s + 1) * n // num_t > s * n // num_t for s in range(num_t)) * (num_t - 1)
+        return calls
+
+    @pytest.mark.parametrize("num_t,n,w", SHAPES)
+    @pytest.mark.parametrize("ufunc,dtype", [
+        (np.add, np.int64), (np.add, np.uint32), (np.bitwise_xor, np.uint64),
+        (np.maximum, np.int32), (np.multiply, np.uint16)])
+    def test_declared_combiner_folds_the_views_in_place(self, mgmt, num_t, n, w,
+                                                        ufunc, dtype):
+        rng = np.random.default_rng(num_t * n * w)
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=lambda s, c: None,
+                                          init_func=lambda a: None, combine=(ufunc, dtype))
+        d = w * np.dtype(dtype).itemsize
+        for cores in (1, 3):
+            copies = rng.integers(0, 256, (cores, num_t, n, d), dtype=np.uint8)
+            calls = self.merged(handle, copies)
+            assert set(calls) <= {3}  # (cores, entries, entry bytes) views
+
+    @pytest.mark.parametrize("num_t,n,w", SHAPES)
+    def test_opaque_acc_func_gets_entry_rows(self, mgmt, num_t, n, w):
+        rng = np.random.default_rng(num_t + n + w)
+
+        def acc(dst, src):  # entry rows only: a row's lanes mix
+            assert dst.ndim == 2 and dst.shape == src.shape
+            a, b = dst.view(np.uint32), src.view(np.uint32)
+            a ^= b + np.roll(b, 1, axis=1)
+
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=lambda s, c: None,
+                                          init_func=lambda a: None, acc_func=acc)
+        for cores in (1, 3):
+            copies = rng.integers(0, 256, (cores, num_t, n, 4 * w), dtype=np.uint8)
+            calls = self.merged(handle, copies)
+            assert set(calls) <= {2}
+
+
 class TestContextLifetime:
     """A context broadcast by a call that then fails is freed again, and
     ``free_handle`` frees a resident context."""
