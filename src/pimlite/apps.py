@@ -429,7 +429,8 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
         vals[:, dims] = 1
         key = ctx.tobytes()
         if key != built[0]:  # a new context: build its labeller once
-            built[:] = key, centroid_labeller(np.frombuffer(key, np.int64).reshape(k, dims))
+            cents = np.frombuffer(key, np.int64).reshape(k, dims)
+            built[:] = key, centroid_labeller(cents)
         return vals, built[1](pts)
 
     with mgmt.rollback():

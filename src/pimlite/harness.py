@@ -4,7 +4,10 @@
 scaling mode, verifies every run against its sequential oracle, and reports
 traffic counters as machine-readable CSV rows.  Performance is reported as
 bytes and commands, never time: wall time of a functional model says nothing
-about the modelled machine.
+about the modelled machine.  An ``ExperimentConfig`` that no run could
+execute (bad values, too few k-means points, iterators that cannot be
+planned) raises a ``PimError`` when it is built, before the first run;
+``pimlite run`` reports that as a usage error.
 
 ``verify_all`` runs the programmatic verification suite (oracle equivalence,
 communication fuzzing, DMA legality audit, variant agreement, thread

@@ -469,13 +469,15 @@ class TestKmeans:
 
     def test_a_labeller_keeps_its_own_copy_of_the_centroids(self):
         rng = np.random.default_rng(5)
-        points = rng.integers(0, 4096, (200, 3), dtype=np.int32)
-        cents = rng.integers(0, 4096, (6, 3)).astype(np.int64)
-        before = direct_nearest(points, cents)
+        near = rng.integers(0, 6, (200, 2), dtype=np.int32)  # the float64 path
+        far = np.array([[1 << 50, 0]], np.int64)  # past the bound: int64
+        cents = np.array([[1, 0], [0, 5]], np.int64)
+        before = [direct_nearest(points, cents) for points in (near, far)]
         label = apps.centroid_labeller(cents)
         cents[:] = cents[::-1]  # the buffer it was built from, overwritten
-        assert np.array_equal(label(points), before)
-        assert not np.array_equal(before, direct_nearest(points, cents))
+        for points, labels in zip((near, far), before):
+            assert np.array_equal(label(points), labels)
+            assert not np.array_equal(labels, direct_nearest(points, cents))
 
     def test_a_labeller_takes_int64_for_points_beyond_the_bound(self, monkeypatch):
         # small centroids, so the bound holds for int32 points; points of
