@@ -34,6 +34,7 @@ value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,22 @@ def _top_bits(words: np.ndarray, bits: int) -> np.ndarray:
     return np.right_shift(words, 32 - bits, out=words)
 
 
+def _reused_rows(fill, dtype, *row_shape):
+    """A function ``take(m)`` that returns a view of the first ``m`` rows of
+    one buffer of ``row_shape`` rows of ``dtype``, all filled with ``fill``
+    when the buffer is made; a call that needs more rows makes a larger one.
+    A reducing callback may return such views: the kernel reads them before
+    it calls the callback again and never writes to them."""
+    buf = [np.full((0, *row_shape), fill, dtype)]
+
+    def take(m: int) -> np.ndarray:
+        if len(buf[0]) < m:
+            buf[0] = np.full((m, *row_shape), fill, dtype)
+        return buf[0][:m]
+
+    return take
+
+
 def _row_blocks(n: int):
     """Slices of ``ROW_BLOCK`` consecutive rows (the last may be shorter)
     that cover rows ``0..n``."""
@@ -136,10 +153,11 @@ def make_reduction_input(spec: BenchmarkSpec) -> np.ndarray:
 def run_reduction(mgmt: ManagementContext, spec: BenchmarkSpec,
                   variant: str = "auto") -> int:
     data = make_reduction_input(spec)
+    zeros = _reused_rows(0, np.int64)
 
     def to_val(src, ctx):
         vals = src.view(np.uint32).ravel().astype(np.uint64)
-        return vals, np.zeros(vals.size, np.int64)
+        return vals, zeros(vals.size)
 
     with mgmt.rollback():
         comm.scatter(mgmt, "red_in", data, spec.total_elems, 4)
@@ -204,18 +222,23 @@ def make_histogram_input(spec: BenchmarkSpec) -> np.ndarray:
 
 
 def histogram_key(values: np.ndarray, bins: int) -> np.ndarray:
-    """Bin index of a 12-bit value: value * bins >> 12."""
-    return (np.asarray(values, np.int64) * bins) >> 12
+    """Bin index of a 12-bit value: value * bins >> 12, as int64, computed
+    in place in one new array (``values`` is left as it was)."""
+    keys = np.array(values, np.int64)
+    keys *= bins
+    keys >>= 12
+    return keys
 
 
 def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
                   variant: str = "auto") -> np.ndarray:
     data = make_histogram_input(spec)
     bins = spec.bins
+    ones = _reused_rows(1, np.uint32)
 
     def to_val(src, ctx):
         d = src.view(np.uint32).ravel()
-        return np.ones(d.size, np.uint32), histogram_key(d, bins)
+        return ones(d.size), histogram_key(d, bins)
 
     with mgmt.rollback():
         comm.scatter(mgmt, "hist_in", data, spec.total_elems, 4)
@@ -266,6 +289,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
     dims, shift = spec.dims, FIXED_POINT_SHIFT
     packed = np.concatenate([x, y[:, None]], axis=1)  # int32, like x and y
     del x, y
+    zeros = _reused_rows(0, np.int64)
 
     def to_val(src, ctx):
         rows = src.view(np.int32).reshape(-1, dims + 1).astype(np.int64)
@@ -276,7 +300,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
             err = approx_sigmoid_fixed(z, shift) - (ys << shift)
         else:
             err = z - ys
-        return xs * err[:, None], np.zeros(len(rows), np.int64)
+        return xs * err[:, None], zeros(len(rows))
 
     with mgmt.rollback():
         comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
@@ -369,6 +393,13 @@ def _float64_exact(w: int, dims: int, ptop: int, ctop: int) -> bool:
     return w * (2 * dims * ptop * ctop + dims * ctop * ctop) + w < 2 ** 53
 
 
+@functools.cache
+def _dtype_top(dtype: np.dtype) -> int:
+    """``iinfo(dtype).max + 1``: a bound on the magnitude of any value of the
+    integer ``dtype``, looked up once per dtype."""
+    return int(np.iinfo(dtype).max) + 1
+
+
 def centroid_labeller(centroids: np.ndarray):
     """A function that labels integer point rows with the index of their
     nearest centroid by squared distance, ties to the lowest index.
@@ -391,7 +422,8 @@ def centroid_labeller(centroids: np.ndarray):
     What depends on the centroids alone (``w``, ``ctop``, the scaled matrix,
     the norms and the packed bias) is computed here, once, from a copy of
     ``centroids``: writing to that array later changes no label.  Each call
-    checks the bound for its points and computes their keys."""
+    checks the bound for its points, whose dtype's half is looked up once per
+    dtype, and computes their keys."""
     cents = np.array(centroids, np.int64)
     k, dims = cents.shape
     w, ctop = 1 << (k - 1).bit_length(), _top(cents)
@@ -400,7 +432,7 @@ def centroid_labeller(centroids: np.ndarray):
     bias = (norms * w + np.arange(k)).astype(np.float64)[:, None]
 
     def label(points: np.ndarray) -> np.ndarray:
-        if not (_float64_exact(w, dims, np.iinfo(points.dtype).max + 1, ctop)
+        if not (_float64_exact(w, dims, _dtype_top(points.dtype), ctop)
                 or _float64_exact(w, dims, _top(points), ctop)):
             return (norms - 2 * (np.asarray(points, np.int64) @ cents.T)).argmin(axis=1)
         keys = scaled @ points.T
@@ -421,12 +453,12 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
     points = make_kmeans_points(spec)
     k, dims = spec.clusters, spec.dims
     built = [b"", None]  # the context bytes last seen and their labeller
+    rows = _reused_rows(1, np.int64, dims + 1)  # coordinates, then a count of 1
 
     def to_val(src, ctx):
         pts = src.view(np.int32).reshape(-1, dims)
-        vals = np.empty((len(pts), dims + 1), np.int64)  # coordinates, then a 1
+        vals = rows(len(pts))
         vals[:, :dims] = pts
-        vals[:, dims] = 1
         key = ctx.tobytes()
         if key != built[0]:  # a new context: build its labeller once
             cents = np.frombuffer(key, np.int64).reshape(k, dims)

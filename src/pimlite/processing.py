@@ -64,6 +64,9 @@ those cores hold.
     n)`` for ``n`` entries.  Keys of any other dtype (float, bool, complex,
     object) are refused, not truncated; the range is checked in one pass
     over the keys read as uint64, where a negative key is ``>= 2**63``.
+    The kernel has read ``vals`` and ``keys`` before it calls
+    ``map_to_val_func`` again, and it never writes to them, so a callback
+    may return views of buffers that it reuses and overwrites call to call.
 
 ``acc_func(dst, src)``
     ``dst[i] ⊕= src[i]`` over entry rows, in place.  ``⊕`` must be commutative
@@ -779,9 +782,11 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     initialized, folded and merged there and copied back before each core
     writes its partial.  Each batch step loads its rows with
     :func:`_load_batch_views` and calls ``map_to_val_func`` on them, stacked
-    core by core.  Each tasklet's rows of key 0 for a full batch are
-    computed once, so a batch's row index is its keys plus those rows.  Keys
-    must be integers in ``[0, n)``, checked in one pass as uint64.  A
+    core by core, and folds what it returns, without writing to it, before
+    the next step calls it again.  Each tasklet's rows of key 0 for a full
+    batch are computed once, so a batch's row index is its keys plus those
+    rows.  Keys must be integers in ``[0, n)``, checked in one pass as
+    uint64.  A
     declared combiner folds each batch step with one 1-D ``ufunc.at`` over
     the entries' values: on the row index itself when an entry holds one
     value, else on the index repeated ``w`` times, scaled by ``w``, plus the

@@ -155,6 +155,16 @@ class TestHistogram:
         counts = histogram_on(mgmt, [4095], 256)
         assert counts[255] == 1
 
+    @pytest.mark.parametrize("bins", [2, 3, 255, 256, 4096, 2**20])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int32, np.int64])
+    def test_key_built_in_place_equals_the_formula(self, dtype, bins):
+        values = np.arange(4096).astype(dtype)  # every 12-bit value
+        before = values.copy()
+        keys = apps.histogram_key(values, bins)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, (np.asarray(values, np.int64) * bins) >> 12)
+        assert np.array_equal(values, before) and values.dtype == dtype
+
     def test_bin_sum_equals_input_count(self):
         spec = BenchmarkSpec(name="histogram", total_elems=4321, bins=64, seed=9)
         result, expected = run_pair("histogram", spec, 4)
@@ -496,6 +506,22 @@ class TestKmeans:
         # takes the float64 path and the rounded keys
         monkeypatch.setattr(apps, "_float64_exact", lambda *bound: True)
         assert label(far).tolist() == [0]
+
+    def test_one_labeller_labels_points_of_every_integer_dtype(self):
+        # the dtype's half of the float64 bound is looked up once per dtype:
+        # int16 and int32 points pass it by their dtype, int64 points by
+        # their values, and int64 points past the bound take the int64 path.
+        # The reference is the int64 |c|² - 2p·c, which |p|² would overflow.
+        rng = np.random.default_rng(11)
+        cents = rng.integers(-100, 101, (7, 4))
+        label = apps.centroid_labeller(cents)
+        near = rng.integers(-(1 << 15), 1 << 15, (500, 4))
+        far = near << 30
+        assert not apps._float64_exact(8, 4, apps._top(far), apps._top(cents))
+        for points in (near.astype(np.int16), near.astype(np.int32), near, far,
+                       near.astype(np.int16), near.astype(np.int32)):
+            keys = (cents * cents).sum(axis=1) - 2 * (points.astype(np.int64) @ cents.T)
+            assert np.array_equal(label(points), keys.argmin(axis=1))
 
     def test_trunc_div_rounds_toward_zero(self):
         a = np.array([7, -7, 1, -1], np.int64)

@@ -1,6 +1,11 @@
 import contextlib
 import csv
 import io
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +205,35 @@ class TestCli:
             spec = apps.BenchmarkSpec(name=name, total_elems=80_000, dims=15)
             assert harness._bank_bytes_for_spec(spec, 8) == \
                 harness._bank_bytes_for(80_000, 8)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI_ARGS = ["run", "--benchmark", "histogram", "--cores", "2", "--elems", "10",
+            "--bins", "2"]
+
+
+class TestMainModule:
+    """``python -m pimlite`` is the ``pimlite`` command, installed or not."""
+
+    def test_runs_in_an_uninstalled_checkout(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "pimlite", *CLI_ARGS], cwd=ROOT,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        row, = csv.DictReader(io.StringIO(proc.stdout))
+        assert row["correct"] == "true"
+
+    @pytest.mark.parametrize("args, status", [(CLI_ARGS, 0),
+                                              (CLI_ARGS + ["--elems", "-1"], 2)])
+    def test_exits_with_the_status_of_main(self, monkeypatch, capsys, args, status):
+        monkeypatch.setattr(sys, "argv", ["pimlite", *args])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("pimlite", run_name="__main__")
+        assert exc.value.code == status
+        rows = capsys.readouterr().out.count(",true,")  # a usage error prints none
+        assert rows == (1 if status == 0 else 0)
 
 
 class TestChecks:

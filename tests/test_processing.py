@@ -960,6 +960,75 @@ class TestDeclaredCombinerDifferential:
                 assert np.array_equal(fast, getattr(apps, f"oracle_{app}")(spec))
 
 
+class TestReusedCallbackBuffers:
+    """The callback contract: the kernel has read a step's ``vals`` and
+    ``keys`` before it calls ``map_to_val_func`` again, and never writes to
+    them.  A callback that returns views of one values buffer and one keys
+    buffer, overwritten on every call, gives the same results, bank and
+    scratchpad bytes, counters and transfer log as the same callback
+    returning fresh arrays."""
+
+    ENTRIES = 37
+
+    def to_val(self, reuse):
+        """Entries of two uint64 values, the element's word sum and its last
+        word, keyed by its first word mod ``ENTRIES``."""
+        bufs = [np.empty((0, 2), np.uint64), np.empty(0, np.int64)]
+
+        def to_val(src, ctx):
+            words = src.view(np.uint32).reshape(len(src), -1)
+            m = len(words)
+            if reuse and len(bufs[1]) < m:
+                bufs[:] = np.empty((m, 2), np.uint64), np.empty(m, np.int64)
+            vals, keys = ((bufs[0][:m], bufs[1][:m]) if reuse else
+                          (np.empty((m, 2), np.uint64), np.empty(m, np.int64)))
+            np.sum(words, axis=1, dtype=np.uint64, out=vals[:, 0])
+            vals[:, 1] = words[:, -1]
+            np.remainder(words[:, 0], self.ENTRIES, out=keys)
+            return vals, keys
+
+        return to_val
+
+    def run(self, reuse, cores, variant, opaque, zipped):
+        # uneven core counts split the cores into two runs; 13,000 words a
+        # core take several batch steps per tasklet
+        rng = np.random.default_rng(cores)
+        total = cores * 13_000 + cores - 1
+        mgmt = make_mgmt(cores=cores, log_transfers=True)
+        streams = [rng.integers(0, 1 << 32, total, dtype=np.uint32)
+                   for _ in range(1 + zipped)]
+        for name, data in zip("ab", streams):
+            comm.scatter(mgmt, name, data, total, 4)
+        if zipped:
+            processing.array_zip(mgmt, "a", "b", "ab")
+        create = (opaque_create_handle(processing.create_handle) if opaque
+                  else processing.create_handle)
+        handle = create(mgmt, REDUCE, map_to_val_func=self.to_val(reuse),
+                        combine=(np.add, np.uint64))
+        processing.array_red(mgmt, "ab" if zipped else "a", "out", 16, self.ENTRIES,
+                             handle, variant=variant)
+        expected = np.zeros((self.ENTRIES, 2), np.uint64)
+        words = np.stack(streams, axis=1)
+        np.add.at(expected, words[:, 0] % self.ENTRIES,
+                  np.stack([words.sum(axis=1, dtype=np.uint64), words[:, -1]], axis=1))
+        got = comm.gather(mgmt, "out").view(np.uint64).reshape(self.ENTRIES, 2)
+        assert np.array_equal(got, expected)
+        return got, mgmt.device
+
+    @pytest.mark.parametrize("zipped", [False, True], ids=["plain", "lazy-zip"])
+    @pytest.mark.parametrize("opaque", [False, True], ids=["declared", "opaque"])
+    @pytest.mark.parametrize("variant", ["shared", "private"])
+    def test_reused_buffers_equal_fresh_arrays(self, variant, opaque, zipped):
+        for cores in (1, 3):
+            fresh, fdev = self.run(False, cores, variant, opaque, zipped)
+            reused, rdev = self.run(True, cores, variant, opaque, zipped)
+            assert np.array_equal(reused, fresh)
+            assert np.array_equal(rdev.banks, fdev.banks)
+            assert np.array_equal(rdev.scratchpads, fdev.scratchpads)
+            assert rdev.stats == fdev.stats
+            assert rdev.transfer_log == fdev.transfer_log
+
+
 def ring_merge_by_rows(copies, acc_func):
     """The ring merge one (step, tasklet) at a time on entry-row copies: the
     reference the in-place merge of a declared combiner must equal."""
