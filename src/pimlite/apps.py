@@ -100,17 +100,17 @@ def _top_bits(words: np.ndarray, bits: int) -> np.ndarray:
     return np.right_shift(words, 32 - bits, out=words)
 
 
-def _reused_rows(fill, dtype, *row_shape):
+def _reused_rows(dtype, *row_shape):
     """A function ``take(m)`` that returns a view of the first ``m`` rows of
-    one buffer of ``row_shape`` rows of ``dtype``, all filled with ``fill``
-    when the buffer is made; a call that needs more rows makes a larger one.
+    one buffer of ``row_shape`` rows of ``dtype``, all filled with ones when
+    the buffer is made; a call that needs more rows makes a larger one.
     A reducing callback may return such views: the kernel reads them before
     it calls the callback again and never writes to them."""
-    buf = [np.full((0, *row_shape), fill, dtype)]
+    buf = [np.ones((0, *row_shape), dtype)]
 
     def take(m: int) -> np.ndarray:
         if len(buf[0]) < m:
-            buf[0] = np.full((m, *row_shape), fill, dtype)
+            buf[0] = np.ones((m, *row_shape), dtype)
         return buf[0][:m]
 
     return take
@@ -153,11 +153,10 @@ def make_reduction_input(spec: BenchmarkSpec) -> np.ndarray:
 def run_reduction(mgmt: ManagementContext, spec: BenchmarkSpec,
                   variant: str = "auto") -> int:
     data = make_reduction_input(spec)
-    zeros = _reused_rows(0, np.int64)
 
     def to_val(src, ctx):
         vals = src.view(np.uint32).ravel().astype(np.uint64)
-        return vals, zeros(vals.size)
+        return vals, np.zeros(vals.size, np.int64)
 
     with mgmt.rollback():
         comm.scatter(mgmt, "red_in", data, spec.total_elems, 4)
@@ -234,7 +233,7 @@ def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
                   variant: str = "auto") -> np.ndarray:
     data = make_histogram_input(spec)
     bins = spec.bins
-    ones = _reused_rows(1, np.uint32)
+    ones = _reused_rows(np.uint32)
 
     def to_val(src, ctx):
         d = src.view(np.uint32).ravel()
@@ -289,7 +288,6 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
     dims, shift = spec.dims, FIXED_POINT_SHIFT
     packed = np.concatenate([x, y[:, None]], axis=1)  # int32, like x and y
     del x, y
-    zeros = _reused_rows(0, np.int64)
 
     def to_val(src, ctx):
         rows = src.view(np.int32).reshape(-1, dims + 1).astype(np.int64)
@@ -300,7 +298,7 @@ def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
             err = approx_sigmoid_fixed(z, shift) - (ys << shift)
         else:
             err = z - ys
-        return xs * err[:, None], zeros(len(rows))
+        return xs * err[:, None], np.zeros(len(rows), np.int64)
 
     with mgmt.rollback():
         comm.scatter(mgmt, "reg_in", packed, spec.total_elems, 4 * (dims + 1))
@@ -453,7 +451,7 @@ def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
     points = make_kmeans_points(spec)
     k, dims = spec.clusters, spec.dims
     built = [b"", None]  # the context bytes last seen and their labeller
-    rows = _reused_rows(1, np.int64, dims + 1)  # coordinates, then a count of 1
+    rows = _reused_rows(np.int64, dims + 1)  # coordinates, then a count of 1
 
     def to_val(src, ctx):
         pts = src.view(np.int32).reshape(-1, dims)

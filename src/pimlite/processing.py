@@ -786,11 +786,10 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     the next step calls it again.  Each tasklet's rows of key 0 for a full
     batch are computed once, so a batch's row index is its keys plus those
     rows.  Keys must be integers in ``[0, n)``, checked in one pass as
-    uint64.  A
-    declared combiner folds each batch step with one 1-D ``ufunc.at`` over
-    the entries' values: on the row index itself when an entry holds one
-    value, else on the index repeated ``w`` times, scaled by ``w``, plus the
-    run's lane pattern.  Private accumulators are then merged by
+    uint64.  A declared combiner folds each batch step with one 1-D
+    ``ufunc.at`` over the entries' values: on the row index itself when an
+    entry holds one value, else on the index repeated ``w`` times, scaled by
+    ``w``, plus the run's lane pattern.  Private accumulators are then merged by
     :func:`_ring_merge`, on every core of the run at once.
     """
     plan, handle = job.plan, job.handle
