@@ -4,7 +4,7 @@
 Run from anywhere, with a checkout of the parent commit and one of the
 change, each with its own ``perfbench/`` and ``src/``::
 
-    python3 experiments/bench_pairs.py --parent ../parent --change . \\
+    python3 experiments/bench_pairs.py --parent ../parent --change ../change \\
         --pairs 10 --seed 100 --held-out-seeds 9200 9201 9202 9203 \\
         --claim vecadd-lazy:run_s_p50 --note "..." --out BENCH_15.json
 
@@ -28,6 +28,11 @@ parent's by more than the parent's interquartile range, every run of both
 sides exits 0 with every op correct, and the change fails no more ops than
 the parent. The record is rewritten after every pair, so an interrupted
 session keeps what it ran.
+
+The two checkouts must resolve to absolute paths of the same length: the
+path's length moves glibc malloc's dynamic mmap threshold, which reads as a
+few MB of ``peak_rss_mb`` and a few per cent of some timings that no code
+change caused. Checkouts such as ``../parent`` and ``../change`` satisfy it.
 """
 
 from __future__ import annotations
@@ -150,6 +155,11 @@ def main(argv=None) -> int:
     if args.held_out_seeds and not claim:
         parser.error("--held-out-seeds runs the claimed workload: give --claim")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
+        # glibc's dynamic mmap threshold moves with the path length, and with
+        # it peak RSS and timings, whatever the code
+        parser.error(f"--parent {checkouts['parent']} and --change {checkouts['change']} "
+                     "resolve to paths of different lengths")
     record = {
         "benchmark": f"perfbench/run.py --workload <w> --seconds {seconds:g} "
                      f"--seed {args.seed}+pair --trace 0",

@@ -21,15 +21,22 @@ one that raises leaves the registry, cursor, counters, log and
 
 Datasets come from a seeded PCG64 generator so any two runs (or two
 implementations) can reproduce them exactly.  Each dataset is cut from one
-stream of 32-bit words, :func:`pcg64_words`: the low half and then the high
+stream of 32-bit words, :func:`pcg64_stream`: the low half and then the high
 half of each 64-bit PCG64 output, the words that
 ``Generator(PCG64(seed)).integers`` consumes one per value.  A value drawn as
 ``integers(0, 2**b)`` with ``b <= 32`` is ``word >> (32 - b)``: Lemire's
 bounded method rejects no word for a power-of-two range (its threshold,
 ``(2**32 - 2**b) mod 2**b``, is 0) and keeps the product's high bits.  A
-generator takes its draws from consecutive slices of the stream, in the order
+generator takes its draws as consecutive slices of the stream, in the order
 it used to draw them, so the datasets equal those of ``integers``, value for
 value.
+
+Each runner and oracle holds at most one host copy of its dataset at a time,
+plus temporaries of one ``ROW_BLOCK``.  vecadd's runner draws ``a``, scatters
+it and drops it before it draws ``b``; its oracle adds ``b`` into ``a`` one
+row block at a time as it draws it.  The regression rows are drawn straight
+into the ``(n, dims + 1)`` array that the runner scatters.  The histogram
+oracle bins its input one row block at a time.
 """
 
 from __future__ import annotations
@@ -86,13 +93,38 @@ class BenchmarkSpec:
             raise InvalidArgument("total_elems and seed must be >= 0")
 
 
+def pcg64_stream(seed: int):
+    """A function ``take(count)`` that returns the next ``count`` 32-bit words
+    that ``Generator(PCG64(seed))``'s bounded integer draws consume, as a
+    uint32 array: the low, then the high half of each 64-bit output (on
+    either byte order).  An odd count leaves the high half of its last output
+    for the next call.  A call that starts on a whole output returns a view
+    of the outputs it drew (no copy on a little-endian host); one that starts
+    on a carried half copies its words into a new array, ``ROW_BLOCK`` of them
+    at a time, so it holds no second copy of them."""
+    bits = np.random.PCG64(seed)
+    carry = []  # the high half of the last output, when an odd count left it
+
+    def take(count: int) -> np.ndarray:
+        if not carry or not count:
+            raw = bits.random_raw(-(-count // 2))
+            words = raw.astype("<u8", copy=False).view("<u4")
+            if count % 2:
+                carry.append(int(words[count]))
+            return words[:count].astype(np.uint32, copy=False)  # no copy on little-endian
+        out = np.empty(count, np.uint32)
+        out[0] = carry.pop()
+        rest = out[1:]
+        for rows in _row_blocks(len(rest)):
+            rest[rows] = take(len(rest[rows]))
+        return out
+
+    return take
+
+
 def pcg64_words(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` 32-bit words that ``Generator(PCG64(seed))``'s
-    bounded integer draws consume, as a uint32 array: the low, then the high
-    half of each 64-bit output (on either byte order)."""
-    raw = np.random.PCG64(seed).random_raw(-(-count // 2))
-    words = raw.astype("<u8", copy=False).view("<u4")[:count]
-    return words.astype(np.uint32, copy=False)  # native order; no copy on little-endian
+    """The first ``count`` words of :func:`pcg64_stream` ``(seed)``."""
+    return pcg64_stream(seed)(count)
 
 
 def _top_bits(words: np.ndarray, bits: int) -> np.ndarray:
@@ -179,16 +211,17 @@ def oracle_reduction(spec: BenchmarkSpec) -> int:
 
 
 def make_vecadd_inputs(spec: BenchmarkSpec) -> tuple[np.ndarray, np.ndarray]:
-    n = spec.total_elems
-    words = pcg64_words(spec.seed, 2 * n)
-    return words[:n], words[n:]
+    """``a`` and then ``b``: two consecutive slices of the seed's stream.  The
+    runner and the oracle draw the same slices, one array at a time."""
+    take = pcg64_stream(spec.seed)
+    return take(spec.total_elems), take(spec.total_elems)
 
 
 def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
                eager: bool = False) -> np.ndarray:
     """Elementwise wrapping u32 addition.  ``eager`` forces the zipped input
     to be materialized instead of streamed lazily (used by the traffic study)."""
-    a, b = make_vecadd_inputs(spec)
+    take = pcg64_stream(spec.seed)
 
     def add_pairs(src, dst, ctx):
         pairs = src.view(np.uint32).reshape(-1, 2)
@@ -196,9 +229,9 @@ def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
         np.add(pairs[:, 0], pairs[:, 1], out=out)
 
     with mgmt.rollback():
-        comm.scatter(mgmt, "va_a", a, spec.total_elems, 4)
-        comm.scatter(mgmt, "va_b", b, spec.total_elems, 4)
-        del a, b  # on the device now; one host copy of the data at a time
+        # a is drawn, scattered and dropped before b is drawn: one host copy
+        comm.scatter(mgmt, "va_a", take(spec.total_elems), spec.total_elems, 4)
+        comm.scatter(mgmt, "va_b", take(spec.total_elems), spec.total_elems, 4)
         processing.array_zip(mgmt, "va_a", "va_b", "va_ab", materialize=eager)
         handle = processing.create_handle(mgmt, MAP, map_func=add_pairs)
         processing.array_map(mgmt, "va_ab", "va_out", 4, handle)
@@ -209,8 +242,11 @@ def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
 
 
 def oracle_vecadd(spec: BenchmarkSpec) -> np.ndarray:
-    a, b = make_vecadd_inputs(spec)
-    return a + b
+    take = pcg64_stream(spec.seed)
+    out = take(spec.total_elems)  # a; b is drawn and added in row blocks
+    for rows in _row_blocks(spec.total_elems):
+        out[rows] += take(len(out[rows]))
+    return out
 
 
 # --- histogram: keyed reduction over 12-bit values -------------------------------------
@@ -253,8 +289,11 @@ def run_histogram(mgmt: ManagementContext, spec: BenchmarkSpec,
 
 
 def oracle_histogram(spec: BenchmarkSpec) -> np.ndarray:
-    keys = histogram_key(make_histogram_input(spec), spec.bins)
-    return np.bincount(keys, minlength=spec.bins).astype(np.uint32)
+    data = make_histogram_input(spec)
+    counts = np.zeros(spec.bins, np.int64)
+    for rows in _row_blocks(spec.total_elems):
+        counts += np.bincount(histogram_key(data[rows], spec.bins), minlength=spec.bins)
+    return counts.astype(np.uint32)
 
 
 # --- linear / logistic regression: fixed-point gradient descent -------------------------
@@ -265,29 +304,40 @@ def oracle_histogram(spec: BenchmarkSpec) -> np.ndarray:
 # after folding.  Model weights travel to the cores as handle context.
 
 
-def make_regression_data(spec: BenchmarkSpec,
-                         binary_labels: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def make_regression_rows(spec: BenchmarkSpec, binary_labels: bool = False) -> np.ndarray:
+    """The ``(n, dims + 1)`` int32 rows that the regression runners scatter:
+    ``dims`` features, then the label.  Each part is drawn ``ROW_BLOCK`` rows
+    at a time straight into its columns."""
     n, dims = spec.total_elems, spec.dims
+    take = pcg64_stream(spec.seed)
+    rows = np.empty((n, dims + 1), np.int32)
+    x, y = rows[:, :dims], rows[:, dims]
     # draw order: x row by row, then the labels (binary), or w_true and the
     # label noise (linear)
-    words = pcg64_words(spec.seed, n * dims + (n if binary_labels else dims + n))
-    x = _top_bits(words[:n * dims], 6).view(np.int32).reshape(n, dims)
-    rest = words[n * dims:]
+    for block in _row_blocks(n):
+        x[block] = _top_bits(take(x[block].size), 6).view(np.int32).reshape(-1, dims)
     if binary_labels:
-        y = _top_bits(rest, 1).view(np.int32)
+        for block in _row_blocks(n):
+            y[block] = _top_bits(take(len(y[block])), 1).view(np.int32)
     else:
-        w_true = _top_bits(rest[:dims], FIXED_POINT_SHIFT).astype(np.int64)
-        y = _top_bits(rest[dims:], 4).view(np.int32)
-        for rows in _row_blocks(n):
-            y[rows] += (x[rows].astype(np.int64) @ w_true) >> FIXED_POINT_SHIFT
-    return x, y
+        w_true = _top_bits(take(dims), FIXED_POINT_SHIFT).astype(np.int64)
+        for block in _row_blocks(n):
+            y[block] = _top_bits(take(len(y[block])), 4).view(np.int32)
+            y[block] += (x[block].astype(np.int64) @ w_true) >> FIXED_POINT_SHIFT
+    return rows
+
+
+def make_regression_data(spec: BenchmarkSpec,
+                         binary_labels: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The features ``x`` and labels ``y``: the two column views of
+    :func:`make_regression_rows`."""
+    rows = make_regression_rows(spec, binary_labels)
+    return rows[:, :spec.dims], rows[:, spec.dims]
 
 
 def _regression_runner(mgmt, spec, variant, logistic: bool) -> np.ndarray:
-    x, y = make_regression_data(spec, binary_labels=logistic)
+    packed = make_regression_rows(spec, binary_labels=logistic)
     dims, shift = spec.dims, FIXED_POINT_SHIFT
-    packed = np.concatenate([x, y[:, None]], axis=1)  # int32, like x and y
-    del x, y
 
     def to_val(src, ctx):
         rows = src.view(np.int32).reshape(-1, dims + 1).astype(np.int64)

@@ -109,3 +109,17 @@ def test_main_runs_every_workload_of_the_change_benchmark_for_its_run_seconds(tm
     assert record["held_out"]["workloads"]["a"]["pairs"][0]["seed"] == 90
     # two pairs need both wins; the parent's runs do not spread
     assert record["claim"]["result"].startswith("met:")
+
+
+def test_main_refuses_checkouts_whose_paths_differ_in_length(tmp_path, capsys):
+    spec = {"run_seconds": 7, "workloads": [{"name": "a"}], "end_to_end": METRICS}
+    parent = _checkout(tmp_path / "parent", 1.0, None)
+    change = _checkout(tmp_path / "change-2", 0.5, spec)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "different lengths" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any((root / "calls.jsonl").exists() for root in (parent, change))
