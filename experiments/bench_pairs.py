@@ -156,8 +156,6 @@ def main(argv=None) -> int:
         parser.error("--held-out-seeds runs the claimed workload: give --claim")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
-        # glibc's dynamic mmap threshold moves with the path length, and with
-        # it peak RSS and timings, whatever the code
         parser.error(f"--parent {checkouts['parent']} and --change {checkouts['change']} "
                      "resolve to paths of different lengths")
     record = {

@@ -14,8 +14,9 @@ import pytest
 from pimlite import apps, harness
 from pimlite.apps import BenchmarkSpec
 
-# 64 ROW_BLOCKs, split evenly over CORES: scatter sends the host array itself,
-# and a one-word column of the dataset is several times the allowance
+# 64 ROW_BLOCKs, split evenly over CORES so that scatter sends the host array
+# itself.  The smallest dataset, one 4-byte word per row, is then 256 bytes
+# per ROW_BLOCK row, 2.7 times the allowance's 96.
 TOTAL, CORES = 64 * apps.ROW_BLOCK, 4
 # twelve int64 values per row of one ROW_BLOCK: the widest block temporaries,
 # the logistic oracle's sigmoid, take about eight
@@ -66,11 +67,6 @@ def test_one_host_copy_of_the_dataset(name, part):
         peak = _traced_peak(lambda: harness.RUNNERS[name][1](spec))
         bound = dataset + output + ALLOWANCE
     assert peak <= bound, f"{name} {part}: {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
-
-
-def test_the_dataset_is_several_times_the_allowance():
-    assert min(_dataset_and_output_bytes(_spec(name))[0]
-               for name in harness.RUNNERS) >= 2.5 * ALLOWANCE
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, apps.ROW_BLOCK + 1])
