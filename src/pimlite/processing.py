@@ -15,38 +15,43 @@ computes no DMA command: it issues, in order, the commands that
 :func:`dma_schedule` derives from the job once per launch, where the context
 reads and a reduction's partial writes, alike on every core, appear once.
 The cores run in lockstep: consecutive cores with the same element count and
-the same context bytes form a run, and each batch step runs once per run
-(the scheduled reads, one callback over the rows of all the run's cores, the
-write).  One loader, ``_load_batch_views``, issues a batch's reads and
-returns the scratchpad rows the callback reads; one function,
-``_interleave``, lays out zipped elements, in the zip slot and in a map or
-zip's bulk pass.  Every core of a run issues the same commands, so each one
-is issued for the run at once, as a ``range`` of cores: one command per
-core, moved as one copy.  Cores are independent, so the bytes, counters and
-commands are those of running the cores one after another, and a launch's
-transfer log records are in core order.  A map or materializing zip moves
-every element from the input banks to the output banks in chunks, through a
-host buffer, one callback per chunk, and then issues its commands from the
-same schedule in the same order.  Only each tasklet's last two batches step
-through the scratchpad, without a callback: their bytes overwrite all that
-the earlier batches would leave there, so the counters, the log, the
-scratchpads and the output padding end as the per-batch steps leave them.
-Reductions keep their accumulators in the scratchpad in one of two variants
-(one shared array behind per-entry locks, or one private array per tasklet
-merged ring-style); each core then writes its partial result into its copy
-of the output array, and the host folds the copies with ``acc_func`` and
-rewrites core 0's.  Zip is lazy: it records the two source arrays and the
-next iterator streams both of them, combining batches in the scratchpad;
-zipping an already-lazy array forces physical materialization (laziness is
-one level deep).
+the same context bytes form a run, and each batch step runs once per run.
+Every core of a run issues the same commands, so each one is issued for the
+run at once, as a ``range`` of cores: one command per core.  Cores are
+independent, so the counters and commands are those of running the cores
+one after another, and a launch's transfer log records are in core order.
+
+What the machine defines.  After a launch, the elements of every array, the
+traffic counters, the transfer log and ``last_plan`` are defined, and the
+kernel leaves them exactly as the per-core, per-tasklet, per-batch steps of
+its schedule do.  Scratchpad bytes, and bank bytes past an array's last
+element, are not: no public call reads them, as after a failed call.  So a
+command moves bytes only when a later step reads them: the context reads
+(callbacks read the context from the scratchpad) and a reduction's partial
+writes (the host fold reads the banks).  Every other command is checked,
+counted and logged through ``PimDevice._issue`` without a copy.  A map or
+materializing zip moves every element from the input banks to the output
+banks in chunks, through a host buffer, one callback per chunk, and issues
+all its commands after that.  A reduction reads each batch where it lies in
+the banks: one loader, ``_load_batch_views``, issues the batch's reads and
+returns the bank rows they name, or for zipped streams the zip slot filled
+from them by ``_interleave``, the one zipped-element layout (also used by the
+bulk pass).  Reductions keep their accumulators in one of two variants (one
+shared array behind per-entry locks, or one private array per tasklet, all
+folded into tasklet 0's at the end); each core then writes its partial
+result into its copy of the output array, and the host folds the copies
+with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the two
+source arrays and the next iterator streams both of them, combining batches
+element by element; zipping an already-lazy array forces physical
+materialization (laziness is one level deep).
 
 Callback contract.  All buffers are C-contiguous uint8 rows, which
 callbacks reinterpret with ``.view(dtype)``.  ``map_func`` sees chunks of
 bank rows (copies; its output is copied to the banks), ``map_to_val_func``
-scratchpad batches (copies when they span several cores).  One call may
-receive the rows of several cores, stacked core by core: a callback must
-treat rows independently, and it sees one copy of the context, the one all
-those cores hold.
+one batch step (a copy of its bank rows, or its zip slot rows, copied when
+they span several cores), so no callback can write to an array.  One call may receive the rows of several
+cores, stacked core by core: a callback must treat rows independently, and
+it sees one copy of the context, the one all those cores hold.
 
 ``map_func(src, dst, ctx)``
     ``src`` is ``(m, in_size)``, ``dst`` is ``(m, out_size)``; fill ``dst``
@@ -76,9 +81,9 @@ A reduce handle may declare ``⊕`` instead of passing ``acc_func``:
 ``combine=(ufunc, dtype)`` with an integer or bool ``dtype`` and one of the
 ufuncs that are commutative and associative there (``add``, ``multiply``,
 ``bitwise_and/or/xor``, ``maximum``, ``minimum``, ``logical_and/or/xor``,
-``gcd``, ``lcm``) mapping ``(dtype, dtype)`` to ``dtype``.  Anything else,
-``subtract`` or a float ``⊕`` say, is refused with ``InvalidCombiner``: its
-result would depend on the work split.
+``gcd``) mapping ``(dtype, dtype)`` to ``dtype``.  Anything else,
+``subtract``, ``lcm`` (which wraps on overflow) or a float ``⊕`` say, is
+refused with ``InvalidCombiner``: its result would depend on the work split.
 Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
 ``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
 when ``init_func`` is omitted, the accumulator is filled with
@@ -87,10 +92,10 @@ the entries' row indices themselves when an entry holds one value, else on
 ``np.repeat(row * w, w)`` plus a lane pattern ``0..w-1`` tiled once per run
 for ``w`` values per entry.  An opaque ``acc_func`` is folded by a stride
 tree over the key-sorted rows, one vectorized call per stride.
-The ring merge and the host fold call ``acc_func`` either way, so both paths
-move the same bytes and give the same results: the ring merge hands a
-declared combiner's ``acc_func`` the accumulators' value views to fold in
-place, one ufunc call per step and tasklet, and an opaque one entry rows.
+The merge of private accumulators and the host fold call ``acc_func``
+either way, on entry rows, so both paths give the same results: the merge
+folds each other tasklet's accumulators into tasklet 0's, ``tasklets - 1``
+calls for all the cores of a run.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys, non-integer keys or a key outside the output
@@ -151,11 +156,12 @@ TASKLET_CANDIDATES = (12, 8, 4, 2, 1)
 _BULK_ROWS = 1 << 16
 
 # ufuncs that are commutative and associative on integers and bools, so a
-# declared combiner gives the same result however the work is split
+# declared combiner gives the same result however the work is split (not
+# lcm: it wraps on overflow, and a wrapped lcm is not associative)
 _ASSOCIATIVE_UFUNCS = frozenset((
     np.add, np.multiply, np.bitwise_and, np.bitwise_or, np.bitwise_xor,
     np.maximum, np.minimum, np.logical_and, np.logical_or, np.logical_xor,
-    np.gcd, np.lcm))
+    np.gcd))
 
 
 @dataclass
@@ -607,42 +613,38 @@ def _interleave(dst: np.ndarray, banks: np.ndarray, sources, n: int) -> None:
 
 def _load_batch_views(device, job: _Job, cores: range, t: int, m: int,
                       reads) -> np.ndarray:
-    """Load tasklet ``t``'s batch of ``m`` elements on a run of ``cores``
-    and return the ``(cores, m, in_size)`` scratchpad rows a callback reads.
+    """Issue tasklet ``t``'s batch of ``m`` elements on a run of ``cores``
+    and return the ``(cores, m, in_size)`` rows a callback reads.
 
-    The batch's scheduled ``reads`` go through ``device.dma_read``, one
-    command per core for each read.  The rows are the stream slot, or for
-    zipped streams the zip slot, filled with :func:`_interleave` from the
-    bank rows that the reads have just copied: the same bytes, but a copy
-    between two slots of the one scratchpad array would go through a
-    temporary.  Called once per run and batch that goes through the
-    scratchpad: every batch of a reduction, and the last two batch rounds of
-    a map or zip, which replay them without a callback (:func:`_stream_run`).
+    The batch's scheduled ``reads`` are checked, counted and logged through
+    ``PimDevice._issue``, one command per core for each read, but not
+    copied: no call reads the stream slots they would fill.  The rows are
+    the bank rows of the one stream's read, or for zipped streams the zip
+    slot, filled by :func:`_interleave` from the bank rows the reads name.
+    Called once per run and batch of a reduction.
     """
-    for bank, slot, nbytes in reads:
-        device.dma_read(cores, bank, slot, nbytes)
+    device._issue(cores, [("dma_read", *read) for read in reads])
     plan, sizes = job.plan, [s.type_size for s in job.in_streams]
-    rel = plan.stream_rels[0] if plan.combine_rel is None else plan.combine_rel
+    banks = device.banks[cores.start:cores.stop]
+    if plan.combine_rel is None:
+        return _elements(banks, reads[0][0], m, sizes[0])
     batch = _elements(device.scratchpads[cores.start:cores.stop],
-                      plan.blocks_base + t * plan.block_bytes + rel, m, sum(sizes))
-    if plan.combine_rel is not None:
-        _interleave(batch, device.banks[cores.start:cores.stop],
-                    [(bank, size) for (bank, _, _), size in zip(reads, sizes)], m)
+                      plan.blocks_base + t * plan.block_bytes + plan.combine_rel,
+                      m, sum(sizes))
+    _interleave(batch, banks, [(bank, size) for (bank, _, _), size in zip(reads, sizes)], m)
     return batch
 
 
 def _iterator_kernel(device, params) -> None:
     """The kernel of every iterator, in lockstep over cores.
 
-    It issues the context reads on all cores at once (every core reads the
-    same offsets), splits the cores into runs with :func:`_core_groups` and
-    runs each batch step once per run: the scheduled reads, one callback
-    over the rows of all the run's cores, then the write, each command
-    issued for the run's range of cores (a map or zip calls back over
-    chunks of bank rows instead, see :func:`_stream_run`).  Cores are
-    independent, so this moves the same bytes and commands as running them
-    one after another; ``launch_kernel`` puts the log records back in core
-    order.
+    It reads the context on all cores at once (every core reads the same
+    offsets), splits the cores into runs with :func:`_core_groups` and runs
+    each run's reduction (:func:`_red_run`) or map or zip
+    (:func:`_stream_run`), each command issued for the run's range of
+    cores.  Cores are independent, so this issues the same commands as
+    running them one after another; ``launch_kernel`` puts the log records
+    back in core order.
     """
     job, (context, runs, partial) = params
     everyone = range(len(job.per_core_elems))
@@ -666,31 +668,21 @@ def _stream_run(device, job: _Job, tasklets, first: int, end: int, ctx) -> None:
     scheduled ``tasklets`` and the context ``ctx``.
 
     Every element goes straight from the input banks to the output banks
-    first (:func:`_bulk_pass`), so a map's callback runs there only.  Then
-    each tasklet's commands are issued from ``tasklets`` in the order the
-    per-batch steps issue them: its full batch rounds with nothing to move,
-    as no later step reads the scratchpad bytes they would leave, and its
-    last two batches replayed through its scratchpad slots without a
-    callback (the reads and the zip slot by :func:`_load_batch_views`, a
-    map's output slot filled from the output banks, the write), so the
-    scratchpads and the output padding end as the per-batch steps leave
-    them."""
-    banks, scratch = device.banks[first:end], device.scratchpads[first:end]
-    cores, local = range(first, end), job.per_core_elems[first]
+    (:func:`_bulk_pass`), so a map's callback runs there only.  Then every
+    scheduled command is checked, counted and logged with one
+    ``PimDevice._issue``, tasklet by tasklet in batch order, as the
+    per-batch steps issue them, without moving a byte: the output elements
+    are already in place, and the scratchpad bytes and bank padding those
+    commands would leave are undefined after a launch."""
+    local = job.per_core_elems[first]
     if local:
-        _bulk_pass(banks, job, local, ctx)
-    for t, batches in enumerate(tasklets):
-        commands = []
-        for _, reads, (slot, bank, nbytes) in batches[:-2]:
+        _bulk_pass(device.banks[first:end], job, local, ctx)
+    commands = []
+    for batches in tasklets:
+        for _, reads, (slot, bank, nbytes) in batches:
             commands += [("dma_read", *read) for read in reads]
             commands.append(("dma_write", bank, slot, nbytes))
-        device._issue(cores, commands)
-        for m, reads, (slot, bank, nbytes) in batches[-2:]:
-            _load_batch_views(device, job, cores, t, m, reads)
-            if job.handle.map_func is not None:  # the padding stays the slot's
-                size = job.out.type_size
-                _elements(scratch, slot, m, size)[...] = _elements(banks, bank, m, size)
-            device.dma_write(cores, slot, bank, nbytes)
+    device._issue(range(first, end), commands)
 
 
 def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
@@ -776,30 +768,28 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     partial-result writes.
 
     The accumulators of all these cores (one per tasklet when private) are
-    one C-contiguous array of entry rows, row ``(core * copies + tasklet) * n
-    + key``: the scratchpad slots themselves when they already lie that way
-    (one core, no padding between copies), else a copy.  They are
-    initialized, folded and merged there and copied back before each core
-    writes its partial.  Each batch step loads its rows with
+    one fresh C-contiguous array of entry rows, row ``(tasklet * cores +
+    core) * n + key`` (tasklet 0 when shared), set up by ``init_func``; the
+    scratchpad slots are not read.  Each batch step gets its rows from
     :func:`_load_batch_views` and calls ``map_to_val_func`` on them, stacked
-    core by core, and folds what it returns, without writing to it, before
-    the next step calls it again.  Each tasklet's rows of key 0 for a full
-    batch are computed once, so a batch's row index is its keys plus those
-    rows.  Keys must be integers in ``[0, n)``, checked in one pass as
-    uint64.  A declared combiner folds each batch step with one 1-D
-    ``ufunc.at`` over the entries' values: on the row index itself when an
-    entry holds one value, else on the index repeated ``w`` times, scaled by
-    ``w``, plus the run's lane pattern.  Private accumulators are then merged by
-    :func:`_ring_merge`, on every core of the run at once.
+    core by core and copied, so a callback never holds a view of a bank; it
+    folds what the callback returns, without writing to it, before the next
+    step calls it again.  Each tasklet's rows of key 0 for a full batch are
+    computed once, so a batch's row index is its keys plus those rows.  Keys
+    must be integers in ``[0, n)``, checked in one pass as uint64.  A
+    declared combiner folds each batch step with one 1-D ``ufunc.at`` over
+    the entries' values: on the row index itself when an entry holds one
+    value, else on the index repeated ``w`` times, scaled by ``w``, plus the
+    run's lane pattern.  Private accumulators are then merged into tasklet
+    0's by :func:`_merge_private`, and only those, the rows the partial
+    writes read, are copied to the scratchpad slot of copy 0.
     """
     plan, handle = job.plan, job.handle
     n, d = job.out.len, job.out.type_size
-    cores, num_t = end - first, plan.num_tasklets
+    cores = end - first
     private = plan.variant == VARIANT_PRIVATE
-    copies = num_t if private else 1
-    scratch = device.scratchpads[first:end]
-    accum_slots = _elements(scratch, plan.accum_base, copies, plan.accum_slot)[:, :, :n * d]
-    accum = np.ascontiguousarray(accum_slots.reshape(cores * copies * n, d))
+    copies = plan.num_tasklets if private else 1
+    accum = np.empty((copies * cores * n, d), np.uint8)
     handle.init_func(accum)
     b = plan.batch_elems
     if handle.combine is None:
@@ -821,16 +811,18 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
                 ufunc.at(target, flat, rows.view(dtype).reshape(-1))
     # the run's entry locks: each core's table of n entries, side by side
     locks = None if private else LockTable(cores * n)
-    core_rows = np.arange(cores) * (copies * n)
+    core_rows = np.arange(cores) * n
     map_to_val = handle.map_to_val_func
+    zipped = plan.combine_rel is not None
     for t, batches in enumerate(tasklets):
         # row of key 0 for each element of a batch: its core's (and, when
         # private, this tasklet's) table
-        table_rows = core_rows + t * n if private else core_rows
+        table_rows = core_rows + t * cores * n if private else core_rows
         full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
             batch = _load_batch_views(device, job, range(first, end), t, m, reads)
-            vals, keys = map_to_val(batch.reshape(cores * m, -1), ctx)
+            src = (batch if zipped else batch.copy()).reshape(cores * m, -1)
+            vals, keys = map_to_val(src, ctx)
             rows = _as_entry_rows(vals, cores * m, d)
             ks = np.asarray(keys)
             if ks.dtype.kind not in "iu":
@@ -850,42 +842,23 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
                 fold(rows, idx)
                 locks.release(t, uniq)
     if private:
-        _ring_merge(accum.reshape(cores, num_t, n, d), handle)
-    accum_slots[...] = accum.reshape(accum_slots.shape)
+        _merge_private(accum.reshape(copies, cores * n, d), handle.acc_func)
+    accum_base = plan.accum_base
+    device.scratchpads[first:end, accum_base:accum_base + n * d] = \
+        accum[:cores * n].reshape(cores, n * d)
     for scratch_off, bank, nbytes in partial:  # each core's to its output copy
         device.dma_write(range(first, end), scratch_off, bank, nbytes)
 
 
-def _ring_merge(copies: np.ndarray, handle: Handle) -> None:
-    """Merge the private accumulators ``copies``, ``(cores, tasklets, n,
-    entry_size)``, ring-style, each step on every core at once: at step
-    ``s`` tasklet ``t`` folds tasklet ``t - 1``'s segment ``(t - 1 - s) mod
-    tasklets`` into its own (segment ``i`` is entries ``i·n // tasklets`` up
-    to ``(i + 1)·n // tasklets``), so after ``tasklets - 1`` steps each
-    tasklet owns one fully reduced segment; then the segments are assembled
-    into copy 0 for a single writer.  No two folds of a step touch the same
-    segment of the same copy, so their order within the step does not
-    matter.  A declared combiner's ``acc_func`` folds the ``(cores, entries,
-    entry_size)`` views in place, one ufunc call per step and tasklet; an
-    opaque one gets entry rows, which are copies when there are several
-    cores, and its result is copied back."""
-    cores, num_t, n, d = copies.shape
-    for step in range(num_t - 1):
-        for t in range(num_t):
-            seg = (t - 1 - step) % num_t
-            lo_e, hi_e = seg * n // num_t, (seg + 1) * n // num_t
-            if hi_e > lo_e:
-                mine, theirs = copies[:, t, lo_e:hi_e], copies[:, t - 1, lo_e:hi_e]
-                if handle.combine is not None:
-                    handle.acc_func(mine, theirs)
-                else:
-                    rows = mine.reshape(-1, d)
-                    handle.acc_func(rows, theirs.reshape(-1, d))
-                    mine[...] = rows.reshape(mine.shape)
-    for t in range(1, num_t):
-        own = (t + 1) % num_t
-        lo_e, hi_e = own * n // num_t, (own + 1) * n // num_t
-        copies[:, 0, lo_e:hi_e] = copies[:, t, lo_e:hi_e]
+def _merge_private(copies: np.ndarray, acc_func) -> None:
+    """Fold the private accumulators ``copies``, ``(tasklets, entry rows,
+    entry_size)``, into tasklet 0's with ``tasklets - 1`` calls of
+    ``acc_func``, each on the entry rows of every core of the run at once.
+    A declared combiner's ``acc_func`` folds their values in place.  Only
+    ``copies[0]`` is read afterwards; the combiner is commutative and
+    associative, so it holds what any merge order gives."""
+    for t in range(1, len(copies)):
+        acc_func(copies[0], copies[t])
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

@@ -1,13 +1,14 @@
 """The batch loader's contract over many batch rounds.
 
-``processing._load_batch_views`` issues one batch's reads on a run of
-lockstep cores and returns the ``(cores, m, in_size)`` scratchpad rows a
-callback reads.  The benchmark's tracer counts its calls as batches, and the
-tracer's own test stays within two batch rounds per core; here every tasklet
-has several.  A reduction loads every batch step once per run; a map or a
-materializing zip replays only each tasklet's last two batches, so it loads
-``2·T`` times per run for ``T`` tasklets.  On zipped streams the rows are the
-batch's elements of both sources, side by side.
+``processing._load_batch_views`` issues one reduction batch's reads on a
+run of lockstep cores, without copying them, and returns the ``(cores, m,
+in_size)`` rows a callback reads: the bank rows of a plain stream, or the
+zip slot filled from the banks for zipped streams.  The benchmark's tracer
+counts its calls as batches; here every tasklet has several.  A reduction
+loads every batch step once per run.  A map or a materializing zip moves its
+elements between the banks in bulk and issues its commands without the
+loader, so it loads nothing.  On zipped streams the rows are the batch's
+elements of both sources, side by side.
 """
 
 import itertools
@@ -58,16 +59,17 @@ def assert_many_rounds(plan, per_core_elems):
     assert len(runs(per_core_elems)) == 2
 
 
-def assert_zipped_rows(loads, mgmt, a, b):
-    """Every load's rows are its batch's elements of ``a`` and ``b``."""
-    per_core = mgmt.lookup("a").per_core_elems
-    starts = np.cumsum((0,) + per_core)
+def assert_batch_rows(loads, mgmt, a, b=None):
+    """Every load's rows are its batch's elements of ``a``, side by side
+    with those of ``b`` when it is given."""
+    starts = np.cumsum((0,) + mgmt.lookup("a").per_core_elems)
     for cores, m, lo, rows in loads:
-        assert rows.shape == (len(cores), m, 6)
+        assert rows.shape == (len(cores), m, 4 if b is None else 6)
         for i, core in enumerate(cores):
             span = slice(starts[core] + lo, starts[core] + lo + m)
             assert np.array_equal(rows[i, :, :4].copy().view(np.uint32).ravel(), a[span])
-            assert np.array_equal(rows[i, :, 4:].copy().view(np.uint16).ravel(), b[span])
+            if b is not None:
+                assert np.array_equal(rows[i, :, 4:].copy().view(np.uint16).ravel(), b[span])
 
 
 def first_u32_handle(mgmt):
@@ -89,14 +91,11 @@ def test_reduction_loads_every_batch_step_once_per_run(setup, source):
     expected = np.zeros(ENTRIES, np.uint32)
     np.add.at(expected, a % ENTRIES, a)
     assert np.array_equal(comm.gather(mgmt, "h").view(np.uint32)[:ENTRIES], expected)
-    if source == "ab":
-        assert_zipped_rows(loads, mgmt, a, b)
-    else:
-        assert all(rows.shape == (len(cores), m, 4) for cores, m, _, rows in loads)
+    assert_batch_rows(loads, mgmt, a, b if source == "ab" else None)
 
 
 @pytest.mark.parametrize("source", ["a", "ab"])
-def test_map_loads_the_last_two_batches_of_each_tasklet(setup, source):
+def test_map_loads_no_batch(setup, source):
     mgmt, a, b, loads = setup
 
     def add(src, dst, ctx):
@@ -107,19 +106,15 @@ def test_map_loads_the_last_two_batches_of_each_tasklet(setup, source):
     plan = processing.array_map(mgmt, source, "s", 4, handle)
     per_core = mgmt.lookup(source).per_core_elems
     assert_many_rounds(plan, per_core)
-    assert len(loads) == 2 * plan.num_tasklets * len(runs(per_core))
+    assert loads == []
     assert np.array_equal(comm.gather(mgmt, "s").view(np.uint32), a + 1)
-    if source == "ab":
-        assert_zipped_rows(loads, mgmt, a, b)
 
 
-def test_materializing_zip_loads_the_last_two_batches_of_each_tasklet(setup):
+def test_materializing_zip_loads_no_batch(setup):
     mgmt, a, b, loads = setup
     plan = processing.array_zip(mgmt, "a", "b", "ab2", materialize=True)
-    per_core = mgmt.lookup("a").per_core_elems
-    assert_many_rounds(plan, per_core)
-    assert len(loads) == 2 * plan.num_tasklets * len(runs(per_core))
-    assert_zipped_rows(loads, mgmt, a, b)
+    assert_many_rounds(plan, mgmt.lookup("a").per_core_elems)
+    assert loads == []
     combined = comm.gather(mgmt, "ab2").reshape(LENGTH, 6)
     assert np.array_equal(combined[:, :4].copy().view(np.uint32).ravel(), a)
     assert np.array_equal(combined[:, 4:].copy().view(np.uint16).ravel(), b)

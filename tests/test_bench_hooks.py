@@ -9,9 +9,14 @@ tests run one tiny op of each benchmarked workload under the tracer.
 The iterator kernel issues each DMA command, and loads each batch, once for
 a run of lockstep cores.  Every workload here is one run of ``CORES`` equal
 cores, so each wrapped call stands for exactly ``CORES`` commands or
-per-core batches.  A map or zip issues the commands of its full batch rounds
-(all but the last two) without these names, so every workload here also
-stays within two batch rounds per core."""
+per-core batches.  Only the context reads and a reduction's partial writes
+go through ``dma_read``/``dma_write``: a batch's commands are checked,
+counted and logged by ``PimDevice._issue`` without a DMA call, as a
+reduction reads its batches where they lie and a map or zip moves its
+elements in bulk.  So the traced DMA calls are the launch-wide commands of
+each launch's ``dma_schedule``, and every command it schedules is counted.
+A reduction still loads every batch through ``_load_batch_views``; a map or
+zip loads none."""
 
 import importlib.util
 from pathlib import Path
@@ -51,8 +56,15 @@ def batches_of(plan, per_core_elems):
 
 
 @pytest.mark.parametrize("app", WORKLOADS)
-def test_traced_op_sees_every_batch_command_and_plan(tracing, app):
+def test_traced_op_sees_every_batch_command_and_plan(tracing, app, monkeypatch):
     kwargs, spec, elem_bytes = WORKLOADS[app]
+    schedules, schedule = [], processing.dma_schedule
+
+    def recording_schedule(config, job):
+        schedules.append((job.per_core_elems, schedule(config, job)))
+        return schedules[-1][1]
+
+    monkeypatch.setattr(processing, "dma_schedule", recording_schedule)
     originals = (processing.array_red, processing.create_handle,
                  processing._load_batch_views)
     mgmt = make_mgmt(cores=CORES)
@@ -64,18 +76,20 @@ def test_traced_op_sees_every_batch_command_and_plan(tracing, app):
             processing._load_batch_views) == originals
     assert np.array_equal(result, getattr(apps, f"oracle_{app}")(spec))
 
-    stats = mgmt.device.stats
-    assert tracer.calls["device.dma"] * CORES == stats.dma_commands > 0
+    launch_wide = sum(len(context) + len(partial) for _, (context, _, partial) in schedules)
+    batch_commands = sum(len(reads) + (write is not None)
+                   for counts, (_, runs, _) in schedules for n in counts
+                   for batches in runs[n] for _, reads, write in batches)
+    assert tracer.calls["device.dma"] == launch_wide
+    assert mgmt.device.stats.dma_commands == CORES * launch_wide + batch_commands > 0
     reductions = tracer.calls["processing.array_red"]
     assert len(tracer.plans) == reductions
     if app == "vecadd":
         assert reductions == 0 and tracer.calls["processing.array_map"] == 1
-        plans = [mgmt.last_plan]
-    else:
-        assert reductions == (spec.iterations if app == "kmeans" else 1)
-        assert all(p.variant == processing.VARIANT_PRIVATE for p in tracer.plans)
-        plans = tracer.plans
-    per_core = comm.plan_scatter(spec.total_elems, elem_bytes, CORES).per_core_elems
-    assert all(-(-n // p.batch_elems) <= 2 * p.num_tasklets for p in plans for n in per_core)
+        assert launch_wide == 0 and tracer.counts["processing.kernel.batches"] == 0
+        return
+    assert reductions == (spec.iterations if app == "kmeans" else 1)
+    assert all(p.variant == processing.VARIANT_PRIVATE for p in tracer.plans)
+    per_core_elems = comm.plan_scatter(spec.total_elems, elem_bytes, CORES).per_core_elems
     assert tracer.counts["processing.kernel.batches"] * CORES == \
-        sum(batches_of(p, per_core) for p in plans) > 0
+        sum(batches_of(p, per_core_elems) for p in tracer.plans) > 0

@@ -4,11 +4,14 @@
 does: core by core, tasklet by tasklet and batch by batch, straight from
 ``dma_schedule``, with single-core ``dma_read``/``dma_write`` and one
 callback per batch over that core's rows.  A reduction folds every element
-with ``acc_func``, runs the ring merge and writes its partial.  Swapped in
-for ``processing._iterator_kernel`` (``_iterate``'s broadcast, output
-creation and host fold stay shared), it must leave the same results, bank
-and scratchpad bytes, counters and transfer log as the library's lockstep
-kernel, with its bulk pass over chunks of bank rows, on drawn geometries.
+with ``acc_func``, merges its private copies ring-style and writes its
+partial.  Swapped in for ``processing._iterator_kernel`` (``_iterate``'s
+broadcast, output creation and host fold stay shared), it must leave the
+same results, array elements, counters, transfer log and plan as the
+library's lockstep kernel, with its bulk pass over chunks of bank rows, its
+batches read where they lie and its direct merge, on drawn geometries.
+Scratchpad bytes and bank padding are undefined after a launch, so they are
+not compared.
 """
 
 import math
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mgmt
+from conftest import defined_state, make_mgmt
 from pimlite import comm, processing
 from pimlite.errors import PimError
 from pimlite.processing import MAP, REDUCE, VARIANT_PRIVATE
@@ -192,8 +195,8 @@ def run(cores, geometry, bulk_rows, op_list, reference):
 
 
 class TestReferenceExecutor:
-    # two iterators back to back on one device, so the second one's output
-    # padding is written from scratchpad bytes that the first one left
+    # two iterators back to back on one device, each reading what the
+    # arrays hold, not what the other one left in the scratchpads
     @settings(max_examples=80, deadline=None)
     @given(example=examples())
     def test_library_equals_reference(self, example):
@@ -202,12 +205,7 @@ class TestReferenceExecutor:
         for got, want in zip(results, ref):
             assert type(got) is type(want)
             assert np.array_equal(got, want)
-        dev, ref_dev = mgmt.device, ref_mgmt.device
-        assert np.array_equal(dev.banks, ref_dev.banks)
-        assert np.array_equal(dev.scratchpads, ref_dev.scratchpads)
-        assert dev.stats == ref_dev.stats
-        assert dev.transfer_log == ref_dev.transfer_log
-        assert mgmt.last_plan == ref_mgmt.last_plan
+        assert defined_state(mgmt) == defined_state(ref_mgmt)
 
 
 def test_a_map_calls_back_once_per_chunk_of_bank_rows(monkeypatch):
