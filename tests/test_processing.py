@@ -1067,8 +1067,9 @@ def test_a_callback_that_writes_into_its_src_changes_no_array(variant, zipped):
 
 
 def ring_merge_by_rows(copies, acc_func):
-    """The ring merge one (step, tasklet) at a time on entry-row copies: the
-    reference the in-place merge of a declared combiner must equal."""
+    """The ring merge one (step, tasklet) at a time on entry-row copies
+    ``(cores, tasklets, n, entry_size)``: the reference whose copy 0 the
+    direct merge must equal."""
     cores, num_t, n, d = copies.shape
     for step in range(num_t - 1):
         for t in range(num_t):
