@@ -1099,32 +1099,33 @@ class TestMergePrivate:
 
     SHAPES = [(12, 10, 11), (2, 4096, 1), (5, 3, 2), (1, 7, 3)]  # (T, n, w)
 
-    def assert_merges_like_the_ring(self, acc_func, dtype, seed):
+    def assert_merges_like_the_ring(self, acc_func, dtype, shape, seed):
+        num_t, n, w = shape
         rng = np.random.default_rng(seed)
-        for num_t, n, w in self.SHAPES:
-            d = w * dtype.itemsize
-            for cores in (1, 3):
-                copies = rng.integers(0, 256, (cores, num_t, n, d), dtype=np.uint8)
-                if dtype == np.bool_:
-                    copies &= 1
-                want = copies.copy()
-                ring_merge_by_rows(want, acc_func)
-                # tasklet-major, the layout the kernel keeps them in
-                got = np.ascontiguousarray(copies.transpose(1, 0, 2, 3))
-                calls = []
+        d = w * dtype.itemsize
+        for cores in (1, 3):
+            copies = rng.integers(0, 256, (cores, num_t, n, d), dtype=np.uint8)
+            if dtype == np.bool_:
+                copies &= 1
+            want = copies.copy()
+            ring_merge_by_rows(want, acc_func)
+            # tasklet-major, the layout the kernel keeps them in
+            got = np.ascontiguousarray(copies.transpose(1, 0, 2, 3))
+            calls = []
 
-                def counted(dst, src):
-                    calls.append((dst.shape, src.shape))
-                    acc_func(dst, src)
+            def counted(dst, src):
+                calls.append((dst.shape, src.shape))
+                acc_func(dst, src)
 
-                processing._merge_private(got.reshape(num_t, cores * n, d), counted)
-                assert calls == [((cores * n, d), (cores * n, d))] * (num_t - 1)
-                assert np.array_equal(got[0], want[:, 0])
+            processing._merge_private(got.reshape(num_t, cores * n, d), counted)
+            assert calls == [((cores * n, d), (cores * n, d))] * (num_t - 1)
+            assert np.array_equal(got[0], want[:, 0])
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
     @pytest.mark.parametrize("ufunc", sorted(processing._ASSOCIATIVE_UFUNCS,
                                              key=lambda u: u.__name__),
                              ids=lambda u: u.__name__)
-    def test_declared_combiner_merges_like_the_ring(self, ufunc):
+    def test_declared_combiner_merges_like_the_ring(self, ufunc, shape):
         accepted = []
         for dtype in COMBINER_DTYPES:
             try:
@@ -1133,15 +1134,16 @@ class TestMergePrivate:
                 continue
             accepted.append(dtype)
             acc_func, _ = processing._combine_callbacks(ufunc, dtype, lambda a: None)
-            self.assert_merges_like_the_ring(acc_func, dtype, len(accepted))
+            self.assert_merges_like_the_ring(acc_func, dtype, shape, len(accepted))
         assert accepted
 
-    def test_opaque_acc_func_merges_like_the_ring(self):
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_opaque_acc_func_merges_like_the_ring(self, shape):
         def acc(dst, src):  # lanes mix: the lanewise max of the sorted rows
             a, b = dst.view(np.uint32), src.view(np.uint32)
             np.maximum(np.sort(a, axis=1), np.sort(b, axis=1), out=a)
 
-        self.assert_merges_like_the_ring(acc, np.dtype(np.uint32), 0)
+        self.assert_merges_like_the_ring(acc, np.dtype(np.uint32), shape, 0)
 
 
 class TestContextLifetime:
