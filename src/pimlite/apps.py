@@ -490,12 +490,6 @@ def centroid_labeller(centroids: np.ndarray):
     return label
 
 
-def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each integer point row's nearest centroid, ties to the lowest
-    index: :func:`centroid_labeller` of ``centroids`` applied to ``points``."""
-    return centroid_labeller(centroids)(points)
-
-
 def run_kmeans(mgmt: ManagementContext, spec: BenchmarkSpec,
                variant: str = "auto") -> np.ndarray:
     points = make_kmeans_points(spec)

@@ -14,14 +14,17 @@ anything collective has to go through the host.
 A kernel is called once per launch with the device and its parameters, and
 acts for every core and tasklet through the device's DMA calls; the launch
 checks the tasklet count and the scratchpad footprint the kernel declares.
+The scratchpad is a budget that a launch's claim must fit and the far end of
+every DMA command; a launch itself leaves its bytes as they are.
 
 There is no timing model.  Traffic counters (bytes moved and commands issued)
 are the only performance proxy.
 
 Banks and scratchpads are private anonymous memory in base pages.  A bank
-allocation and a launch's scratchpad claim are populated when they are made,
-one ``madvise`` per core row, so the program's first writes there take no
-page fault; bytes, counters and the transfer log are the same either way.
+allocation is populated when it is made, one ``madvise`` per core row, so the
+program's first writes there take no page fault; bytes, counters and the
+transfer log are the same either way.  A scratchpad page is backed only when
+a byte of it is first written.
 """
 
 from __future__ import annotations
@@ -199,7 +202,8 @@ def _zeroed_rows(rows: int, row_bytes: int, what: str) -> np.ndarray:
 def _populate(rows: np.ndarray, start: int, stop: int) -> None:
     """Back bytes ``[start, stop)`` of every row of a :func:`_zeroed_rows`
     array with writable pages now, one ``madvise`` per row from the page
-    that holds ``start``, so the first writes there take no page fault.
+    that holds ``start``, so the first writes there take no page fault;
+    :meth:`PimDevice.alloc` calls it for the bytes it reserves in the banks.
     Nothing is populated off Linux or for an empty range.  If the kernel
     refuses (before 5.14, or out of memory), the rest of the pages fault on
     first touch as they would without this call.  No byte changes."""
@@ -221,10 +225,11 @@ class PimDevice:
 
     ``banks`` and ``scratchpads`` are ``(num_cores, bytes)`` uint8 arrays that
     start as zeros.  Each lives in a private anonymous memory mapping in
-    base pages, populated per allocation (banks) and per launch claim
-    (scratchpads), so the process's resident memory grows with the bytes
-    reserved or touched, not with ``num_cores * dram_bank_bytes``.  A
-    geometry whose mapping the OS refuses raises ``OutOfBankMemory``.
+    base pages; the banks are populated per allocation, the scratchpads only
+    where a byte is written (by ``dma_read``), so the process's resident
+    memory grows with the bytes reserved or touched, not with
+    ``num_cores * dram_bank_bytes``.  A geometry whose mapping the OS
+    refuses raises ``OutOfBankMemory``.
     """
 
     def __init__(self, config: DeviceConfig):
@@ -425,8 +430,8 @@ class PimDevice:
         ``scratch_bytes``, the kernel's declared scratchpad footprint
         (buffers + accumulators), must be non-negative and fit the usable
         budget; a launch that breaks any of these rules raises before the
-        kernel runs.  ``[0, scratch_bytes)`` of every scratchpad is then populated
-        (:func:`_populate`).  Cores are independent, so a kernel may act for
+        kernel runs.  The claim populates nothing and leaves the scratchpad
+        bytes as they are.  Cores are independent, so a kernel may act for
         several cores at once: the launch's log records are stable-sorted by
         core, the order that running the cores one after another gives.
         """
@@ -440,7 +445,6 @@ class PimDevice:
             raise ScratchpadOverflow(
                 f"kernel claims {scratch_bytes} B, usable scratchpad is "
                 f"{cfg.usable_scratchpad_bytes} B")
-        _populate(self.scratchpads, 0, scratch_bytes)
         log_start = len(self.transfer_log)
         kernel(self, params)
         if cfg.log_transfers:

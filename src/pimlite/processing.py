@@ -25,33 +25,36 @@ What the machine defines.  After a launch, the elements of every array, the
 traffic counters, the transfer log and ``last_plan`` are defined, and the
 kernel leaves them exactly as the per-core, per-tasklet, per-batch steps of
 its schedule do.  Scratchpad bytes, and bank bytes past an array's last
-element, are not: no public call reads them, as after a failed call.  So a
-command moves bytes only when a later step reads them: the context reads
-(callbacks read the context from the scratchpad) and a reduction's partial
-writes (the host fold reads the banks).  Every other command is checked,
-counted and logged through ``PimDevice._issue`` without a copy.  A map or
-materializing zip moves every element from the input banks to the output
-banks in chunks, through a host buffer, one callback per chunk, and issues
-all its commands after that.  A reduction reads each batch where it lies in
-the banks: one loader, ``_load_batch_views``, issues the batch's reads and
-returns the bank rows they name, or for zipped streams the zip slot filled
-from them by ``_interleave``, the one zipped-element layout (also used by the
-bulk pass).  Reductions keep their accumulators in one of two variants (one
-shared array behind per-entry locks, or one private array per tasklet, all
-folded into tasklet 0's at the end); each core then writes its partial
-result into its copy of the output array, and the host folds the copies
-with ``acc_func`` and rewrites core 0's.  Zip is lazy: it records the two
-source arrays and the next iterator streams both of them, combining batches
-element by element; zipping an already-lazy array forces physical
-materialization (laziness is one level deep).
+element, are not: no public call reads them, as after a failed call.  So the
+kernel touches no scratchpad byte: the scratchpad is the budget its plan
+fits and the far end of the commands it counts.  Every command it issues is
+checked, counted and logged by ``PimDevice._issue`` alone, and the bytes a
+later step reads are moved between the banks and host arrays.  Callbacks
+read the context from its bank rows.  A map or materializing zip moves
+every element from the input banks to the output banks in chunks, through a
+host buffer, one callback per chunk, and issues all its commands after
+that.  A reduction reads each batch where it lies in the banks: one loader,
+``_load_batch_views``, issues the batch's reads and returns a copy of the
+bank rows they name, or for zipped streams those rows interleaved into a
+host array by ``_interleave``, the one zipped-element layout (also used by
+the bulk pass).  Reductions keep their accumulators in one of two variants
+(one shared array behind per-entry locks, or one private array per tasklet,
+all folded into tasklet 0's at the end); each core then issues the writes of
+its partial result, which is copied into the core's copy of the output
+array, and the host folds the copies with ``acc_func`` and rewrites core
+0's.  Zip is lazy: it records the two source arrays and the next iterator
+streams both of them, combining batches element by element; zipping an
+already-lazy array forces physical materialization (laziness is one level
+deep).
 
 Callback contract.  All buffers are C-contiguous uint8 rows, which
 callbacks reinterpret with ``.view(dtype)``.  ``map_func`` sees chunks of
 bank rows (copies; its output is copied to the banks), ``map_to_val_func``
-one batch step (a copy of its bank rows, or its zip slot rows, copied when
-they span several cores), so no callback can write to an array.  One call may receive the rows of several
-cores, stacked core by core: a callback must treat rows independently, and
-it sees one copy of the context, the one all those cores hold.
+one batch step (a copy of its bank rows, or of its zipped elements), and
+the context is a read-only view of its bank rows, so no callback can write
+to an array.  One call may receive the rows of several cores, stacked core
+by core: a callback must treat rows independently, and it sees one copy of
+the context, the one all those cores hold.
 
 ``map_func(src, dst, ctx)``
     ``src`` is ``(m, in_size)``, ``dst`` is ``(m, out_size)``; fill ``dst``
@@ -593,7 +596,7 @@ def _core_groups(per_core_elems, contexts) -> list[tuple[int, int]]:
 
 def _elements(rows: np.ndarray, start: int, n: int, size: int) -> np.ndarray:
     """Elements ``0..n-1`` of ``size`` bytes from byte ``start`` of each of
-    ``rows``, a run's bank or scratchpad rows, as a ``(cores, n, size)`` view."""
+    ``rows``, a run's bank rows, as a ``(cores, n, size)`` view."""
     return rows[:, start:start + n * size].reshape(len(rows), n, size)
 
 
@@ -614,23 +617,23 @@ def _interleave(dst: np.ndarray, banks: np.ndarray, sources, n: int) -> None:
 def _load_batch_views(device, job: _Job, cores: range, t: int, m: int,
                       reads) -> np.ndarray:
     """Issue tasklet ``t``'s batch of ``m`` elements on a run of ``cores``
-    and return the ``(cores, m, in_size)`` rows a callback reads.
+    and return the ``(cores, m, in_size)`` rows a callback reads, a fresh
+    array that the caller owns.
 
     The batch's scheduled ``reads`` are checked, counted and logged through
     ``PimDevice._issue``, one command per core for each read, but not
-    copied: no call reads the stream slots they would fill.  The rows are
-    the bank rows of the one stream's read, or for zipped streams the zip
-    slot, filled by :func:`_interleave` from the bank rows the reads name.
-    Called once per run and batch of a reduction.
+    copied: no call reads the stream slots they would fill.  The rows are a
+    copy of the bank rows of the one stream's read, or for zipped streams
+    the bank rows the reads name, interleaved by :func:`_interleave` into a
+    host array, as in :func:`_bulk_pass`.  Called once per run and batch of
+    a reduction.
     """
     device._issue(cores, [("dma_read", *read) for read in reads])
-    plan, sizes = job.plan, [s.type_size for s in job.in_streams]
+    sizes = [s.type_size for s in job.in_streams]
     banks = device.banks[cores.start:cores.stop]
-    if plan.combine_rel is None:
-        return _elements(banks, reads[0][0], m, sizes[0])
-    batch = _elements(device.scratchpads[cores.start:cores.stop],
-                      plan.blocks_base + t * plan.block_bytes + plan.combine_rel,
-                      m, sum(sizes))
+    if len(sizes) == 1:
+        return _elements(banks, reads[0][0], m, sizes[0]).copy()
+    batch = np.empty((len(cores), m, sum(sizes)), np.uint8)
     _interleave(batch, banks, [(bank, size) for (bank, _, _), size in zip(reads, sizes)], m)
     return batch
 
@@ -638,19 +641,22 @@ def _load_batch_views(device, job: _Job, cores: range, t: int, m: int,
 def _iterator_kernel(device, params) -> None:
     """The kernel of every iterator, in lockstep over cores.
 
-    It reads the context on all cores at once (every core reads the same
-    offsets), splits the cores into runs with :func:`_core_groups` and runs
-    each run's reduction (:func:`_red_run`) or map or zip
-    (:func:`_stream_run`), each command issued for the run's range of
-    cores.  Cores are independent, so this issues the same commands as
-    running them one after another; ``launch_kernel`` puts the log records
-    back in core order.
+    It issues the context reads on all cores at once with one
+    ``PimDevice._issue`` (every core reads the same offsets) and takes each
+    core's context from its bank rows, splits the cores into runs with
+    :func:`_core_groups` and runs each run's reduction (:func:`_red_run`) or
+    map or zip (:func:`_stream_run`), each command issued for the run's
+    range of cores.  Cores are independent, so this issues the same
+    commands as running them one after another; ``launch_kernel`` puts the
+    log records back in core order.
     """
     job, (context, runs, partial) = params
-    everyone = range(len(job.per_core_elems))
-    for bank, slot, nbytes in context:
-        device.dma_read(everyone, bank, slot, nbytes)
-    contexts = None if job.ctx is None else device.scratchpads[:, :job.ctx.len]
+    contexts = None
+    if job.ctx is not None:
+        device._issue(range(len(job.per_core_elems)),
+                      [("dma_read", *read) for read in context])
+        contexts = device.banks[:, job.ctx.bank_offset:job.ctx.bank_offset + job.ctx.len]
+        contexts.flags.writeable = False  # no callback writes to an array
     for first, end in _core_groups(job.per_core_elems, contexts):
         tasklets = runs[job.per_core_elems[first]]
         ctx = None if contexts is None else contexts[first]
@@ -690,11 +696,11 @@ def _bulk_pass(banks: np.ndarray, job: _Job, elems: int, ctx) -> None:
     ``banks``, straight from the input streams to the output, in chunks of
     about ``_BULK_ROWS`` rows across the run's cores and at least one batch
     per core.  The streams are interleaved by :func:`_interleave` into a
-    host buffer, as in the zip slot: interleaving straight into the output,
-    another view of the bank array, would copy each source column through a
-    temporary.  A map calls ``map_func`` once per chunk, over the chunk's
-    rows of all the cores, and nowhere else; a materializing zip copies the
-    buffer to its output."""
+    host buffer, as a zipped reduction's batches are: interleaving straight
+    into the output, another view of the bank array, would copy each source
+    column through a temporary.  A map calls ``map_func`` once per chunk,
+    over the chunk's rows of all the cores, and nowhere else; a
+    materializing zip copies the buffer to its output."""
     cores, size = banks.shape[0], job.out.type_size
     in_size = sum(s.type_size for s in job.in_streams)
     chunk = min(max(job.plan.batch_elems, _BULK_ROWS // cores), elems)
@@ -769,20 +775,21 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
 
     The accumulators of all these cores (one per tasklet when private) are
     one fresh C-contiguous array of entry rows, row ``(tasklet * cores +
-    core) * n + key`` (tasklet 0 when shared), set up by ``init_func``; the
-    scratchpad slots are not read.  Each batch step gets its rows from
-    :func:`_load_batch_views` and calls ``map_to_val_func`` on them, stacked
-    core by core and copied, so a callback never holds a view of a bank; it
-    folds what the callback returns, without writing to it, before the next
-    step calls it again.  Each tasklet's rows of key 0 for a full batch are
-    computed once, so a batch's row index is its keys plus those rows.  Keys
-    must be integers in ``[0, n)``, checked in one pass as uint64.  A
-    declared combiner folds each batch step with one 1-D ``ufunc.at`` over
-    the entries' values: on the row index itself when an entry holds one
-    value, else on the index repeated ``w`` times, scaled by ``w``, plus the
-    run's lane pattern.  Private accumulators are then merged into tasklet
-    0's by :func:`_merge_private`, and only those, the rows the partial
-    writes read, are copied to the scratchpad slot of copy 0.
+    core) * n + key`` (tasklet 0 when shared), set up by ``init_func``.
+    Each batch step gets its rows from :func:`_load_batch_views`, a host
+    array, and calls ``map_to_val_func`` on them, stacked core by core, so a
+    callback never holds a view of a bank; it folds what the callback
+    returns, without writing to it, before the next step calls it again.
+    Each tasklet's rows of key 0 for a full batch are computed once, so a
+    batch's row index is its keys plus those rows.  Keys must be integers in
+    ``[0, n)``, checked in one pass as uint64.  A declared combiner folds
+    each batch step with one 1-D ``ufunc.at`` over the entries' values: on
+    the row index itself when an entry holds one value, else on the index
+    repeated ``w`` times, scaled by ``w``, plus the run's lane pattern.
+    Private accumulators are then merged into tasklet 0's by
+    :func:`_merge_private`.  The run issues the ``partial`` writes, and
+    tasklet 0's ``n * d`` accumulator bytes of each core are copied into
+    that core's output copy in the banks; its padding stays undefined.
     """
     plan, handle = job.plan, job.handle
     n, d = job.out.len, job.out.type_size
@@ -813,16 +820,14 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     locks = None if private else LockTable(cores * n)
     core_rows = np.arange(cores) * n
     map_to_val = handle.map_to_val_func
-    zipped = plan.combine_rel is not None
     for t, batches in enumerate(tasklets):
         # row of key 0 for each element of a batch: its core's (and, when
         # private, this tasklet's) table
         table_rows = core_rows + t * cores * n if private else core_rows
         full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
-            batch = _load_batch_views(device, job, range(first, end), t, m, reads)
-            src = (batch if zipped else batch.copy()).reshape(cores * m, -1)
-            vals, keys = map_to_val(src, ctx)
+            src = _load_batch_views(device, job, range(first, end), t, m, reads)
+            vals, keys = map_to_val(src.reshape(cores * m, -1), ctx)
             rows = _as_entry_rows(vals, cores * m, d)
             ks = np.asarray(keys)
             if ks.dtype.kind not in "iu":
@@ -843,11 +848,10 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
                 locks.release(t, uniq)
     if private:
         _merge_private(accum.reshape(copies, cores * n, d), handle.acc_func)
-    accum_base = plan.accum_base
-    device.scratchpads[first:end, accum_base:accum_base + n * d] = \
-        accum[:cores * n].reshape(cores, n * d)
-    for scratch_off, bank, nbytes in partial:  # each core's to its output copy
-        device.dma_write(range(first, end), scratch_off, bank, nbytes)
+    device._issue(range(first, end),
+                  [("dma_write", bank, slot, nbytes) for slot, bank, nbytes in partial])
+    out = job.out.bank_offset
+    device.banks[first:end, out:out + n * d] = accum[:cores * n].reshape(cores, n * d)
 
 
 def _merge_private(copies: np.ndarray, acc_func) -> None:

@@ -300,7 +300,7 @@ class TestKmeans:
         def to_val(src, ctx):
             pts = src.view(np.int32).reshape(-1, 1).astype(np.int64)
             cc = ctx.view(np.int64).reshape(2, 1)
-            keys = apps.nearest_centroid(pts, cc)
+            keys = apps.centroid_labeller(cc)(pts)
             vals = np.concatenate([pts, np.ones((len(pts), 1), np.int64)], axis=1)
             return vals, keys
 
@@ -333,7 +333,7 @@ class TestKmeans:
             pts = src.view(np.int32).reshape(-1, dims).astype(np.int64)
             cc = ctx.view(np.int64).reshape(k, dims)
             vals = np.concatenate([pts, np.ones((len(pts), 1), np.int64)], axis=1)
-            return vals, apps.nearest_centroid(pts, cc)
+            return vals, apps.centroid_labeller(cc)(pts)
 
         def acc(dst, src):
             a = dst.view(np.int64)
@@ -394,7 +394,7 @@ class TestKmeans:
     def test_nearest_centroid_equals_the_direct_squared_distance(self, data):
         coord = st.one_of(st.sampled_from([0, 4095]), st.integers(0, 4095))
         points, cents = self.draw_centroid_case(data, coord)
-        assert np.array_equal(apps.nearest_centroid(points, cents),
+        assert np.array_equal(apps.centroid_labeller(cents)(points),
                               direct_nearest(points, cents))
 
     @settings(max_examples=100, deadline=None)
@@ -407,7 +407,7 @@ class TestKmeans:
         coord = st.one_of(st.sampled_from([-top, 0, top]), st.integers(-top, top))
         points, cents = self.draw_centroid_case(
             data, coord, forced=st.integers(big, top) | st.integers(-top, -big))
-        assert np.array_equal(apps.nearest_centroid(points, cents),
+        assert np.array_equal(apps.centroid_labeller(cents)(points),
                               direct_nearest(points, cents))
 
     def test_the_bound_not_luck_keeps_the_labels_exact(self, monkeypatch):
@@ -421,10 +421,10 @@ class TestKmeans:
         rounded = ((f * f).sum(axis=1) - 2 * (points.astype(np.float64) @ f.T))
         assert rounded.argmin(axis=1).tolist() == [0]
         assert direct_nearest(points, cents).tolist() == [1]
-        assert apps.nearest_centroid(points, cents).tolist() == [1]
+        assert apps.centroid_labeller(cents)(points).tolist() == [1]
         # without the guard the float64 path takes the same wrong centroid
         monkeypatch.setattr(apps, "_float64_exact", lambda *bound: True)
-        assert apps.nearest_centroid(points, cents).tolist() == [0]
+        assert apps.centroid_labeller(cents)(points).tolist() == [0]
 
     def kmeans_to_val(self, monkeypatch, spec):
         """The ``map_to_val_func`` a k-means run hands its reduce handle, and
@@ -540,6 +540,24 @@ def test_apps_leave_no_bank_space_or_arrays():
             assert mgmt.registry == {}, name
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    *(pytest.param(name, {"variant": variant}, id=f"{name}-{variant}")
+      for name in ("reduction", "histogram", "linreg", "logreg", "kmeans")
+      for variant in ("auto", "shared", "private")),
+    pytest.param("vecadd", {"eager": False}, id="vecadd-lazy"),
+    pytest.param("vecadd", {"eager": True}, id="vecadd-eager"),
+])
+def test_apps_touch_no_scratchpad_byte(name, kwargs):
+    # every framework DMA command is only checked, counted and logged; the
+    # bytes a later step reads move between the banks and host arrays.
+    # 7,003 elements split unevenly over 7 cores, so each launch has two runs
+    spec = BenchmarkSpec(name=name, total_elems=7_003, seed=3)
+    mgmt = make_mgmt(cores=7, bank_bytes=4 << 20)
+    assert np.array_equal(getattr(apps, f"run_{name}")(mgmt, spec, **kwargs),
+                          getattr(apps, f"oracle_{name}")(spec))
+    assert not mgmt.device.scratchpads.any()
+
+
 # --- the single-pass oracles and label product, kept as the reference of the
 # row-blocked ones in apps --------------------------------------------------------
 
@@ -581,7 +599,7 @@ def single_pass_kmeans_oracle(spec):
     centroids = points64[:k].copy()
     trajectory = np.zeros((spec.iterations, k, spec.dims), np.int64)
     for it in range(spec.iterations):
-        labels = apps.nearest_centroid(points64, centroids)
+        labels = apps.centroid_labeller(centroids)(points64)
         counts = np.bincount(labels, minlength=k)
         sums = np.zeros((k, spec.dims), np.int64)
         np.add.at(sums, labels, points64)

@@ -2,8 +2,9 @@
 
 ``processing._load_batch_views`` issues one reduction batch's reads on a
 run of lockstep cores, without copying them, and returns the ``(cores, m,
-in_size)`` rows a callback reads: the bank rows of a plain stream, or the
-zip slot filled from the banks for zipped streams.  The benchmark's tracer
+in_size)`` rows a callback reads, a host array it owns: a copy of the bank
+rows of a plain stream, or for zipped streams the bank rows of both
+interleaved.  The benchmark's tracer
 counts its calls as batches; here every tasklet has several.  A reduction
 loads every batch step once per run.  A map or a materializing zip moves its
 elements between the banks in bulk and issues its commands without the

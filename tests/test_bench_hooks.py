@@ -8,15 +8,15 @@ tests run one tiny op of each benchmarked workload under the tracer.
 
 The iterator kernel issues each DMA command, and loads each batch, once for
 a run of lockstep cores.  Every workload here is one run of ``CORES`` equal
-cores, so each wrapped call stands for exactly ``CORES`` commands or
-per-core batches.  Only the context reads and a reduction's partial writes
-go through ``dma_read``/``dma_write``: a batch's commands are checked,
-counted and logged by ``PimDevice._issue`` without a DMA call, as a
-reduction reads its batches where they lie and a map or zip moves its
-elements in bulk.  So the traced DMA calls are the launch-wide commands of
-each launch's ``dma_schedule``, and every command it schedules is counted.
-A reduction still loads every batch through ``_load_batch_views``; a map or
-zip loads none."""
+cores, so each loaded batch stands for exactly ``CORES`` per-core batches.
+No framework command goes through ``dma_read``/``dma_write``: the context
+reads, a batch's commands and a reduction's partial writes are all checked,
+counted and logged by ``PimDevice._issue``, and the bytes that a later step
+reads move between the banks and host arrays.  So the traced device DMA
+sees no call, and the counters hold every command of each launch's
+``dma_schedule``: its launch-wide commands once per core, and its batch
+commands.  A reduction still loads every batch through
+``_load_batch_views``; a map or zip loads none."""
 
 import importlib.util
 from pathlib import Path
@@ -80,7 +80,7 @@ def test_traced_op_sees_every_batch_command_and_plan(tracing, app, monkeypatch):
     batch_commands = sum(len(reads) + (write is not None)
                    for counts, (_, runs, _) in schedules for n in counts
                    for batches in runs[n] for _, reads, write in batches)
-    assert tracer.calls["device.dma"] == launch_wide
+    assert tracer.calls["device.dma"] == 0
     assert mgmt.device.stats.dma_commands == CORES * launch_wide + batch_commands > 0
     reductions = tracer.calls["processing.array_red"]
     assert len(tracer.plans) == reductions

@@ -723,7 +723,7 @@ class TestReduce:
         # a run of two cores once got a strided view that lost these writes
         mgmt = make_mgmt(cores=2)
         comm.scatter(mgmt, "x", np.arange(16, dtype=np.uint64), 16, 8)
-        mgmt.device.scratchpads[:] = 0xAB  # what earlier kernels left behind
+        mgmt.device.scratchpads[:] = 0xAB  # what a direct user of the device may leave
         seen = []
 
         def init(acc):
@@ -912,10 +912,10 @@ def opaque_create_handle(create):
 
 
 class TestDeclaredCombinerDifferential:
-    """Every reducing app gives the same results, bank and scratchpad bytes,
-    counters and transfer log with its declared combiner (one ``ufunc.at``
-    per batch) as with the equivalent opaque callbacks (pair-reduced
-    duplicate keys)."""
+    """Every reducing app gives the same results, bank bytes, counters and
+    transfer log with its declared combiner (one ``ufunc.at`` per batch) as
+    with the equivalent opaque callbacks (pair-reduced duplicate keys), and
+    leaves the scratchpads all zero either way."""
 
     def run(self, monkeypatch, app, spec, cores, variant, opaque):
         folds = []
@@ -956,7 +956,7 @@ class TestDeclaredCombinerDifferential:
                 assert fast_folds == 0 and slow_folds > 0
                 assert np.array_equal(fast, slow)
                 assert np.array_equal(fdev.banks, sdev.banks)
-                assert np.array_equal(fdev.scratchpads, sdev.scratchpads)
+                assert not fdev.scratchpads.any() and not sdev.scratchpads.any()
                 assert fdev.stats == sdev.stats
                 assert fdev.transfer_log == sdev.transfer_log
                 assert np.array_equal(fast, getattr(apps, f"oracle_{app}")(spec))
@@ -966,9 +966,9 @@ class TestReusedCallbackBuffers:
     """The callback contract: the kernel has read a step's ``vals`` and
     ``keys`` before it calls ``map_to_val_func`` again, and never writes to
     them.  A callback that returns views of one values buffer and one keys
-    buffer, overwritten on every call, gives the same results, bank and
-    scratchpad bytes, counters and transfer log as the same callback
-    returning fresh arrays."""
+    buffer, overwritten on every call, gives the same results, bank bytes,
+    counters and transfer log as the same callback returning fresh arrays,
+    and leaves the scratchpads all zero either way."""
 
     ENTRIES = 37
 
@@ -1026,7 +1026,7 @@ class TestReusedCallbackBuffers:
             reused, rdev = self.run(True, cores, variant, opaque, zipped)
             assert np.array_equal(reused, fresh)
             assert np.array_equal(rdev.banks, fdev.banks)
-            assert np.array_equal(rdev.scratchpads, fdev.scratchpads)
+            assert not rdev.scratchpads.any() and not fdev.scratchpads.any()
             assert rdev.stats == fdev.stats
             assert rdev.transfer_log == fdev.transfer_log
 
@@ -1064,6 +1064,45 @@ def test_a_callback_that_writes_into_its_src_changes_no_array(variant, zipped):
         expected = np.zeros(entries, np.uint64)
         np.add.at(expected, streams[0] % entries, streams[-1].astype(np.uint64))
         assert np.array_equal(comm.gather(mgmt, "out").view(np.uint64), expected)
+
+
+@pytest.mark.parametrize("kind", [MAP, REDUCE])
+def test_a_callback_cannot_write_to_its_context(kind):
+    """A callback's context is a read-only view of its bank rows: one that
+    writes to it raises, and the resident context keeps its bytes."""
+    mgmt = make_mgmt(cores=3)
+    scatter_u32(mgmt, "a", np.arange(100, dtype=np.uint32))
+    context = np.arange(5, dtype=np.uint64)
+    seen, clobber = [], [False]
+
+    def callback(*args):  # the context is the last argument of both kinds
+        seen.append(args[-1].tobytes())
+        if clobber[0]:
+            args[-1][...] = 0
+        if kind == MAP:
+            args[1][...] = args[0]
+            return None
+        return np.zeros(len(args[0]), np.uint64), np.zeros(len(args[0]), np.int64)
+
+    handle = processing.create_handle(mgmt, kind, context=context, **(
+        {"map_func": callback} if kind == MAP else
+        {"map_to_val_func": callback, "combine": (np.add, np.uint64)}))
+
+    def run(dest):
+        if kind == MAP:
+            return processing.array_map(mgmt, "a", dest, 4, handle)
+        return processing.array_red(mgmt, "a", dest, 8, 1, handle)
+
+    run("first")
+    clobber[0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        run("second")
+    clobber[0] = False
+    run("third")
+    assert set(seen) == {context.tobytes()}
+    meta = mgmt.lookup(handle.ctx_array_id)
+    assert (mgmt.device.banks[:, meta.bank_offset:meta.bank_offset + 40]
+            == context.view(np.uint8)).all()
 
 
 def ring_merge_by_rows(copies, acc_func):

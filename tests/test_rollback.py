@@ -6,11 +6,13 @@ counters, the transfer log, ``last_plan`` and each handle's resident context
 as they were; bank and scratchpad bytes are undefined.
 
 Injection points are ``PimDevice.alloc``, ``PimDevice._host_transfer``,
-``PimDevice._dma``, ``PimDevice.launch_kernel`` and
-``ManagementContext.register``.  For each case, one clean run counts the
-calls of every point; then, for every point and every ``k`` up to its count,
-a fresh device runs the case with the ``k``-th call of that point raising
-``Injected``, a ``BaseException`` that is not an ``Exception``.
+``PimDevice._issue`` (which every DMA command goes through: the context
+reads, each batch's commands and a reduction's partial writes),
+``PimDevice.launch_kernel`` and ``ManagementContext.register``.  For each
+case, one clean run counts the calls of every point; then, for every point
+and every ``k`` up to its count, a fresh device runs the case with the
+``k``-th call of that point raising ``Injected``, a ``BaseException`` that
+is not an ``Exception``.
 
 Operations, each on a loaded 4-core device with the transfer log on and a
 ``last_plan`` already set (``OPERATIONS``):
@@ -52,7 +54,7 @@ from pimlite.management import LAYOUT_REPLICATED, ManagementContext
 from pimlite.processing import MAP, REDUCE, Handle
 
 CORES = 4
-POINTS = [(PimDevice, "alloc"), (PimDevice, "_host_transfer"), (PimDevice, "_dma"),
+POINTS = [(PimDevice, "alloc"), (PimDevice, "_host_transfer"), (PimDevice, "_issue"),
           (PimDevice, "launch_kernel"), (ManagementContext, "register")]
 U32 = np.uint32
 
