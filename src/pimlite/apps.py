@@ -210,13 +210,6 @@ def oracle_reduction(spec: BenchmarkSpec) -> int:
 # --- vector addition: lazy zip + map --------------------------------------------------
 
 
-def make_vecadd_inputs(spec: BenchmarkSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and then ``b``: two consecutive slices of the seed's stream.  The
-    runner and the oracle draw the same slices, one array at a time."""
-    take = pcg64_stream(spec.seed)
-    return take(spec.total_elems), take(spec.total_elems)
-
-
 def run_vecadd(mgmt: ManagementContext, spec: BenchmarkSpec,
                eager: bool = False) -> np.ndarray:
     """Elementwise wrapping u32 addition.  ``eager`` forces the zipped input

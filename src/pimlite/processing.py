@@ -33,16 +33,19 @@ later step reads are moved between the banks and host arrays.  Callbacks
 read the context from its bank rows.  A map or materializing zip moves
 every element from the input banks to the output banks in chunks, through a
 host buffer, one callback per chunk, and issues all its commands after
-that.  A reduction reads each batch where it lies in the banks: one loader,
-``_load_batch_views``, issues the batch's reads and returns a copy of the
-bank rows they name, or for zipped streams those rows interleaved into a
-host array by ``_interleave``, the one zipped-element layout (also used by
-the bulk pass).  Reductions keep their accumulators in one of two variants
-(one shared array behind per-entry locks, or one private array per tasklet,
-all folded into tasklet 0's at the end); each core then issues the writes of
-its partial result, which is copied into the core's copy of the output
-array, and the host folds the copies with ``acc_func`` and rewrites core
-0's.  Zip is lazy: it records the two source arrays and the next iterator
+that.  A reduction issues all of a run's batch reads at once and reads each
+batch where it lies in the banks: one loader, ``_load_batch_views``, which
+issues nothing, returns a copy of the bank rows a batch's reads name, or for
+zipped streams those rows interleaved into a host array by ``_interleave``,
+the one zipped-element layout (also used by the bulk pass).  A reduction's
+plan holds one accumulator per tasklet (private) or one shared behind
+per-entry locks (shared), but the kernel folds every batch of a core into
+one accumulator table under both variants: the combiner is commutative and
+associative and no call reads the scratchpad, so the variants differ in
+plan and lock accounting only.  Each core then issues the writes of its
+partial result, which is copied into the core's copy of the output array,
+and the host folds the copies with ``acc_func`` and rewrites core 0's.  Zip
+is lazy: it records the two source arrays and the next iterator
 streams both of them, combining batches element by element; zipping an
 already-lazy array forces physical materialization (laziness is one level
 deep).
@@ -62,8 +65,8 @@ the context, the one all those cores hold.
 
 ``init_func(accum)``
     ``accum`` is ``(k * entries, entry_size)``: the accumulators of ``k``
-    cores and tasklets.  Must write the identity of ``acc_func`` into every
-    row: per-tasklet and per-core partial results are merged with
+    cores, one table per core under both variants.  Must write the identity
+    of ``acc_func`` into every row: per-core partial results are merged with
     ``acc_func`` afterwards.
 
 ``map_to_val_func(src, ctx) -> (vals, keys)``
@@ -91,14 +94,13 @@ Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
 ``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
 when ``init_func`` is omitted, the accumulator is filled with
 ``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``: on
-the entries' row indices themselves when an entry holds one value, else on
-``np.repeat(row * w, w)`` plus a lane pattern ``0..w-1`` tiled once per run
-for ``w`` values per entry.  An opaque ``acc_func`` is folded by a stride
-tree over the key-sorted rows, one vectorized call per stride.
-The merge of private accumulators and the host fold call ``acc_func``
-either way, on entry rows, so both paths give the same results: the merge
-folds each other tasklet's accumulators into tasklet 0's, ``tasklets - 1``
-calls for all the cores of a run.
+the entries' row indices themselves when an entry holds one value, else,
+for ``w`` values per entry, on the rows' value indices looked up with
+``np.take`` in the run's ``(rows, w)`` table ``arange(rows * w)``.  An
+opaque ``acc_func`` is folded by a stride tree over the key-sorted rows,
+one vectorized call per stride.  The host fold of the per-core partials
+calls ``acc_func`` either way, on entry rows, so both paths give the same
+results.
 
 A callback that raises, or a ``map_to_val_func`` that returns the wrong
 number of bytes or keys, non-integer keys or a key outside the output
@@ -464,7 +466,7 @@ def dma_schedule(config, job: _Job) -> tuple:
     partial)`` in the order a core issues them.
 
     ``context`` are tasklet 0's context reads at kernel entry and
-    ``partial`` the writes of a reduction's partial result after the merge:
+    ``partial`` the writes of a reduction's partial result after its batches:
     every core issues the same ones, so they appear once per launch.
     ``runs`` maps each per-core element count to its tasklets: ``tasklets[t]``
     are tasklet ``t``'s batches in order, each ``(m, reads, write)``: ``m``
@@ -614,21 +616,17 @@ def _interleave(dst: np.ndarray, banks: np.ndarray, sources, n: int) -> None:
         col += width
 
 
-def _load_batch_views(device, job: _Job, cores: range, t: int, m: int,
-                      reads) -> np.ndarray:
-    """Issue tasklet ``t``'s batch of ``m`` elements on a run of ``cores``
-    and return the ``(cores, m, in_size)`` rows a callback reads, a fresh
-    array that the caller owns.
+def _load_batch_views(device, job: _Job, cores: range, m: int, reads) -> np.ndarray:
+    """The ``(cores, m, in_size)`` rows a callback reads for a batch of ``m``
+    elements on a run of ``cores``, whose scheduled ``reads`` name them: a
+    fresh array that the caller owns.
 
-    The batch's scheduled ``reads`` are checked, counted and logged through
-    ``PimDevice._issue``, one command per core for each read, but not
-    copied: no call reads the stream slots they would fill.  The rows are a
-    copy of the bank rows of the one stream's read, or for zipped streams
-    the bank rows the reads name, interleaved by :func:`_interleave` into a
-    host array, as in :func:`_bulk_pass`.  Called once per run and batch of
-    a reduction.
+    It issues nothing: :func:`_red_run` has issued the run's reads.  The
+    rows are a copy of the bank rows of the one stream's read, or for zipped
+    streams the bank rows the reads name, interleaved by :func:`_interleave`
+    into a host array, as in :func:`_bulk_pass`.  Called once per run and
+    batch step of a reduction.
     """
-    device._issue(cores, [("dma_read", *read) for read in reads])
     sizes = [s.type_size for s in job.in_streams]
     banks = device.banks[cores.start:cores.stop]
     if len(sizes) == 1:
@@ -773,32 +771,35 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
     ``tasklets`` and the context ``ctx``; ``partial`` are the launch's
     partial-result writes.
 
-    The accumulators of all these cores (one per tasklet when private) are
-    one fresh C-contiguous array of entry rows, row ``(tasklet * cores +
-    core) * n + key`` (tasklet 0 when shared), set up by ``init_func``.
-    Each batch step gets its rows from :func:`_load_batch_views`, a host
-    array, and calls ``map_to_val_func`` on them, stacked core by core, so a
-    callback never holds a view of a bank; it folds what the callback
+    The run issues every scheduled batch read with one ``PimDevice._issue``
+    first, tasklet by tasklet in batch order, as the per-batch steps issue
+    them.  The accumulators of all these cores are one fresh C-contiguous
+    array of entry rows, row ``core * n + key``, set up by one ``init_func``
+    call, whatever the variant: the combiner is commutative and associative
+    and no call reads the scratchpad, so the private variant's per-tasklet
+    copies would fold to the same entries.  The variants differ in their
+    plan and in the shared variant's ``LockTable`` accounting per batch
+    step.  Each batch step gets its rows from :func:`_load_batch_views`, a
+    host array, and calls ``map_to_val_func`` on them, stacked core by core,
+    so a callback never holds a view of a bank; it folds what the callback
     returns, without writing to it, before the next step calls it again.
-    Each tasklet's rows of key 0 for a full batch are computed once, so a
-    batch's row index is its keys plus those rows.  Keys must be integers in
-    ``[0, n)``, checked in one pass as uint64.  A declared combiner folds
-    each batch step with one 1-D ``ufunc.at`` over the entries' values: on
-    the row index itself when an entry holds one value, else on the index
-    repeated ``w`` times, scaled by ``w``, plus the run's lane pattern.
-    Private accumulators are then merged into tasklet 0's by
-    :func:`_merge_private`.  The run issues the ``partial`` writes, and
-    tasklet 0's ``n * d`` accumulator bytes of each core are copied into
-    that core's output copy in the banks; its padding stays undefined.
+    The rows of key 0 for a full batch are computed once, so a batch's row
+    index is its keys plus those rows.  Keys must be integers in ``[0,
+    n)``, checked in one pass as uint64.  A declared combiner folds each
+    batch step with one 1-D ``ufunc.at`` over the entries' values: on the
+    row index itself when an entry holds one value, else on those entries'
+    value indices, looked up by row in the run's ``(rows, w)`` table
+    ``arange(rows * w)``.  The run then issues the ``partial`` writes, and
+    the ``n * d`` accumulator bytes of each core are copied into that core's
+    output copy in the banks; its padding stays undefined.
     """
     plan, handle = job.plan, job.handle
     n, d = job.out.len, job.out.type_size
-    cores = end - first
-    private = plan.variant == VARIANT_PRIVATE
-    copies = plan.num_tasklets if private else 1
-    accum = np.empty((copies * cores * n, d), np.uint8)
+    cores = range(first, end)
+    device._issue(cores, [("dma_read", *read) for batches in tasklets
+                          for _, reads, _ in batches for read in reads])
+    accum = np.empty((len(cores) * n, d), np.uint8)
     handle.init_func(accum)
-    b = plan.batch_elems
     if handle.combine is None:
         def fold(rows, idx):
             _scatter_accumulate(accum, rows, idx, handle.acc_func)
@@ -810,59 +811,44 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
             def fold(rows, idx):
                 ufunc.at(target, idx, rows.view(dtype).reshape(-1))
         else:
-            lanes = np.tile(np.arange(w), cores * b)
+            values = np.arange(target.size).reshape(-1, w)  # entry row -> its values
 
-            def fold(rows, idx):  # value j of entry i is value i * w + j
-                flat = np.repeat(idx * w, w)
-                flat += lanes[:flat.size]
-                ufunc.at(target, flat, rows.view(dtype).reshape(-1))
+            def fold(rows, idx):
+                ufunc.at(target, np.take(values, idx, axis=0).reshape(-1),
+                         rows.view(dtype).reshape(-1))
     # the run's entry locks: each core's table of n entries, side by side
-    locks = None if private else LockTable(cores * n)
-    core_rows = np.arange(cores) * n
+    locks = None if plan.variant == VARIANT_PRIVATE else LockTable(len(cores) * n)
+    core_rows = np.arange(len(cores)) * n
+    full_batch_rows = np.repeat(core_rows, plan.batch_elems)  # key 0's row per element
     map_to_val = handle.map_to_val_func
     for t, batches in enumerate(tasklets):
-        # row of key 0 for each element of a batch: its core's (and, when
-        # private, this tasklet's) table
-        table_rows = core_rows + t * cores * n if private else core_rows
-        full_batch_rows = np.repeat(table_rows, b)
         for m, reads, _ in batches:
-            src = _load_batch_views(device, job, range(first, end), t, m, reads)
-            vals, keys = map_to_val(src.reshape(cores * m, -1), ctx)
-            rows = _as_entry_rows(vals, cores * m, d)
+            src = _load_batch_views(device, job, cores, m, reads)
+            count = len(cores) * m
+            vals, keys = map_to_val(src.reshape(count, -1), ctx)
+            rows = _as_entry_rows(vals, count, d)
             ks = np.asarray(keys)
             if ks.dtype.kind not in "iu":
                 raise InvalidArgument(f"reduction keys must be integers, got {ks.dtype}")
             ks = ks.astype(np.int64, copy=False).ravel()
-            if ks.size != cores * m:
+            if ks.size != count:
                 raise InvalidArgument(
-                    f"callback returned {ks.size} keys for {cores * m} elements")
+                    f"callback returned {ks.size} keys for {count} elements")
             if ks.view(np.uint64).max() >= n:  # a negative key wraps to >= 2**63
                 raise InvalidArgument(f"reduction key outside [0, {n})")
-            idx = ks + (full_batch_rows if m == b else np.repeat(table_rows, m))
-            if private:
+            idx = ks + (full_batch_rows if m == plan.batch_elems
+                        else np.repeat(core_rows, m))
+            if locks is None:
                 fold(rows, idx)
             else:
                 uniq = np.unique(idx)
                 locks.acquire(t, uniq)
                 fold(rows, idx)
                 locks.release(t, uniq)
-    if private:
-        _merge_private(accum.reshape(copies, cores * n, d), handle.acc_func)
-    device._issue(range(first, end),
-                  [("dma_write", bank, slot, nbytes) for slot, bank, nbytes in partial])
+    device._issue(cores, [("dma_write", bank, slot, nbytes)
+                          for slot, bank, nbytes in partial])
     out = job.out.bank_offset
-    device.banks[first:end, out:out + n * d] = accum[:cores * n].reshape(cores, n * d)
-
-
-def _merge_private(copies: np.ndarray, acc_func) -> None:
-    """Fold the private accumulators ``copies``, ``(tasklets, entry rows,
-    entry_size)``, into tasklet 0's with ``tasklets - 1`` calls of
-    ``acc_func``, each on the entry rows of every core of the run at once.
-    A declared combiner's ``acc_func`` folds their values in place.  Only
-    ``copies[0]`` is read afterwards; the combiner is commutative and
-    associative, so it holds what any merge order gives."""
-    for t in range(1, len(copies)):
-        acc_func(copies[0], copies[t])
+    device.banks[first:end, out:out + n * d] = accum.reshape(len(cores), n * d)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

@@ -20,6 +20,14 @@ def run_pair(name, spec, cores, **kw):
     return runner(mgmt, spec, **kw), oracle(spec)
 
 
+def make_vecadd_inputs(spec):
+    """``a`` and then ``b``: two consecutive slices of the seed's stream, the
+    slices that ``apps.run_vecadd`` and ``apps.oracle_vecadd`` draw one
+    array at a time."""
+    take = apps.pcg64_stream(spec.seed)
+    return take(spec.total_elems), take(spec.total_elems)
+
+
 def direct_nearest(points, cents):
     """Nearest centroid by the squared distance itself, in int64."""
     diff = np.asarray(points, np.int64)[:, None, :] - cents[None, :, :]
@@ -91,7 +99,7 @@ class TestVecadd:
 
     def test_adding_zeros_is_identity(self):
         spec = BenchmarkSpec(name="vecadd", total_elems=100, seed=1)
-        a, b = apps.make_vecadd_inputs(spec)
+        a, b = make_vecadd_inputs(spec)
         assert np.array_equal(apps.oracle_vecadd(spec), a + b)
         # identity case checked through the full stack
         mgmt = make_mgmt(cores=2)
@@ -679,7 +687,7 @@ def integers_kmeans_points(spec):
 
 GENERATORS = {
     "reduction": (apps.make_reduction_input, integers_reduction_input),
-    "vecadd": (apps.make_vecadd_inputs, integers_vecadd_inputs),
+    "vecadd": (make_vecadd_inputs, integers_vecadd_inputs),
     "histogram": (apps.make_histogram_input, integers_histogram_input),
     "linreg": (apps.make_regression_data, integers_regression_data),
     "logreg": (partial(apps.make_regression_data, binary_labels=True),

@@ -1,15 +1,15 @@
 """The batch loader's contract over many batch rounds.
 
-``processing._load_batch_views`` issues one reduction batch's reads on a
-run of lockstep cores, without copying them, and returns the ``(cores, m,
-in_size)`` rows a callback reads, a host array it owns: a copy of the bank
-rows of a plain stream, or for zipped streams the bank rows of both
-interleaved.  The benchmark's tracer
-counts its calls as batches; here every tasklet has several.  A reduction
-loads every batch step once per run.  A map or a materializing zip moves its
-elements between the banks in bulk and issues its commands without the
-loader, so it loads nothing.  On zipped streams the rows are the batch's
-elements of both sources, side by side.
+``processing._load_batch_views`` returns the ``(cores, m, in_size)`` rows
+a callback reads for one reduction batch on a run of lockstep cores, a host
+array it owns: a copy of the bank rows of a plain stream, or for zipped
+streams the bank rows of both interleaved.  It issues nothing: the run
+issues all its batch reads before its first batch step.  The benchmark's
+tracer counts its calls as batches; here every tasklet has several.  A
+reduction loads every batch step once per run.  A map or a materializing
+zip moves its elements between the banks in bulk and issues its commands
+without the loader, so it loads nothing.  On zipped streams the rows are
+the batch's elements of both sources, side by side.
 """
 
 import itertools
@@ -40,8 +40,8 @@ def setup(monkeypatch):
     a_offset = mgmt.lookup("a").bank_offset
     loads, load = [], processing._load_batch_views
 
-    def recording(device, job, cores, t, m, reads):
-        rows = load(device, job, cores, t, m, reads)
+    def recording(device, job, cores, m, reads):
+        rows = load(device, job, cores, m, reads)
         loads.append((cores, m, (reads[0][0] - a_offset) // 4, rows.copy()))
         return rows
 

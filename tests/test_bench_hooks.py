@@ -15,8 +15,9 @@ counted and logged by ``PimDevice._issue``, and the bytes that a later step
 reads move between the banks and host arrays.  So the traced device DMA
 sees no call, and the counters hold every command of each launch's
 ``dma_schedule``: its launch-wide commands once per core, and its batch
-commands.  A reduction still loads every batch through
-``_load_batch_views``; a map or zip loads none."""
+commands.  A reduction issues each run's batch reads at once and still
+loads every batch through ``_load_batch_views``, which issues nothing; a
+map or zip loads none."""
 
 import importlib.util
 from pathlib import Path

@@ -35,6 +35,7 @@ from pimlite.processing import (
     compute_batch_elems,
     plan_iterator,
 )
+from test_reference_executor import reference_kernel
 
 
 def scatter_u32(mgmt, name, values):
@@ -1105,66 +1106,72 @@ def test_a_callback_cannot_write_to_its_context(kind):
             == context.view(np.uint8)).all()
 
 
-def ring_merge_by_rows(copies, acc_func):
-    """The ring merge one (step, tasklet) at a time on entry-row copies
-    ``(cores, tasklets, n, entry_size)``: the reference whose copy 0 the
-    direct merge must equal."""
-    cores, num_t, n, d = copies.shape
-    for step in range(num_t - 1):
-        for t in range(num_t):
-            seg = (t - 1 - step) % num_t
-            lo, hi = seg * n // num_t, (seg + 1) * n // num_t
-            if hi > lo:
-                mine = copies[:, t, lo:hi].reshape(-1, d)
-                acc_func(mine, copies[:, t - 1, lo:hi].reshape(-1, d))
-                copies[:, t, lo:hi] = mine.reshape(cores, -1, d)
-    for t in range(1, num_t):
-        own = (t + 1) % num_t
-        lo, hi = own * n // num_t, (own + 1) * n // num_t
-        copies[:, 0, lo:hi] = copies[:, t, lo:hi]
-
-
 # every dtype a declared combiner may name: bool and the integer dtypes
 COMBINER_DTYPES = [np.dtype(np.bool_)] + [np.dtype(f"{kind}{size}")
                                           for size in (1, 2, 4, 8) for kind in "iu"]
 
 
-class TestMergePrivate:
-    """``_merge_private`` folds every other tasklet's accumulators into
-    tasklet 0's with ``tasklets - 1`` calls of ``acc_func``, each on the
-    entry rows of all the run's cores, and tasklet 0's entries then hold
-    what the ring merge by rows leaves in copy 0: for every declared
-    combiner on every dtype it accepts and for an opaque ``acc_func``."""
+class TestOneAccumulatorTable:
+    """Both variants fold every tasklet's batches into one accumulator table
+    per core.  ``private`` and ``shared`` leave the elements that the
+    reference executor, with its per-tasklet tables and ring merge, leaves,
+    and the counters, transfer log and plan of its run of the same variant:
+    for every declared combiner on every dtype it accepts and for an opaque
+    ``acc_func``, with ``T`` tasklets and ``n`` entries of ``w`` values."""
 
     SHAPES = [(12, 10, 11), (2, 4096, 1), (5, 3, 2), (1, 7, 3)]  # (T, n, w)
+    CORES, BATCH = 3, 16  # 16 uint32 indices per 64-byte read
 
-    def assert_merges_like_the_ring(self, acc_func, dtype, shape, seed):
+    def total(self, num_t):
+        """An input count that cores 0-1 hold ``k`` of and core 2 ``k - 5``
+        (two runs), where each tasklet has more than two batches."""
+        return 3 * (2 * num_t * self.BATCH + 6) - 5
+
+    def run(self, shape, dtype, seed, reference, variant, **callbacks):
+        """Reduce drawn entries of ``dtype`` into ``n`` drawn keys; returns
+        the gathered result and the defined state."""
         num_t, n, w = shape
+        d, total = w * dtype.itemsize, self.total(num_t)
         rng = np.random.default_rng(seed)
-        d = w * dtype.itemsize
-        for cores in (1, 3):
-            copies = rng.integers(0, 256, (cores, num_t, n, d), dtype=np.uint8)
-            if dtype == np.bool_:
-                copies &= 1
-            want = copies.copy()
-            ring_merge_by_rows(want, acc_func)
-            # tasklet-major, the layout the kernel keeps them in
-            got = np.ascontiguousarray(copies.transpose(1, 0, 2, 3))
-            calls = []
+        values = rng.integers(0, 256, (total, d), dtype=np.uint8)
+        if dtype == np.bool_:
+            values &= 1
+        keys = rng.integers(0, n, total)
 
-            def counted(dst, src):
-                calls.append((dst.shape, src.shape))
-                acc_func(dst, src)
+        def to_val(src, ctx):
+            i = src.view(np.uint32).ravel()
+            return values[i], keys[i]
 
-            processing._merge_private(got.reshape(num_t, cores * n, d), counted)
-            assert calls == [((cores * n, d), (cores * n, d))] * (num_t - 1)
-            assert np.array_equal(got[0], want[:, 0])
+        with pytest.MonkeyPatch.context() as patch:
+            if reference:
+                patch.setattr(processing, "_iterator_kernel", reference_kernel)
+            mgmt = make_mgmt(cores=self.CORES, max_tasklets=num_t,
+                             dma_max_bytes=4 * self.BATCH, scratchpad_bytes=1 << 17,
+                             log_transfers=True)
+            comm.scatter(mgmt, "i", np.arange(total, dtype=np.uint32), total, 4)
+            handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                              **callbacks)
+            plan = processing.array_red(mgmt, "i", "out", d, n, handle, variant=variant)
+        per_core = mgmt.lookup("i").per_core_elems
+        assert (plan.num_tasklets, plan.batch_elems) == (num_t, self.BATCH)
+        assert per_core[1] - per_core[2] == 5 and per_core[2] > 2 * num_t * self.BATCH
+        return comm.gather(mgmt, "out"), defined_state(mgmt)
+
+    def assert_variants_equal_the_reference(self, shape, dtype, seed, **callbacks):
+        results = []
+        for variant in ("private", "shared"):
+            got, state = self.run(shape, dtype, seed, False, variant, **callbacks)
+            want, ref_state = self.run(shape, dtype, seed, True, variant, **callbacks)
+            assert np.array_equal(got, want)
+            assert state == ref_state
+            results.append(got)
+        assert np.array_equal(*results)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
     @pytest.mark.parametrize("ufunc", sorted(processing._ASSOCIATIVE_UFUNCS,
                                              key=lambda u: u.__name__),
                              ids=lambda u: u.__name__)
-    def test_declared_combiner_merges_like_the_ring(self, ufunc, shape):
+    def test_declared_combiner_equals_the_reference(self, ufunc, shape):
         accepted = []
         for dtype in COMBINER_DTYPES:
             try:
@@ -1172,17 +1179,48 @@ class TestMergePrivate:
             except InvalidCombiner:
                 continue
             accepted.append(dtype)
-            acc_func, _ = processing._combine_callbacks(ufunc, dtype, lambda a: None)
-            self.assert_merges_like_the_ring(acc_func, dtype, shape, len(accepted))
+            init = None if ufunc.identity is not None else (lambda a: a.fill(1))
+            self.assert_variants_equal_the_reference(
+                shape, dtype, len(accepted), combine=(ufunc, dtype), init_func=init)
         assert accepted
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
-    def test_opaque_acc_func_merges_like_the_ring(self, shape):
+    def test_opaque_acc_func_equals_the_reference(self, shape):
         def acc(dst, src):  # lanes mix: the lanewise max of the sorted rows
             a, b = dst.view(np.uint32), src.view(np.uint32)
             np.maximum(np.sort(a, axis=1), np.sort(b, axis=1), out=a)
 
-        self.assert_merges_like_the_ring(acc, np.dtype(np.uint32), shape, 0)
+        def init(accum):
+            accum[:] = 0
+
+        self.assert_variants_equal_the_reference(
+            shape, np.dtype(np.uint32), 0, acc_func=acc, init_func=init)
+
+    @pytest.mark.parametrize("variant", ["private", "shared"])
+    def test_init_func_sets_up_one_table_per_run(self, variant):
+        n, d = 7, 8
+        calls = []
+
+        def init(accum):
+            calls.append(accum.shape)
+            accum[:] = 0
+
+        def to_val(src, ctx):
+            v = src.view(np.uint32).ravel().astype(np.uint64)
+            return v, v % n
+
+        total = self.total(12)
+        mgmt = make_mgmt(cores=self.CORES, dma_max_bytes=4 * self.BATCH)
+        comm.scatter(mgmt, "i", np.arange(total, dtype=np.uint32), total, 4)
+        handle = processing.create_handle(mgmt, REDUCE, map_to_val_func=to_val,
+                                          init_func=init, combine=(np.add, np.uint64))
+        plan = processing.array_red(mgmt, "i", "out", d, n, handle, variant=variant)
+        assert plan.num_tasklets == 12
+        assert mgmt.lookup("i").per_core_elems == (390, 390, 385)
+        assert calls == [(2 * n, d), (1 * n, d)]  # the runs of cores 0-1 and 2
+        expected = np.zeros(n, np.uint64)
+        np.add.at(expected, np.arange(total) % n, np.arange(total, dtype=np.uint64))
+        assert np.array_equal(comm.gather(mgmt, "out").view(np.uint64)[:n], expected)
 
 
 class TestContextLifetime:

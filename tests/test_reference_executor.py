@@ -4,12 +4,14 @@
 does: core by core, tasklet by tasklet and batch by batch, straight from
 ``dma_schedule``, with single-core ``dma_read``/``dma_write`` and one
 callback per batch over that core's rows.  A reduction folds every element
-with ``acc_func``, merges its private copies ring-style and writes its
-partial.  Swapped in for ``processing._iterator_kernel`` (``_iterate``'s
-broadcast, output creation and host fold stay shared), it must leave the
-same results, array elements, counters, transfer log and plan as the
-library's lockstep kernel, with its bulk pass over chunks of bank rows, its
-batches read where they lie and its direct merge, on drawn geometries.
+with ``acc_func`` into its tasklet's table when private, merges those
+tables ring-style and writes its partial.  Swapped in for
+``processing._iterator_kernel`` (``_iterate``'s broadcast, output creation
+and host fold stay shared), it must leave the same results, array elements,
+counters, transfer log and plan as the library's lockstep kernel, with its
+bulk pass over chunks of bank rows, its batch reads issued once per run,
+its batches read where they lie and its one accumulator table per core, on
+drawn geometries, with entries of up to 11 values as k-means's.
 Scratchpad bytes and bank padding are undefined after a launch, so they are
 not compared.
 """
@@ -167,7 +169,7 @@ def ops(draw, cores, align):
         out_size=draw(st.sampled_from([1, 3, 4, 8, 12])),
         context=None if kind == "zip" else draw(st.sampled_from([None, 5, 37])),
         declared=draw(st.booleans()), entries=draw(st.integers(1, 20)),
-        lanes=draw(st.integers(1, 2)))
+        lanes=draw(st.integers(1, 11)))  # up to k-means's 11-value entries
 
 
 @st.composite
