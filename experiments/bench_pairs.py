@@ -33,6 +33,13 @@ The two checkouts must resolve to absolute paths of the same length: the
 path's length moves glibc malloc's dynamic mmap threshold, which reads as a
 few MB of ``peak_rss_mb`` and a few per cent of some timings that no code
 change caused. Checkouts such as ``../parent`` and ``../change`` satisfy it.
+
+The record names each side's commit: ``git describe`` of the checkout or,
+for an export without ``.git``, the first word of its ``COMMIT`` file::
+
+    git archive 6e797ef | tar -x -C ../parent && echo 6e797ef > ../parent/COMMIT
+
+A side whose commit is still unknown is a usage error, before any run.
 """
 
 from __future__ import annotations
@@ -49,11 +56,17 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def commit_of(checkout: Path) -> str:
-    """``git describe --always --dirty`` of the checkout, or "unknown"."""
+def commit_of(checkout: Path) -> str | None:
+    """``git describe --always --dirty`` of the checkout, else the first word
+    of its ``COMMIT`` file, else None."""
     proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                           capture_output=True, text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    if proc.returncode == 0:
+        return proc.stdout.strip()
+    try:
+        return (checkout / "COMMIT").read_text().split()[0]
+    except (OSError, IndexError):
+        return None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -158,6 +171,11 @@ def main(argv=None) -> int:
     if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
         parser.error(f"--parent {checkouts['parent']} and --change {checkouts['change']} "
                      "resolve to paths of different lengths")
+    commits = {side: commit_of(path) for side, path in checkouts.items()}
+    for side, commit in commits.items():
+        if commit is None:
+            parser.error(f"--{side} {checkouts[side]}: no git history and no COMMIT file "
+                         "names its commit")
     record = {
         "benchmark": f"perfbench/run.py --workload <w> --seconds {seconds:g} "
                      f"--seed {args.seed}+pair --trace 0",
@@ -166,8 +184,8 @@ def main(argv=None) -> int:
                       "interpolation; written by experiments/bench_pairs.py",
         "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable CPUs; "
                    f"Python {platform.python_version()}; one run at a time",
-        "parent": {"commit": commit_of(checkouts["parent"])},
-        "change": {"commit": commit_of(checkouts["change"])},
+        "parent": {"commit": commits["parent"]},
+        "change": {"commit": commits["change"]},
         "claim": {"workload": claim[0], "metric": claim[1]} if claim else None,
         "notes": args.note,
         "workloads": {},

@@ -39,12 +39,14 @@ issues nothing, returns a copy of the bank rows a batch's reads name, or for
 zipped streams those rows interleaved into a host array by ``_interleave``,
 the one zipped-element layout (also used by the bulk pass).  A reduction's
 plan holds one accumulator per tasklet (private) or one shared behind
-per-entry locks (shared), but the kernel folds every batch of a core into
-one accumulator table under both variants: the combiner is commutative and
-associative and no call reads the scratchpad, so the variants differ in
-plan and lock accounting only.  Each core then issues the writes of its
-partial result, which is copied into the core's copy of the output array,
-and the host folds the copies with ``acc_func`` and rewrites core 0's.  Zip
+per-entry locks (shared), but the kernel folds every batch of every core of
+a run into one accumulator table under both variants: the combiner is
+commutative and associative and no call reads the scratchpad, so the
+variants differ in plan and lock accounting only.  Each core then issues
+the writes of its partial result; the run's total is copied into its first
+core's copy of the output array and the identity into the other cores'
+copies, and the host folds the copies with ``acc_func`` and rewrites core
+0's.  Zip
 is lazy: it records the two source arrays and the next iterator
 streams both of them, combining batches element by element; zipping an
 already-lazy array forces physical materialization (laziness is one level
@@ -64,10 +66,10 @@ the context, the one all those cores hold.
     elementwise.  ``ctx`` is the broadcast context bytes or None.
 
 ``init_func(accum)``
-    ``accum`` is ``(k * entries, entry_size)``: the accumulators of ``k``
-    cores, one table per core under both variants.  Must write the identity
-    of ``acc_func`` into every row: per-core partial results are merged with
-    ``acc_func`` afterwards.
+    ``accum`` is ``(entries, entry_size)``: the identity table of one run of
+    cores, which every core of the run folds into, under both variants.
+    Must write the identity of ``acc_func`` into every row: per-core partial
+    results are merged with ``acc_func`` afterwards.
 
 ``map_to_val_func(src, ctx) -> (vals, keys)``
     ``vals`` is any C-contiguous array of ``m * entry_size`` bytes (one entry
@@ -94,9 +96,9 @@ Entry rows are then ``entry_size // dtype.itemsize`` values of ``dtype``.
 ``acc_func`` is derived as ``ufunc(dst, src, out=dst)`` over those values and,
 when ``init_func`` is omitted, the accumulator is filled with
 ``ufunc.identity``.  The kernel folds each batch with one ``ufunc.at``: on
-the entries' row indices themselves when an entry holds one value, else,
-for ``w`` values per entry, on the rows' value indices looked up with
-``np.take`` in the run's ``(rows, w)`` table ``arange(rows * w)``.  An
+the keys themselves when an entry holds one value, else, for ``w`` values
+per entry, on the keys' value indices looked up with ``np.take`` in the
+``(entries, w)`` table ``arange(entries * w)``.  An
 opaque ``acc_func`` is folded by a stride tree over the key-sorted rows,
 one vectorized call per stride.  The host fold of the per-core partials
 calls ``acc_func`` either way, on entry rows, so both paths give the same
@@ -773,59 +775,58 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
 
     The run issues every scheduled batch read with one ``PimDevice._issue``
     first, tasklet by tasklet in batch order, as the per-batch steps issue
-    them.  The accumulators of all these cores are one fresh C-contiguous
-    array of entry rows, row ``core * n + key``, set up by one ``init_func``
-    call, whatever the variant: the combiner is commutative and associative
-    and no call reads the scratchpad, so the private variant's per-tasklet
-    copies would fold to the same entries.  The variants differ in their
-    plan and in the shared variant's ``LockTable`` accounting per batch
-    step.  Each batch step gets its rows from :func:`_load_batch_views`, a
-    host array, and calls ``map_to_val_func`` on them, stacked core by core,
-    so a callback never holds a view of a bank; it folds what the callback
-    returns, without writing to it, before the next step calls it again.
-    The rows of key 0 for a full batch are computed once, so a batch's row
-    index is its keys plus those rows.  Keys must be integers in ``[0,
-    n)``, checked in one pass as uint64.  A declared combiner folds each
-    batch step with one 1-D ``ufunc.at`` over the entries' values: on the
-    row index itself when an entry holds one value, else on those entries'
-    value indices, looked up by row in the run's ``(rows, w)`` table
-    ``arange(rows * w)``.  The run then issues the ``partial`` writes, and
-    the ``n * d`` accumulator bytes of each core are copied into that core's
-    output copy in the banks; its padding stays undefined.
+    them.  One ``init_func`` call sets up the run's ``(n, d)`` identity
+    table, and every core of the run folds into one copy of it, whatever the
+    variant: the combiner is commutative and associative and no call reads
+    the scratchpad, so per-core and per-tasklet tables would fold to the
+    same total.  The variants differ in their plan and in the shared
+    variant's ``LockTable`` accounting per batch step: one lock per core and
+    entry, and a step holds its distinct ``(core, key)`` entries, in order,
+    found by sorting each core's keys.  Each batch step gets its rows from
+    :func:`_load_batch_views`, a host array, and calls ``map_to_val_func``
+    on them, stacked core by core, so a callback never holds a view of a
+    bank; it folds what the callback returns, without writing to it, before
+    the next step calls it again.  Keys must be integers in ``[0, n)``,
+    checked in one pass as uint64.  A declared combiner folds each batch
+    step with one 1-D ``ufunc.at`` over the entries' values: on the keys
+    themselves when an entry holds one value, else on their value indices,
+    looked up in the ``(n, w)`` table ``arange(n * w)``.  The run then
+    issues the ``partial`` writes; the total's ``n * d`` bytes are copied
+    into core ``first``'s output copy in the banks and the identity's into
+    the other cores' copies, so the host fold of every copy gives the total.
+    Their padding stays undefined.
     """
     plan, handle = job.plan, job.handle
     n, d = job.out.len, job.out.type_size
     cores = range(first, end)
     device._issue(cores, [("dma_read", *read) for batches in tasklets
                           for _, reads, _ in batches for read in reads])
-    accum = np.empty((len(cores) * n, d), np.uint8)
-    handle.init_func(accum)
+    identity = np.empty((n, d), np.uint8)
+    handle.init_func(identity)
+    accum = identity.copy()
     if handle.combine is None:
-        def fold(rows, idx):
-            _scatter_accumulate(accum, rows, idx, handle.acc_func)
+        def fold(rows, ks):
+            _scatter_accumulate(accum, rows, ks, handle.acc_func)
     else:
         ufunc, dtype = handle.combine
         w = d // dtype.itemsize  # values per entry
         target = accum.view(dtype).reshape(-1)
         if w == 1:
-            def fold(rows, idx):
-                ufunc.at(target, idx, rows.view(dtype).reshape(-1))
+            def fold(rows, ks):
+                ufunc.at(target, ks, rows.view(dtype).reshape(-1))
         else:
-            values = np.arange(target.size).reshape(-1, w)  # entry row -> its values
+            values = np.arange(n * w).reshape(-1, w)  # entry -> its values
 
-            def fold(rows, idx):
-                ufunc.at(target, np.take(values, idx, axis=0).reshape(-1),
+            def fold(rows, ks):
+                ufunc.at(target, np.take(values, ks, axis=0).reshape(-1),
                          rows.view(dtype).reshape(-1))
-    # the run's entry locks: each core's table of n entries, side by side
+    # the run's entry locks: each core's n entries, side by side
     locks = None if plan.variant == VARIANT_PRIVATE else LockTable(len(cores) * n)
-    core_rows = np.arange(len(cores)) * n
-    full_batch_rows = np.repeat(core_rows, plan.batch_elems)  # key 0's row per element
-    map_to_val = handle.map_to_val_func
     for t, batches in enumerate(tasklets):
         for m, reads, _ in batches:
             src = _load_batch_views(device, job, cores, m, reads)
             count = len(cores) * m
-            vals, keys = map_to_val(src.reshape(count, -1), ctx)
+            vals, keys = handle.map_to_val_func(src.reshape(count, -1), ctx)
             rows = _as_entry_rows(vals, count, d)
             ks = np.asarray(keys)
             if ks.dtype.kind not in "iu":
@@ -836,19 +837,20 @@ def _red_run(device, job: _Job, tasklets, partial, first: int, end: int,
                     f"callback returned {ks.size} keys for {count} elements")
             if ks.view(np.uint64).max() >= n:  # a negative key wraps to >= 2**63
                 raise InvalidArgument(f"reduction key outside [0, {n})")
-            idx = ks + (full_batch_rows if m == plan.batch_elems
-                        else np.repeat(core_rows, m))
             if locks is None:
-                fold(rows, idx)
-            else:
-                uniq = np.unique(idx)
-                locks.acquire(t, uniq)
-                fold(rows, idx)
-                locks.release(t, uniq)
+                fold(rows, ks)
+            else:  # the step's distinct (core, key) entries, sorted
+                held = (np.sort(ks.reshape(len(cores), m), axis=1)
+                        + np.arange(0, len(cores) * n, n)[:, None]).ravel()
+                held = held[np.append(True, held[1:] != held[:-1])]
+                locks.acquire(t, held)
+                fold(rows, ks)
+                locks.release(t, held)
     device._issue(cores, [("dma_write", bank, slot, nbytes)
                           for slot, bank, nbytes in partial])
     out = job.out.bank_offset
-    device.banks[first:end, out:out + n * d] = accum.reshape(len(cores), n * d)
+    device.banks[first, out:out + n * d] = accum.reshape(-1)
+    device.banks[first + 1:end, out:out + n * d] = identity.reshape(-1)
 
 
 def array_red(mgmt: ManagementContext, src_id: str, dest_id: str,

@@ -79,20 +79,24 @@ def test_a_gain_inside_the_parent_spread_is_not_met():
     assert _claim(_pairs(PARENT, [p - 0.005 for p in PARENT])).startswith("not met:")
 
 
-def _checkout(root: Path, p50: float, spec: dict | None) -> Path:
+def _checkout(root: Path, p50: float, spec: dict | None,
+              commit: str | None = "0abc123") -> Path:
+    """A stand-in export without ``.git``; ``commit`` goes to its COMMIT file."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "p50.txt").write_text(str(p50))
     if spec is not None:
         (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    if commit is not None:
+        (root / "COMMIT").write_text(commit + "\n")
     return root
 
 
 def test_main_runs_every_workload_of_the_change_benchmark_for_its_run_seconds(tmp_path):
     spec = {"run_seconds": 7, "workloads": [{"name": "a"}, {"name": "b"}],
             "end_to_end": METRICS}
-    parent = _checkout(tmp_path / "parent", 1.0, None)
-    change = _checkout(tmp_path / "change", 0.5, spec)
+    parent = _checkout(tmp_path / "parent", 1.0, None, "6e797ef")
+    change = _checkout(tmp_path / "change", 0.5, spec, "1f2e3d4")
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--pairs", "2", "--seed", "40", "--held-out-seeds", "90",
@@ -103,6 +107,7 @@ def test_main_runs_every_workload_of_the_change_benchmark_for_its_run_seconds(tm
                 for w, seed in (("a", 40), ("b", 40), ("a", 41), ("b", 41), ("a", 90))]
     assert calls["parent"] == calls["change"] == expected
     record = json.loads(out.read_text())
+    assert (record["parent"]["commit"], record["change"]["commit"]) == ("6e797ef", "1f2e3d4")
     assert list(record["workloads"]) == ["a", "b"]
     assert [p["first"] for p in record["workloads"]["a"]["pairs"]] == ["parent", "change"]
     assert record["workloads"]["b"]["summary"]["run_s_p50"]["change_better"] == 2
@@ -123,3 +128,18 @@ def test_main_refuses_checkouts_whose_paths_differ_in_length(tmp_path, capsys):
     assert "different lengths" in capsys.readouterr().err
     assert not out.exists()
     assert not any((root / "calls.jsonl").exists() for root in (parent, change))
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_main_refuses_a_checkout_whose_commit_is_unknown(tmp_path, capsys, side):
+    spec = {"run_seconds": 7, "workloads": [{"name": "a"}], "end_to_end": METRICS}
+    roots = {s: _checkout(tmp_path / s, 1.0, spec, None if s == side else "6e797ef")
+             for s in ("parent", "change")}
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                          "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"--{side} {roots[side]}: no git history and no COMMIT file" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any((root / "calls.jsonl").exists() for root in roots.values())

@@ -3,14 +3,18 @@
 The iterator kernel splits the cores into runs of consecutive cores with the
 same element count and the same context bytes (``processing._core_groups``)
 and runs each batch step once per run.  Forcing one core per run gives
-per-core execution, the reference: both must leave the same results, bank
-bytes, counters and transfer log, and the scratchpads all zero.
+per-core execution, the reference: both must leave the same results,
+counters and transfer log, and the scratchpads all zero.  A map or zip must
+also leave the same bank bytes.  A reduction must leave the same defined
+state (``conftest.defined_state``): its output is defined on core 0 only, and
+a run writes its total to its first core's copy and the identity to the
+others', where per-core execution writes each core's own partial.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_mgmt
+from conftest import defined_state, make_mgmt
 from pimlite import comm, processing
 from pimlite.device import TO_PIM, DeviceConfig
 from pimlite.processing import MAP, REDUCE, ZIP
@@ -140,15 +144,19 @@ class TestLockstepEqualsPerCore:
                           recording_groups(runs) if lockstep else per_core_groups)
             mgmt = make_mgmt(cores=cores, bank_bytes=1 << 18, log_transfers=True)
             out = run_op(mgmt, op, sizes, total, np.random.default_rng(cores * total))
-        return out, mgmt.device, runs
+        return out, mgmt, runs
 
     @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_same_bytes_counters_and_log(self, monkeypatch, geometry, op):
-        out, dev, runs = self.run(monkeypatch, geometry, op, lockstep=True)
-        ref, ref_dev, _ = self.run(monkeypatch, geometry, op, lockstep=False)
+        out, mgmt, runs = self.run(monkeypatch, geometry, op, lockstep=True)
+        ref, ref_mgmt, _ = self.run(monkeypatch, geometry, op, lockstep=False)
+        dev, ref_dev = mgmt.device, ref_mgmt.device
         assert np.array_equal(out, ref)
-        assert np.array_equal(dev.banks, ref_dev.banks)
+        if op.startswith("red-"):
+            assert defined_state(mgmt) == defined_state(ref_mgmt)
+        else:
+            assert np.array_equal(dev.banks, ref_dev.banks)
         assert not dev.scratchpads.any() and not ref_dev.scratchpads.any()
         assert dev.stats == ref_dev.stats
         assert dev.transfer_log == ref_dev.transfer_log

@@ -1112,8 +1112,8 @@ COMBINER_DTYPES = [np.dtype(np.bool_)] + [np.dtype(f"{kind}{size}")
 
 
 class TestOneAccumulatorTable:
-    """Both variants fold every tasklet's batches into one accumulator table
-    per core.  ``private`` and ``shared`` leave the elements that the
+    """Both variants fold every batch of a run's cores into one accumulator
+    table.  ``private`` and ``shared`` leave the elements that the
     reference executor, with its per-tasklet tables and ring merge, leaves,
     and the counters, transfer log and plan of its run of the same variant:
     for every declared combiner on every dtype it accepts and for an opaque
@@ -1217,10 +1217,50 @@ class TestOneAccumulatorTable:
         plan = processing.array_red(mgmt, "i", "out", d, n, handle, variant=variant)
         assert plan.num_tasklets == 12
         assert mgmt.lookup("i").per_core_elems == (390, 390, 385)
-        assert calls == [(2 * n, d), (1 * n, d)]  # the runs of cores 0-1 and 2
+        assert calls == [(n, d), (n, d)]  # the runs of cores 0-1 and 2
         expected = np.zeros(n, np.uint64)
         np.add.at(expected, np.arange(total) % n, np.arange(total, dtype=np.uint64))
         assert np.array_equal(comm.gather(mgmt, "out").view(np.uint64)[:n], expected)
+
+
+@pytest.mark.parametrize("app", ["histogram", "kmeans"])
+def test_shared_locks_are_the_distinct_core_key_entries_of_each_step(app, monkeypatch):
+    """Each batch step of a shared reduction acquires, in one call, exactly
+    the sorted distinct ``(core, key)`` entries of its elements: entry
+    ``core * n + key``, ``core`` counted from the run's first core."""
+    steps, acquired = [], []
+    load, create, acquire = (processing._load_batch_views, processing.create_handle,
+                             processing.LockTable.acquire)
+
+    def recording_load(device, job, cores, m, reads):
+        steps.append([len(cores), m, job.out.len, None])
+        return load(device, job, cores, m, reads)
+
+    def recording_create(*args, map_to_val_func=None, **kwargs):
+        def to_val(src, ctx):
+            vals, keys = map_to_val_func(src, ctx)
+            steps[-1][3] = np.array(keys, np.int64)  # the callback may reuse keys
+            return vals, keys
+
+        return create(*args, map_to_val_func=map_to_val_func and to_val, **kwargs)
+
+    def checking_acquire(table, tasklet, indices):
+        cores, m, n, keys = steps[-1]
+        rows = keys + np.repeat(np.arange(cores) * n, m)
+        assert np.array_equal(indices, np.unique(rows))
+        acquired.append(indices.size)
+        acquire(table, tasklet, indices)
+
+    monkeypatch.setattr(processing, "_load_batch_views", recording_load)
+    monkeypatch.setattr(processing, "create_handle", recording_create)
+    monkeypatch.setattr(processing.LockTable, "acquire", checking_acquire)
+    mgmt = make_mgmt(cores=3, dma_max_bytes=256)
+    spec = BenchmarkSpec(name=app, total_elems=3 * 1500 - 7, bins=300, clusters=4,
+                         iterations=2, seed=5)
+    result = getattr(apps, f"run_{app}")(mgmt, spec, variant="shared")
+    assert np.array_equal(result, getattr(apps, f"oracle_{app}")(spec))
+    assert {cores for cores, _, _, _ in steps} == {2, 1}  # runs of uneven counts
+    assert len(acquired) == len(steps) > 2 * 3 and min(acquired) < max(acquired)
 
 
 class TestContextLifetime:

@@ -10,7 +10,7 @@ tables ring-style and writes its partial.  Swapped in for
 and host fold stay shared), it must leave the same results, array elements,
 counters, transfer log and plan as the library's lockstep kernel, with its
 bulk pass over chunks of bank rows, its batch reads issued once per run,
-its batches read where they lie and its one accumulator table per core, on
+its batches read where they lie and its one accumulator table per run, on
 drawn geometries, with entries of up to 11 values as k-means's.
 Scratchpad bytes and bank padding are undefined after a launch, so they are
 not compared.
