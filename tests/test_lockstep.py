@@ -8,7 +8,8 @@ counters and transfer log, and the scratchpads all zero.  A map or zip must
 also leave the same bank bytes.  A reduction must leave the same defined
 state (``conftest.defined_state``): its output is defined on core 0 only, and
 a run writes its total to its first core's copy and the identity to the
-others', where per-core execution writes each core's own partial.
+others', where per-core execution writes each core's own partial.  Both
+start from the same random bank bytes.
 """
 
 import numpy as np
@@ -143,6 +144,9 @@ class TestLockstepEqualsPerCore:
             patch.setattr(processing, "_core_groups",
                           recording_groups(runs) if lockstep else per_core_groups)
             mgmt = make_mgmt(cores=cores, bank_bytes=1 << 18, log_transfers=True)
+            # not zero, the identity of np.add: a copy left unwritten shows
+            rng = np.random.default_rng(total)
+            mgmt.device.banks[:] = rng.integers(0, 256, mgmt.device.banks.shape, np.uint8)
             out = run_op(mgmt, op, sizes, total, np.random.default_rng(cores * total))
         return out, mgmt, runs
 

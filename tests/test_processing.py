@@ -1239,7 +1239,7 @@ def test_shared_locks_are_the_distinct_core_key_entries_of_each_step(app, monkey
     def recording_create(*args, map_to_val_func=None, **kwargs):
         def to_val(src, ctx):
             vals, keys = map_to_val_func(src, ctx)
-            steps[-1][3] = np.array(keys, np.int64)  # the callback may reuse keys
+            steps[-1][3] = np.array(keys, np.int64).ravel()  # keys may be reused
             return vals, keys
 
         return create(*args, map_to_val_func=map_to_val_func and to_val, **kwargs)
